@@ -20,6 +20,10 @@ The recurrent carry lives for the resource-block groups of one TTI and
 resets at TTI boundaries; experiences store the carry observed at
 decision time so replayed transitions are recomputed in their original
 context.
+
+`AgentStack` holds the main networks of one run's agents on a leading
+agent axis and advances all of them by one step per call, with the same
+floating-point operations as `select_action` on each agent.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "LstmNetwork",
     "ReplayMemory",
     "DqnAgent",
+    "AgentStack",
     "encode_state",
     "reward",
     "lstm_forward",
@@ -139,9 +144,12 @@ def reward(user_class: UserClass, sinr_ratio: float, delay_ratio: float = None) 
 class LstmNetwork:
     """Gate weights plus the linear Q-value head.
 
-    Parameters live in a dict of float64 arrays keyed wx_i, wh_i, b_i,
-    ... (one triple per gate), wq and bq. Initialization is uniform on
-    [-0.1, 0.1] drawn in a fixed key order from the seed.
+    The gates are stored fused, in the column order i, f, o, g: `wx`
+    (D, 4H), `wh` (H, 4H) and `b` (4H,), beside `wq` (H, A) and `bq`
+    (A,). `params` maps wx_i, wh_i, b_i, ... (one triple per gate), wq
+    and bq to views of that storage, so an in-place update under either
+    name shows under both. Initialization is uniform on [-0.1, 0.1]
+    drawn in a fixed key order from the seed.
     """
 
     def __init__(self, input_size: int, hidden_units: int, action_count: int, seed: int = 0):
@@ -150,21 +158,42 @@ class LstmNetwork:
         self.action_count = action_count
         rng = make_rng(seed)
         d, h, a = input_size, hidden_units, action_count
+        wx = np.empty((d, 4 * h))
+        wh = np.empty((h, 4 * h))
+        b = np.empty(4 * h)
+        for k in range(len(_GATES)):
+            cols = slice(k * h, (k + 1) * h)
+            wx[:, cols] = rng.uniform(-0.1, 0.1, size=(d, h))
+            wh[:, cols] = rng.uniform(-0.1, 0.1, size=(h, h))
+            b[cols] = rng.uniform(-0.1, 0.1, size=(h,))
+        wq = rng.uniform(-0.1, 0.1, size=(h, a))
+        bq = rng.uniform(-0.1, 0.1, size=(a,))
+        self._bind(wx, wh, b, wq, bq)
+
+    def _bind(self, wx, wh, b, wq, bq) -> None:
+        """Adopt the arrays as storage and rebuild the per-gate views."""
+        self.wx, self.wh, self.b, self.wq, self.bq = wx, wh, b, wq, bq
+        h = self.hidden_units
         p = {}
-        for gate in _GATES:
-            p[f"wx_{gate}"] = rng.uniform(-0.1, 0.1, size=(d, h))
-            p[f"wh_{gate}"] = rng.uniform(-0.1, 0.1, size=(h, h))
-            p[f"b_{gate}"] = rng.uniform(-0.1, 0.1, size=(h,))
-        p["wq"] = rng.uniform(-0.1, 0.1, size=(h, a))
-        p["bq"] = rng.uniform(-0.1, 0.1, size=(a,))
+        for k, gate in enumerate(_GATES):
+            cols = slice(k * h, (k + 1) * h)
+            p[f"wx_{gate}"] = wx[:, cols]
+            p[f"wh_{gate}"] = wh[:, cols]
+            p[f"b_{gate}"] = b[cols]
+        p["wq"] = wq
+        p["bq"] = bq
         self.params = p
+
+    def arrays(self) -> tuple:
+        """The storage arrays (wx, wh, b, wq, bq)."""
+        return (self.wx, self.wh, self.b, self.wq, self.bq)
 
     def clone(self) -> "LstmNetwork":
         other = LstmNetwork.__new__(LstmNetwork)
         other.input_size = self.input_size
         other.hidden_units = self.hidden_units
         other.action_count = self.action_count
-        other.params = {k: v.copy() for k, v in self.params.items()}
+        other._bind(*(v.copy() for v in self.arrays()))
         return other
 
     def zero_carry(self, batch: Optional[int] = None):
@@ -281,19 +310,21 @@ def select_action(
     `mask` marks feasible actions; None means all are feasible.
     """
     q, new_carry = lstm_forward(net, [state], carry)
-    row = q[0]
     if mask is None:
         feasible = np.arange(net.action_count)
     else:
         feasible = np.flatnonzero(np.asarray(mask, dtype=bool))
         if feasible.size == 0:
             raise ConfigError("action mask excludes every action")
+    return _epsilon_greedy(q[0], feasible, epsilon, rng), new_carry
+
+
+def _epsilon_greedy(row: np.ndarray, feasible: np.ndarray, epsilon: float, rng) -> int:
+    """A uniform feasible action with probability epsilon, else the
+    feasible argmax of `row` (lowest index on ties)."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        action = int(feasible[rng.integers(feasible.size)])
-    else:
-        sub = row[feasible]
-        action = int(feasible[int(np.argmax(sub))])
-    return action, new_carry
+        return int(feasible[rng.integers(feasible.size)])
+    return int(feasible[row[feasible].argmax()])
 
 
 def train_step(
@@ -342,8 +373,8 @@ def train_step(
 
 def sync_target(main: LstmNetwork, target: LstmNetwork) -> None:
     """Copy the main parameters into the target, bit for bit."""
-    for k, v in main.params.items():
-        np.copyto(target.params[k], v)
+    for dst, src in zip(target.arrays(), main.arrays()):
+        np.copyto(dst, src)
 
 
 class ReplayMemory:
@@ -391,8 +422,8 @@ def load_checkpoint(path):
     main = LstmNetwork(d, h, a, seed=0)
     target = LstmNetwork(d, h, a, seed=0)
     for k in main.params:
-        main.params[k] = data[f"main_{k}"].copy()
-        target.params[k] = data[f"target_{k}"].copy()
+        np.copyto(main.params[k], data[f"main_{k}"])
+        np.copyto(target.params[k], data[f"target_{k}"])
     return main, target
 
 
@@ -429,3 +460,68 @@ class DqnAgent:
 
     def sync(self) -> None:
         sync_target(self.main, self.target)
+
+
+class AgentStack:
+    """The main networks of several agents on a leading agent axis.
+
+    Each agent's `main` is rebound to views of its slice of the stack,
+    so training through `train_step` updates the stack in place. The
+    agents must share input size, hidden units and action count.
+    """
+
+    def __init__(self, agents: Sequence[DqnAgent]):
+        self.agents = list(agents)
+        nets = [agent.main for agent in self.agents]
+        self.wx, self.wh, self.b, self.wq, self.bq = (
+            np.stack(parts) for parts in zip(*(net.arrays() for net in nets))
+        )
+        for k, net in enumerate(nets):
+            net._bind(self.wx[k], self.wh[k], self.b[k], self.wq[k], self.bq[k])
+        n, d, h = len(nets), nets[0].input_size, nets[0].hidden_units
+        # (agent, gate, row, column) views of the fused gate columns: one
+        # BLAS product per gate, as in `_forward`. A single (H, 4H) product
+        # rounds the last columns of a gate differently whenever H is not
+        # a multiple of the BLAS kernel's block.
+        self._wx_gates = self.wx.reshape(n, d, 4, h).transpose(0, 2, 1, 3)
+        self._wh_gates = self.wh.reshape(n, h, 4, h).transpose(0, 2, 1, 3)
+
+    def zero_carry(self):
+        """(h, c) of every agent at the start of a TTI, each (N, H)."""
+        return self.agents[0].main.zero_carry(batch=len(self.agents))
+
+    def forward(self, x: np.ndarray, carry):
+        """One LSTM step of every agent.
+
+        x is (N, D) and the carry (h, c) holds two (N, H) arrays. Returns
+        the Q-rows (N, A) and the new carry; row k equals, bit for bit,
+        `lstm_forward` of agent k on (x[k], (h[k], c[k])).
+        """
+        h, c = carry
+        n, hd = h.shape
+        z = (
+            np.matmul(x[:, None, None, :], self._wx_gates)
+            + np.matmul(h[:, None, None, :], self._wh_gates)
+        ).reshape(n, 4 * hd) + self.b
+        ifo = _sigmoid(z[:, : 3 * hd])
+        i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
+        g = np.tanh(z[:, 3 * hd :])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        q = np.matmul(h_new[:, None, :], self.wq)[:, 0] + self.bq
+        return q, (h_new, c_new)
+
+    def act(self, states: Sequence[float], carry, feasible: Sequence[np.ndarray]):
+        """Epsilon-greedy action of every agent for one resource-block group.
+
+        `feasible[k]` holds agent k's feasible actions in ascending order.
+        Agent k draws from its own `action_rng` exactly as
+        `select_action` would. Returns (actions, Q-rows, new carry).
+        """
+        x = np.asarray(states, dtype=float).reshape(len(self.agents), -1)
+        q, new_carry = self.forward(x, carry)
+        actions = [
+            _epsilon_greedy(row, idx, agent.cfg.epsilon, agent.action_rng)
+            for agent, row, idx in zip(self.agents, q, feasible)
+        ]
+        return actions, q, new_carry

@@ -22,6 +22,7 @@ from dataclasses import replace
 from .config import SweepSpec, emit_config, parse_config
 from .engine import (
     SUMMARY_METRICS,
+    load_position_trace,
     run_scenario,
     write_per_tti_csv,
     write_summary_csv,
@@ -53,8 +54,8 @@ def _cell_paths(out_dir: str, scenario_name: str, variable: str, value_index: in
 
 def _run_cell(args):
     """Worker for one (scenario, sweep value) cell; returns summary rows."""
-    cfg, variable, value, value_index, out_dir = args
-    report = run_scenario(cfg)
+    cfg, variable, value, value_index, out_dir, trace = args
+    report = run_scenario(cfg, trace=trace)
     report_path, summary_path = _cell_paths(out_dir, cfg.scenario.value, variable, value_index)
     tmp_report = report_path + ".part"
     write_per_tti_csv(report, tmp_report)
@@ -80,21 +81,37 @@ def _fmt(value) -> str:
 def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
     """Run every sweep cell and write the CSV outputs.
 
-    Returns the process exit code: 0 if every cell completed, 2 if any
-    failed (completed cells are still written).
+    Position traces are loaded once, before any cell starts, so a bad
+    trace raises ConfigError instead of failing every cell. At most
+    min(jobs, cells, CPUs) worker processes run. Returns the process exit
+    code: 0 if every cell completed, 2 if any failed (completed cells
+    are still written).
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    traces = {
+        cfg.trace_csv: load_position_trace(cfg.trace_csv) for cfg in spec.base if cfg.trace_csv
+    }
     os.makedirs(out_dir, exist_ok=True)
     cells = []
     for value_index, value in enumerate(spec.values):
         for cfg in spec.base:
             cells.append(
-                (replace(cfg, **{spec.variable: value}), spec.variable, value, value_index, out_dir)
+                (
+                    replace(cfg, **{spec.variable: value}),
+                    spec.variable,
+                    value,
+                    value_index,
+                    out_dir,
+                    traces.get(cfg.trace_csv),
+                )
             )
 
     results = [None] * len(cells)
     failures = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(_run_cell, cell) for i, cell in enumerate(cells)}
             for i, fut in futures.items():
                 try:
@@ -115,7 +132,7 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
     _atomic_write(os.path.join(out_dir, "sweep_summary.csv"), "\n".join(lines) + "\n")
 
     if failures:
-        for (cfg, _, value, _, _), exc in failures:
+        for (cfg, _, value, *_), exc in failures:
             print(
                 f"cell failed: scenario={cfg.scenario.value} {spec.variable}={value}: {exc}",
                 file=sys.stderr,

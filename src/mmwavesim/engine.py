@@ -21,11 +21,19 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .agent import AgentConfig, DqnAgent, ExperienceTuple, UserClass, encode_state, reward
+from .agent import (
+    AgentConfig,
+    AgentStack,
+    DqnAgent,
+    ExperienceTuple,
+    UserClass,
+    encode_state,
+    reward,
+)
 from .beams import AntennaConfig, coverage_rate, form_beams, rbg_rate, sinr_to_cqi, compute_sinr
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
@@ -174,6 +182,15 @@ class ScenarioConfig:
         return 0.0 if self.scenario is Scenario.KMEANS_EXACT else self.error_rmse_m
 
 
+class _Outcome(NamedTuple):
+    """What scheduling one RBG of a beam to one of its members yields."""
+
+    bits: float  # RBG rate times the TTI duration
+    cqi: int
+    next_state: float
+    reward: float
+
+
 @dataclass
 class TtiRecord:
     run: int
@@ -273,8 +290,8 @@ def reported_center(p: UncertainPoint) -> Point2D:
 def load_position_trace(path):
     """Parse a `tti,ue_id,x_m,y_m` CSV into {tti: [(ue_id, Point2D), ...]}.
 
-    Rows must be sorted by (tti, ue_id); TTIs without rows hold the last
-    position.
+    Rows must be sorted by (tti, ue_id) and hold finite coordinates away
+    from the gNB at the origin; TTIs without rows hold the last position.
     """
     trace = {}
     last = None
@@ -291,6 +308,10 @@ def load_position_trace(path):
                 x, y = float(row[2]), float(row[3])
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{path}: line {lineno}: malformed row {row}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ConfigError(f"{path}: line {lineno}: non-finite position {row}")
+            if x == 0.0 and y == 0.0:
+                raise ConfigError(f"{path}: line {lineno}: position is at the gNB (0, 0)")
             key = (tti, ue_id)
             if last is not None and key <= last:
                 raise ConfigError(f"{path}: line {lineno}: rows not sorted by (tti, ue_id)")
@@ -364,6 +385,7 @@ class ScenarioRun:
                 DqnAgent(cfg.agent_config(action_count=cfg.n_ues, seed=derive_seed(run_seed, 200 + b)))
                 for b in range(cfg.n_beams)
             ]
+            self.stack = AgentStack(self.agents)
         self.prev_centers = None
         self.packet_bits = cfg.packet_size_bytes * 8
 
@@ -410,6 +432,77 @@ class ScenarioRun:
         self.prev_centers = result.centers
         return result.labels, list(result.centers), geometry_points
 
+    def _schedule(self, t: int, beams, sinr_db):
+        """Every beam's agent picks one member UE per RBG.
+
+        All agents advance together, one RBG per `AgentStack.act` call.
+        SINR and head-of-line delay cannot change before service, so the
+        rate, CQI report and reward of each (beam, member) are computed
+        once. Budgets, rewards and experiences are then accumulated beam
+        by beam, RBG by RBG, so every float sum and replay order is that
+        of scheduling one beam after the other. Returns the per-UE bit
+        budgets, the per-beam allocations and the rewards in that order.
+        """
+        cfg = self.cfg
+        feasible, masks, outcomes = [], [], []
+        for b, beam in enumerate(beams):
+            mask = np.zeros(cfg.n_ues, dtype=bool)
+            mask[list(beam.members)] = True
+            feasible.append(np.flatnonzero(mask))
+            masks.append(tuple(bool(m) for m in mask))
+            table = {}
+            for uid in feasible[-1].tolist():
+                sdb = sinr_db[(b, uid)]
+                ue = self.ues[uid]
+                sinr_ratio = (10.0 ** (sdb / 10.0)) / self.qos_sinr_lin
+                delay_ratio = cfg.qos_latency_ttis / ue.queue.head_of_line_delay(t)
+                cqi = sinr_to_cqi(sdb)
+                table[uid] = _Outcome(
+                    bits=rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s,
+                    cqi=cqi,
+                    next_state=encode_state(cqi),
+                    reward=reward(ue.klass, sinr_ratio, delay_ratio),
+                )
+            outcomes.append(table)
+
+        first_states = [encode_state(agent.last_cqi) for agent in self.agents]
+        states, carry = first_states, self.stack.zero_carry()
+        steps = []  # per RBG: the actions and the carry they were picked in
+        for _ in range(cfg.rbg_count):  # form_beams gives every beam rbg_count
+            actions, _, next_carry = self.stack.act(states, carry, feasible)
+            steps.append((actions, carry))
+            states = [outcomes[b][a].next_state for b, a in enumerate(actions)]
+            carry = next_carry
+
+        budgets = {}
+        allocations = []
+        rewards_seen = []
+        serve_limit = len(beams) if self.serve_beam_limit is None else self.serve_beam_limit
+        for b, agent in enumerate(self.agents):
+            state = first_states[b]
+            beam_alloc = []
+            for actions, (h, c) in steps:
+                action = actions[b]
+                bits, cqi_next, next_state, r = outcomes[b][action]
+                if b < serve_limit:
+                    budgets[action] = budgets.get(action, 0.0) + bits
+                agent.remember(
+                    ExperienceTuple(
+                        state=state,
+                        action=action,
+                        next_state=next_state,
+                        reward=r,
+                        hidden_context=(h[b], c[b]),
+                        action_mask=masks[b],
+                    )
+                )
+                rewards_seen.append(r)
+                beam_alloc.append(action)
+                state = next_state
+            agent.last_cqi = cqi_next
+            allocations.append(beam_alloc)
+        return budgets, allocations, rewards_seen
+
     def step(self, t: int) -> TtiRecord:
         cfg = self.cfg
         if not self.coverage_only:
@@ -455,47 +548,7 @@ class ScenarioRun:
                     )
                     sinr_db[(b, uid)] = compute_sinr(ang, dist, beam, others, cfg.antenna)
 
-            budgets = {}
-            allocations = []
-            rewards_seen = []
-            serve_limit = len(beams) if self.serve_beam_limit is None else self.serve_beam_limit
-            for b, beam in enumerate(beams):
-                agent = self.agents[b]
-                carry = agent.main.zero_carry()
-                mask = np.zeros(cfg.n_ues, dtype=bool)
-                mask[list(beam.members)] = True
-                mask_t = tuple(bool(m) for m in mask)
-                cqi_cur = agent.last_cqi
-                beam_alloc = []
-                for _ in range(beam.rbg_count):
-                    s = encode_state(cqi_cur)
-                    pre_carry = carry
-                    action, carry = agent.act(s, carry, mask)
-                    sdb = sinr_db[(b, action)]
-                    if b < serve_limit:
-                        budgets[action] = budgets.get(action, 0.0) + rbg_rate(
-                            sdb, cfg.antenna
-                        ) * cfg.tti_duration_s
-                    cqi_next = sinr_to_cqi(sdb)
-                    ue = self.ues[action]
-                    sinr_ratio = (10.0 ** (sdb / 10.0)) / self.qos_sinr_lin
-                    delay_ratio = cfg.qos_latency_ttis / ue.queue.head_of_line_delay(t)
-                    r = reward(ue.klass, sinr_ratio, delay_ratio)
-                    agent.remember(
-                        ExperienceTuple(
-                            state=s,
-                            action=action,
-                            next_state=encode_state(cqi_next),
-                            reward=r,
-                            hidden_context=pre_carry,
-                            action_mask=mask_t,
-                        )
-                    )
-                    rewards_seen.append(r)
-                    beam_alloc.append(action)
-                    cqi_cur = cqi_next
-                agent.last_cqi = cqi_cur
-                allocations.append(beam_alloc)
+            budgets, allocations, rewards_seen = self._schedule(t, beams, sinr_db)
 
             per_beam_delivered = [0] * len(beams)
             for uid in sorted(budgets):
@@ -556,16 +609,21 @@ class ScenarioRun:
 
 
 def run_scenario(
-    cfg: ScenarioConfig, collect_detail: bool = False, coverage_only: bool = False
+    cfg: ScenarioConfig,
+    collect_detail: bool = False,
+    coverage_only: bool = False,
+    trace: Optional[dict] = None,
 ) -> RunReport:
     """Execute cfg.runs independent runs and aggregate their metrics.
 
     Run i uses the seed derive_seed(master_seed, i); the report is fully
     determined by (cfg, master_seed). Aggregates carry the mean and the
-    95% Student-t half-width (nan for a single run).
+    95% Student-t half-width (nan for a single run). `trace` is the
+    already loaded `cfg.trace_csv`; when None the file is loaded here.
     """
     cfg.validate()
-    trace = load_position_trace(cfg.trace_csv) if cfg.trace_csv else None
+    if trace is None and cfg.trace_csv:
+        trace = load_position_trace(cfg.trace_csv)
     records = []
     summaries = []
     for i in range(cfg.runs):
