@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import expit as _sigmoid
 
 from .errors import ConfigError
+from .fields import check_fields, ranged
 from .seeding import derive_seed, make_rng
 
 __all__ = [
@@ -68,38 +69,22 @@ class UserClass(Enum):
 
 @dataclass(frozen=True)
 class AgentConfig:
-    action_count: int
-    gamma: float = 0.9
-    epsilon: float = 0.1
-    nn_learning_rate: float = 0.01
-    hidden_units: int = 20
-    input_size: int = 1
-    minibatch: int = 20
-    replay_capacity: int = 60
-    train_interval_ttis: int = 60
-    target_copy_interval_ttis: int = 120
+    action_count: int = ranged(lo=1)
+    gamma: float = ranged(0.9, lo=0.0, hi=1.0)
+    epsilon: float = ranged(0.1, lo=0.0, hi=1.0)
+    nn_learning_rate: float = ranged(0.01, lo=0.0, closed=False)
+    hidden_units: int = ranged(20, lo=1)
+    input_size: int = ranged(1, lo=1)
+    minibatch: int = ranged(20, lo=1)
+    replay_capacity: int = ranged(60, lo=1)
+    train_interval_ttis: int = ranged(60, lo=1)
+    target_copy_interval_ttis: int = ranged(120, lo=1)
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        for name in (
-            "action_count",
-            "hidden_units",
-            "input_size",
-            "minibatch",
-            "replay_capacity",
-            "train_interval_ttis",
-            "target_copy_interval_ttis",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        check_fields(self)
         if self.minibatch > self.replay_capacity:
             raise ConfigError("minibatch cannot exceed replay_capacity")
-        if self.nn_learning_rate <= 0:
-            raise ConfigError("nn_learning_rate must be > 0")
 
 
 @dataclass

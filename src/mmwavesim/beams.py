@@ -24,6 +24,7 @@ import numpy as np
 
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
+from .fields import check_fields, ranged
 from .geometry import Point2D, sq_distance
 
 __all__ = [
@@ -48,26 +49,22 @@ SPEED_OF_LIGHT = 299_792_458.0
 # entry the report is cqi 0
 DEFAULT_CQI_THRESHOLDS_DB = tuple(-6.7 + 1.8 * k for k in range(15))
 
+# splits an over-full cluster in two (see `form_beams`)
+_SPLIT_CLUSTERING = ClusteringConfig(k=2, seed=0, init_strategy=InitStrategy.FARTHEST_FIRST)
+
 
 @dataclass(frozen=True)
 class AntennaConfig:
-    n_elements: int = 1024
-    element_spacing_over_wavelength: float = 0.5
-    carrier_frequency_hz: float = 28e9
-    tx_power_dbm: float = 30.0
-    noise_power_dbm: float = -94.0
-    subcarrier_spacing_hz: float = 120e3
-    rbs_per_rbg: int = 2
+    n_elements: int = ranged(1024, lo=1)
+    element_spacing_over_wavelength: float = ranged(0.5, lo=0.0, closed=False)
+    carrier_frequency_hz: float = ranged(28e9, lo=0.0, closed=False)
+    tx_power_dbm: float = ranged(30.0)
+    noise_power_dbm: float = ranged(-94.0)
+    subcarrier_spacing_hz: float = ranged(120e3, lo=0.0, closed=False)
+    rbs_per_rbg: int = ranged(2, lo=1)
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise ConfigError(f"n_elements must be >= 1, got {self.n_elements}")
-        if self.element_spacing_over_wavelength <= 0:
-            raise ConfigError("element spacing ratio must be > 0")
-        if self.carrier_frequency_hz <= 0:
-            raise ConfigError("carrier frequency must be > 0")
-        if self.subcarrier_spacing_hz <= 0 or self.rbs_per_rbg < 1:
-            raise ConfigError("invalid resource-block geometry")
+        check_fields(self)
 
     @property
     def wavelength_m(self) -> float:
@@ -203,10 +200,7 @@ def form_beams(
         spreads = [_circular_range([_angle_from(gnb, p) for p in cl.points]) for _, cl in candidates]
         pick = int(np.argmax(spreads))
         idx, cl = candidates[pick]
-        sub = run_clustering(
-            cl.points,
-            ClusteringConfig(k=2, seed=0, init_strategy=InitStrategy.FARTHEST_FIRST),
-        )
+        sub = run_clustering(cl.points, _SPLIT_CLUSTERING)
         halves = []
         for j in range(2):
             member = [i for i, l in enumerate(sub.labels) if l == j]

@@ -28,6 +28,7 @@ from .engine import (
     write_summary_csv,
 )
 from .errors import ConfigError
+from .fields import fmt
 from .geometry import Point2D, UncertainPoint, UniformDisk, expected_sq_distance, mc_expected_sq_distance
 from .seeding import make_rng
 
@@ -67,15 +68,9 @@ def _run_cell(args):
     for metric in SUMMARY_METRICS:
         mean, hw = report.aggregate[metric]
         rows.append(
-            f"{variable},{_fmt(value)},{cfg.scenario.value},{metric},{_fmt(mean)},{_fmt(hw)}"
+            f"{variable},{fmt(value)},{cfg.scenario.value},{metric},{fmt(mean)},{fmt(hw)}"
         )
     return rows
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
@@ -93,19 +88,10 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
         cfg.trace_csv: load_position_trace(cfg.trace_csv) for cfg in spec.base if cfg.trace_csv
     }
     os.makedirs(out_dir, exist_ok=True)
-    cells = []
-    for value_index, value in enumerate(spec.values):
-        for cfg in spec.base:
-            cells.append(
-                (
-                    replace(cfg, **{spec.variable: value}),
-                    spec.variable,
-                    value,
-                    value_index,
-                    out_dir,
-                    traces.get(cfg.trace_csv),
-                )
-            )
+    cells = [
+        (cfg, spec.variable, value, i // len(spec.base), out_dir, traces.get(cfg.trace_csv))
+        for i, (cfg, value) in enumerate(spec.cells())
+    ]
 
     results = [None] * len(cells)
     failures = []
@@ -147,12 +133,8 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        spec = SweepSpec(
-            variable=spec.variable,
-            values=spec.values,
-            base=tuple(replace(cfg, master_seed=args.seed) for cfg in spec.base),
-        )
+    if args.seed is not None:  # SweepSpec re-validates every cell
+        spec = replace(spec, base=tuple(replace(cfg, master_seed=args.seed) for cfg in spec.base))
     return run_sweep(spec, args.out, jobs=args.jobs)
 
 

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .fields import check_fields, ranged
 from .geometry import Point2D, UncertainPoint, expected_position, expected_sq_distance
 from .seeding import make_rng
 
@@ -46,19 +47,14 @@ class InitStrategy(Enum):
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    k: int
-    max_iterations: int = 100
-    convergence_epsilon: float = 1e-6  # squared meters of center movement
+    k: int = ranged(lo=1)
+    max_iterations: int = ranged(100, lo=1)
+    convergence_epsilon: float = ranged(1e-6, lo=0.0)  # squared meters of center movement
     init_strategy: InitStrategy = InitStrategy.FARTHEST_FIRST
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.convergence_epsilon < 0:
-            raise ConfigError("convergence_epsilon must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -4,31 +4,43 @@ The file format is deliberately plain so experiment provenance diffs
 cleanly: one `key = value` per line, `#` comments, blank lines ignored.
 Every key has a default; unknown keys are errors. Units are suffixed in
 key names (_m, _deg, _bps, _db, _hz, _s). An empty file is the default
-experiment: 3 clusters, 1024 antenna elements, epsilon 0.1, gamma 0.9,
-1400 TTIs, 5 runs, all three scenarios, a single sweep point.
+experiment: all three scenarios, a single sweep point, and the defaults
+that `emit_config` prints.
+
+`KEYS` lists every key once, in emission order. Its rows are read off
+the `ScenarioConfig` and `AntennaConfig` fields, which declare each
+default and range (see `fields.ranged`), so parsing, `emit_config` and
+`ScenarioConfig.validate` apply the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .beams import AntennaConfig
-from .clustering import InitStrategy
 from .engine import Scenario, ScenarioConfig
 from .errors import ConfigError
+from .fields import Range, fmt
 
-__all__ = ["SweepSpec", "parse_config", "parse_config_text", "emit_config", "SWEEPABLE"]
+__all__ = ["SweepSpec", "parse_config", "parse_config_text", "emit_config", "SWEEPABLE", "KEYS"]
 
 SWEEPABLE = ("n_beams", "beam_width_deg", "load_bps")
-
-_SCENARIO_ORDER = (Scenario.KMEANS_ERROR, Scenario.UKMEANS_ERROR, Scenario.KMEANS_EXACT)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A validated sweep: constructing one (also via `replace`) checks every cell."""
+
     variable: str
     values: tuple
     base: tuple  # one ScenarioConfig per requested scenario, sweep variable unset
+
+    def __post_init__(self):
+        for cfg, _ in self.cells():
+            cfg.validate()
 
     def cells(self):
         """(scenario_config, value) pairs in deterministic order."""
@@ -39,68 +51,44 @@ class SweepSpec:
         return out
 
 
+class Key(NamedTuple):
+    name: str  # spelling in the config file
+    path: Optional[str]  # ScenarioConfig attribute ("antenna.<field>"); None for sweep keys
+    default: object  # also gives the value type
+    range: Optional[Range]
+
+
+# config names that differ from the field name
+_RENAMED = {"antenna.n_elements": "n_antennas", "trace_csv": "position_trace_csv"}
+# file-only default and range: qos_latency_ttis = 0 derives 1 ms / tti_duration_s
+_PARSE_TIME = {"qos_latency_ttis": (0, Range(0))}
+
+
+def _field_keys(cls, prefix=""):
+    for f in fields(cls):
+        if f.name == "antenna":
+            yield from _field_keys(AntennaConfig, "antenna.")
+        elif f.name != "scenario":
+            path = prefix + f.name
+            default, rng = _PARSE_TIME.get(path, (f.default, f.metadata.get("range")))
+            yield Key(_RENAMED.get(path, f.name), path, default, rng)
+
+
+KEYS = (
+    Key("scenarios", None, ",".join(s.value for s in Scenario), None),
+    Key("sweep_variable", None, SWEEPABLE[0], None),
+    Key("sweep_values", None, "", None),
+    *_field_keys(ScenarioConfig),
+)
+_BY_NAME = {key.name: key for key in KEYS}
+
+
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
     if text.lower() in ("false", "0", "no"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _ge(limit):
-    return lambda v: v >= limit
-
-
-def _gt(limit):
-    return lambda v: v > limit
-
-
-def _in_range(lo, hi):
-    return lambda v: lo <= v <= hi
-
-
-# key -> (parser, default, validator or None, description of the valid range)
-_KEYS = {
-    "scenarios": (str, "kmeans_error,ukmeans_error,kmeans_exact", None, ""),
-    "sweep_variable": (str, "n_beams", None, "one of n_beams|beam_width_deg|load_bps"),
-    "sweep_values": (str, "", None, "comma-separated numbers"),
-    "n_ues": (int, 6, _ge(1), ">= 1"),
-    "n_clusters": (int, 3, _ge(1), ">= 1"),
-    "n_beams": (int, 3, _ge(1), ">= 1"),
-    "beam_width_deg": (float, 20.0, lambda v: 0.0 < v < 180.0, "in (0, 180)"),
-    "cell_radius_m": (float, 160.0, _gt(0.0), "> 0"),
-    "error_rmse_m": (float, 8.0, _ge(0.0), ">= 0"),
-    "informative_pdf": (_parse_bool, False, None, "true|false"),
-    "tti_count": (int, 1400, _ge(1), ">= 1"),
-    "tti_duration_s": (float, 1.25e-4, _gt(0.0), "> 0"),
-    "move_interval_ttis": (int, 10, _ge(1), ">= 1"),
-    "qos_latency_ttis": (int, 0, _ge(0), ">= 1 (0 derives 1 ms / tti_duration)"),
-    "qos_sinr_db": (float, 15.0, None, ""),
-    "runs": (int, 5, _ge(1), ">= 1"),
-    "master_seed": (int, 12345, _ge(0), ">= 0"),
-    "load_bps": (float, 2e6, _ge(0.0), ">= 0"),
-    "packet_size_bytes": (int, 32, _ge(1), ">= 1"),
-    "rbg_count": (int, 24, _ge(1), ">= 1"),
-    "gamma": (float, 0.9, _in_range(0.0, 1.0), "in [0, 1]"),
-    "epsilon": (float, 0.1, _in_range(0.0, 1.0), "in [0, 1]"),
-    "nn_learning_rate": (float, 0.01, _gt(0.0), "> 0"),
-    "hidden_units": (int, 20, _ge(1), ">= 1"),
-    "minibatch": (int, 20, _ge(1), ">= 1"),
-    "replay_capacity": (int, 60, _ge(1), ">= 1"),
-    "train_interval_ttis": (int, 60, _ge(1), ">= 1"),
-    "target_copy_interval_ttis": (int, 120, _ge(1), ">= 1"),
-    "cluster_max_iterations": (int, 100, _ge(1), ">= 1"),
-    "cluster_convergence_epsilon": (float, 1e-6, _ge(0.0), ">= 0"),
-    "cluster_init": (str, "farthest_first", None, "farthest_first|random_points"),
-    "n_antennas": (int, 1024, _ge(1), ">= 1"),
-    "element_spacing_over_wavelength": (float, 0.5, _gt(0.0), "> 0"),
-    "carrier_frequency_hz": (float, 28e9, _gt(0.0), "> 0"),
-    "tx_power_dbm": (float, 30.0, None, ""),
-    "noise_power_dbm": (float, -94.0, None, ""),
-    "subcarrier_spacing_hz": (float, 120e3, _gt(0.0), "> 0"),
-    "rbs_per_rbg": (int, 2, _ge(1), ">= 1"),
-    "position_trace_csv": (str, "", None, ""),
-}
 
 
 def _parse_lines(text: str):
@@ -113,7 +101,7 @@ def _parse_lines(text: str):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        if key not in _BY_NAME:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -121,117 +109,93 @@ def _parse_lines(text: str):
     return out
 
 
+def _parse_value(key: Key, text: str, lineno: int):
+    parse = _parse_bool if isinstance(key.default, bool) else type(key.default)
+    try:
+        value = parse(text)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: invalid value for {key.name!r}: {text!r}") from None
+    if key.range is not None:
+        key.range.check(key.name, value, where=f"line {lineno}: ")
+    return value
+
+
+def _where(raw: dict, name: str) -> str:
+    return f"line {raw[name][1]}: " if name in raw else ""
+
+
+def _scenarios(values: dict, raw: dict):
+    where = _where(raw, "scenarios")
+    names = [s.strip() for s in values["scenarios"].split(",") if s.strip()]
+    if not names:
+        raise ConfigError(f"{where}scenarios must name at least one scenario")
+    by_value = {s.value: s for s in Scenario}
+    scenarios = []
+    for name in names:
+        if name not in by_value:
+            raise ConfigError(f"{where}unknown scenario {name!r} (expected one of {sorted(by_value)})")
+        if by_value[name] in scenarios:
+            raise ConfigError(f"{where}scenario {name!r} listed twice")
+        scenarios.append(by_value[name])
+    return scenarios
+
+
+def _sweep_values(variable: str, values: dict, raw: dict) -> tuple:
+    """The swept values, parsed and range-checked like the key they replace."""
+    if variable not in SWEEPABLE:
+        raise ConfigError(
+            f"{_where(raw, 'sweep_variable')}sweep_variable must be one of {SWEEPABLE}, got {variable!r}"
+        )
+    if not values["sweep_values"]:
+        return (values[variable],)
+    key = _BY_NAME[variable]
+    where = f"{_where(raw, 'sweep_values')}sweep_values: "
+    try:
+        numbers = [float(v) for v in values["sweep_values"].split(",")]
+    except ValueError:
+        raise ConfigError(f"{where}expected comma-separated numbers") from None
+    if isinstance(key.default, int):
+        if not all(v.is_integer() for v in numbers):
+            raise ConfigError(f"{where}a sweep over {variable} needs integers")
+        numbers = [int(v) for v in numbers]
+    for v in numbers:
+        key.range.check(variable, v, where)
+    return tuple(numbers)
+
+
 def parse_config_text(text: str) -> SweepSpec:
     """Parse config text into a SweepSpec (see `parse_config`)."""
     raw = _parse_lines(text)
-    values = {}
-    for key, (parser, default, validator, bounds) in _KEYS.items():
-        if key in raw:
-            text_value, lineno = raw[key]
-            try:
-                value = parser(text_value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: invalid value for {key!r}: {text_value!r}")
-            if validator is not None and not validator(value):
-                raise ConfigError(f"line {lineno}: {key} out of range ({bounds}), got {value}")
-        else:
-            value = default
-        values[key] = value
-
-    scenario_names = [s.strip() for s in values["scenarios"].split(",") if s.strip()]
-    if not scenario_names:
-        raise ConfigError("scenarios must name at least one scenario")
-    by_value = {s.value: s for s in Scenario}
-    scenarios = []
-    for name in scenario_names:
-        if name not in by_value:
+    values = {
+        key.name: _parse_value(key, *raw[key.name]) if key.name in raw else key.default
+        for key in KEYS
+    }
+    if values["qos_latency_ttis"] == 0:
+        ttis_per_ms = 1e-3 / values["tti_duration_s"]
+        if ttis_per_ms == math.inf:
             raise ConfigError(
-                f"unknown scenario {name!r} (expected one of {sorted(by_value)})"
+                f"{_where(raw, 'tti_duration_s')}tti_duration_s is too small to derive "
+                "qos_latency_ttis = 1 ms / tti_duration_s; set qos_latency_ttis"
             )
-        if by_value[name] in scenarios:
-            raise ConfigError(f"scenario {name!r} listed twice")
-        scenarios.append(by_value[name])
+        values["qos_latency_ttis"] = max(1, round(ttis_per_ms))
 
+    top, antenna = {}, {}
+    for key in KEYS:
+        if key.path is not None:
+            owner, _, name = key.path.rpartition(".")
+            (antenna if owner else top)[name] = values[key.name]
+    top["antenna"] = AntennaConfig(**antenna)
+    base = tuple(ScenarioConfig(scenario=s, **top) for s in _scenarios(values, raw))
     variable = values["sweep_variable"]
-    if variable not in SWEEPABLE:
-        raise ConfigError(f"sweep_variable must be one of {SWEEPABLE}, got {variable!r}")
-    if values["sweep_values"]:
-        try:
-            numbers = [float(v) for v in values["sweep_values"].split(",")]
-        except ValueError:
-            raise ConfigError("sweep_values must be comma-separated numbers")
-    else:
-        numbers = [float(values[variable])]
-    if variable == "n_beams":
-        if any(v != int(v) or v < 1 for v in numbers):
-            raise ConfigError("sweep over n_beams needs integers >= 1")
-        sweep_values = tuple(int(v) for v in numbers)
-    else:
-        sweep_values = tuple(numbers)
-
-    if values["cluster_init"] not in ("farthest_first", "random_points"):
-        raise ConfigError(
-            f"cluster_init must be farthest_first or random_points, got {values['cluster_init']!r}"
-        )
-
-    qos_latency = values["qos_latency_ttis"]
-    if qos_latency == 0:
-        qos_latency = max(1, round(1e-3 / values["tti_duration_s"]))
-
-    antenna = AntennaConfig(
-        n_elements=values["n_antennas"],
-        element_spacing_over_wavelength=values["element_spacing_over_wavelength"],
-        carrier_frequency_hz=values["carrier_frequency_hz"],
-        tx_power_dbm=values["tx_power_dbm"],
-        noise_power_dbm=values["noise_power_dbm"],
-        subcarrier_spacing_hz=values["subcarrier_spacing_hz"],
-        rbs_per_rbg=values["rbs_per_rbg"],
-    )
-    base = []
-    for scenario in scenarios:
-        cfg = ScenarioConfig(
-            scenario=scenario,
-            n_ues=values["n_ues"],
-            n_clusters=values["n_clusters"],
-            n_beams=values["n_beams"],
-            beam_width_deg=values["beam_width_deg"],
-            cell_radius_m=values["cell_radius_m"],
-            error_rmse_m=values["error_rmse_m"],
-            informative_pdf=values["informative_pdf"],
-            tti_count=values["tti_count"],
-            tti_duration_s=values["tti_duration_s"],
-            move_interval_ttis=values["move_interval_ttis"],
-            qos_latency_ttis=qos_latency,
-            qos_sinr_db=values["qos_sinr_db"],
-            runs=values["runs"],
-            master_seed=values["master_seed"],
-            load_bps=values["load_bps"],
-            packet_size_bytes=values["packet_size_bytes"],
-            rbg_count=values["rbg_count"],
-            gamma=values["gamma"],
-            epsilon=values["epsilon"],
-            nn_learning_rate=values["nn_learning_rate"],
-            hidden_units=values["hidden_units"],
-            minibatch=values["minibatch"],
-            replay_capacity=values["replay_capacity"],
-            train_interval_ttis=values["train_interval_ttis"],
-            target_copy_interval_ttis=values["target_copy_interval_ttis"],
-            cluster_max_iterations=values["cluster_max_iterations"],
-            cluster_convergence_epsilon=values["cluster_convergence_epsilon"],
-            cluster_init=InitStrategy(values["cluster_init"]),
-            antenna=antenna,
-            trace_csv=values["position_trace_csv"],
-        )
-        cfg.validate()
-        base.append(cfg)
-    return SweepSpec(variable=variable, values=sweep_values, base=tuple(base))
+    return SweepSpec(variable=variable, values=_sweep_values(variable, values, raw), base=base)
 
 
 def parse_config(path) -> SweepSpec:
     """Load and validate a config file.
 
     Raises ConfigError with a line-anchored message on unknown keys,
-    malformed syntax or out-of-range values.
+    malformed syntax or out-of-range values; sweep values and the
+    cross-field rules are checked for every sweep cell.
     """
     try:
         with open(path) as fh:
@@ -241,61 +205,18 @@ def parse_config(path) -> SweepSpec:
     return parse_config_text(text)
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_config(spec: SweepSpec) -> str:
     """Canonical text for the effective configuration.
 
     `parse_config_text(emit_config(spec))` reconstructs an equal spec.
     """
-    cfg = spec.base[0]
-    ant = cfg.antenna
-    values = {
+    sweep = {
         "scenarios": ",".join(c.scenario.value for c in spec.base),
         "sweep_variable": spec.variable,
-        "sweep_values": ",".join(_fmt_value(v) for v in spec.values),
-        "n_ues": cfg.n_ues,
-        "n_clusters": cfg.n_clusters,
-        "n_beams": cfg.n_beams,
-        "beam_width_deg": cfg.beam_width_deg,
-        "cell_radius_m": cfg.cell_radius_m,
-        "error_rmse_m": cfg.error_rmse_m,
-        "informative_pdf": cfg.informative_pdf,
-        "tti_count": cfg.tti_count,
-        "tti_duration_s": cfg.tti_duration_s,
-        "move_interval_ttis": cfg.move_interval_ttis,
-        "qos_latency_ttis": cfg.qos_latency_ttis,
-        "qos_sinr_db": cfg.qos_sinr_db,
-        "runs": cfg.runs,
-        "master_seed": cfg.master_seed,
-        "load_bps": cfg.load_bps,
-        "packet_size_bytes": cfg.packet_size_bytes,
-        "rbg_count": cfg.rbg_count,
-        "gamma": cfg.gamma,
-        "epsilon": cfg.epsilon,
-        "nn_learning_rate": cfg.nn_learning_rate,
-        "hidden_units": cfg.hidden_units,
-        "minibatch": cfg.minibatch,
-        "replay_capacity": cfg.replay_capacity,
-        "train_interval_ttis": cfg.train_interval_ttis,
-        "target_copy_interval_ttis": cfg.target_copy_interval_ttis,
-        "cluster_max_iterations": cfg.cluster_max_iterations,
-        "cluster_convergence_epsilon": cfg.cluster_convergence_epsilon,
-        "cluster_init": cfg.cluster_init.value,
-        "n_antennas": ant.n_elements,
-        "element_spacing_over_wavelength": ant.element_spacing_over_wavelength,
-        "carrier_frequency_hz": ant.carrier_frequency_hz,
-        "tx_power_dbm": ant.tx_power_dbm,
-        "noise_power_dbm": ant.noise_power_dbm,
-        "subcarrier_spacing_hz": ant.subcarrier_spacing_hz,
-        "rbs_per_rbg": ant.rbs_per_rbg,
-        "position_trace_csv": cfg.trace_csv,
+        "sweep_values": ",".join(fmt(v) for v in spec.values),
     }
-    lines = [f"{key} = {_fmt_value(values[key])}" for key in _KEYS if key in values]
+    lines = []
+    for key in KEYS:
+        value = sweep[key.name] if key.path is None else attrgetter(key.path)(spec.base[0])
+        lines.append(f"{key.name} = {fmt(value)}")
     return "\n".join(lines) + "\n"

@@ -37,6 +37,7 @@ from .agent import (
 from .beams import AntennaConfig, coverage_rate, form_beams, rbg_rate, sinr_to_cqi, compute_sinr
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
+from .fields import check_fields, fmt, ranged, same_as
 from .geometry import Point2D, SampleBased, UncertainPoint, UniformDisk, expected_position
 from .seeding import derive_seed, make_rng
 from .stats import confidence_interval
@@ -78,79 +79,51 @@ class UserEquipment:
     reported: UncertainPoint
     reported_center: Point2D
     queue: PacketQueue
-    traffic: TrafficConfig
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario's parameters. Each field's default and range is declared
+    here or, for a field shared with a component config, on that config."""
+
     scenario: Scenario = Scenario.KMEANS_ERROR
-    n_ues: int = 6
-    n_clusters: int = 3
-    n_beams: int = 3
-    beam_width_deg: float = 20.0
-    cell_radius_m: float = 160.0
-    error_rmse_m: float = 8.0
+    n_ues: int = ranged(6, lo=1)
+    n_clusters: int = ranged(3, lo=1)
+    n_beams: int = ranged(3, lo=1)
+    beam_width_deg: float = ranged(20.0, lo=0.0, hi=180.0, closed=False)
+    cell_radius_m: float = ranged(160.0, lo=0.0, closed=False)
+    error_rmse_m: float = ranged(8.0, lo=0.0)
     informative_pdf: bool = False
-    tti_count: int = 1400
-    tti_duration_s: float = 1.25e-4
-    move_interval_ttis: int = 10
-    qos_latency_ttis: int = 8  # 1 ms at the default TTI duration
-    qos_sinr_db: float = 15.0
-    runs: int = 5
-    master_seed: int = 12345
-    load_bps: float = 2e6
-    packet_size_bytes: int = 32
-    rbg_count: int = 24
-    gamma: float = 0.9
-    epsilon: float = 0.1
-    nn_learning_rate: float = 0.01
-    hidden_units: int = 20
-    minibatch: int = 20
-    replay_capacity: int = 60
-    train_interval_ttis: int = 60
-    target_copy_interval_ttis: int = 120
-    cluster_max_iterations: int = 100
-    cluster_convergence_epsilon: float = 1e-6
-    cluster_init: InitStrategy = InitStrategy.FARTHEST_FIRST
+    tti_count: int = ranged(1400, lo=1)
+    tti_duration_s: float = ranged(1.25e-4, lo=0.0, closed=False)
+    move_interval_ttis: int = ranged(10, lo=1)
+    qos_latency_ttis: int = ranged(8, lo=1)  # 1 ms at the default TTI duration
+    qos_sinr_db: float = ranged(15.0)
+    runs: int = ranged(5, lo=1)
+    master_seed: int = ranged(12345, lo=0)
+    load_bps: float = same_as(TrafficConfig, "load_bps", default=2e6)
+    packet_size_bytes: int = same_as(TrafficConfig, "packet_size_bytes")
+    rbg_count: int = ranged(24, lo=1)
+    gamma: float = same_as(AgentConfig, "gamma")
+    epsilon: float = same_as(AgentConfig, "epsilon")
+    nn_learning_rate: float = same_as(AgentConfig, "nn_learning_rate")
+    hidden_units: int = same_as(AgentConfig, "hidden_units")
+    minibatch: int = same_as(AgentConfig, "minibatch")
+    replay_capacity: int = same_as(AgentConfig, "replay_capacity")
+    train_interval_ttis: int = same_as(AgentConfig, "train_interval_ttis")
+    target_copy_interval_ttis: int = same_as(AgentConfig, "target_copy_interval_ttis")
+    cluster_max_iterations: int = same_as(ClusteringConfig, "max_iterations")
+    cluster_convergence_epsilon: float = same_as(ClusteringConfig, "convergence_epsilon")
+    cluster_init: InitStrategy = same_as(ClusteringConfig, "init_strategy")
     antenna: AntennaConfig = field(default_factory=AntennaConfig)
     trace_csv: str = ""
 
     def validate(self) -> None:
-        for name in (
-            "n_ues",
-            "n_clusters",
-            "n_beams",
-            "tti_count",
-            "move_interval_ttis",
-            "qos_latency_ttis",
-            "runs",
-            "packet_size_bytes",
-            "rbg_count",
-            "cluster_max_iterations",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self)
         if self.n_clusters > self.n_ues:
             raise ConfigError("n_clusters cannot exceed n_ues")
-        if not 0.0 < self.beam_width_deg < 180.0:
-            raise ConfigError("beam_width_deg must be in (0, 180)")
-        if self.cell_radius_m <= 0:
-            raise ConfigError("cell_radius_m must be > 0")
-        if self.error_rmse_m < 0:
-            raise ConfigError("error_rmse_m must be >= 0")
-        if self.tti_duration_s <= 0:
-            raise ConfigError("tti_duration_s must be > 0")
-        if self.load_bps < 0:
-            raise ConfigError("load_bps must be >= 0")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must be in [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must be in [0, 1]")
         if self.minibatch > self.replay_capacity:
             raise ConfigError("minibatch cannot exceed replay_capacity")
-        # constructing a config object validates the nested invariants too
-        self.agent_config(action_count=self.n_ues, seed=0)
-        self.clustering_config(seed=0)
 
     def agent_config(self, action_count: int, seed: int) -> AgentConfig:
         return AgentConfig(
@@ -353,7 +326,7 @@ class ScenarioRun:
 
         self.move_rng = make_rng(derive_seed(run_seed, 1))
         self.error_rng = make_rng(derive_seed(run_seed, 2))
-        self.cluster_seed = derive_seed(run_seed, 3)
+        self.clustering = cfg.clustering_config(seed=derive_seed(run_seed, 3))
         self.traffic_rngs = [make_rng(derive_seed(run_seed, 100 + u)) for u in range(cfg.n_ues)]
 
         self.ues = []
@@ -370,13 +343,9 @@ class ScenarioRun:
                     reported=rep,
                     reported_center=reported_center(rep),
                     queue=PacketQueue(),
-                    traffic=TrafficConfig(
-                        load_bps=cfg.load_bps,
-                        packet_size_bytes=cfg.packet_size_bytes,
-                        seed=derive_seed(run_seed, 100 + u),
-                    ),
                 )
             )
+        self.traffic = TrafficConfig(load_bps=cfg.load_bps, packet_size_bytes=cfg.packet_size_bytes)
 
         if coverage_only:
             self.agents = []
@@ -426,7 +395,7 @@ class ScenarioRun:
             geometry_points = [expected_position(p) for p in data]
         result = run_clustering(
             data,
-            self.cfg.clustering_config(seed=self.cluster_seed),
+            self.clustering,
             initial_centers=self.prev_centers,
         )
         self.prev_centers = result.centers
@@ -507,7 +476,7 @@ class ScenarioRun:
         cfg = self.cfg
         if not self.coverage_only:
             for ue in self.ues:
-                n = generate_arrivals(ue.traffic, cfg.tti_duration_s, self.traffic_rngs[ue.id])
+                n = generate_arrivals(self.traffic, cfg.tti_duration_s, self.traffic_rngs[ue.id])
                 for _ in range(n):
                     ue.queue.push(self.packet_bits, t)
 
@@ -608,12 +577,7 @@ class ScenarioRun:
         )
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    collect_detail: bool = False,
-    coverage_only: bool = False,
-    trace: Optional[dict] = None,
-) -> RunReport:
+def run_scenario(cfg: ScenarioConfig, trace: Optional[dict] = None) -> RunReport:
     """Execute cfg.runs independent runs and aggregate their metrics.
 
     Run i uses the seed derive_seed(master_seed, i); the report is fully
@@ -632,8 +596,6 @@ def run_scenario(
             run_seed=derive_seed(cfg.master_seed, i),
             run_index=i,
             trace=trace,
-            coverage_only=coverage_only,
-            collect_detail=collect_detail,
         )
         recs, summ = run.run()
         records.append(recs)
@@ -660,12 +622,6 @@ def mean_coverage(cfg: ScenarioConfig, run_index: int = 0) -> float:
     return float(np.mean([r.coverage_rate for r in records]))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_per_tti_csv(report: RunReport, path) -> None:
     """One row per (run, tti): run,tti,coverage_rate,delivered_bits,mean_delay_ttis."""
     with open(path, "w", newline="") as fh:
@@ -673,8 +629,8 @@ def write_per_tti_csv(report: RunReport, path) -> None:
         for recs in report.records:
             for r in recs:
                 fh.write(
-                    f"{r.run},{r.tti},{_fmt(r.coverage_rate)},"
-                    f"{r.delivered_bits},{_fmt(r.mean_delay_ttis)}\n"
+                    f"{r.run},{r.tti},{fmt(r.coverage_rate)},"
+                    f"{r.delivered_bits},{fmt(r.mean_delay_ttis)}\n"
                 )
 
 
@@ -684,4 +640,4 @@ def write_summary_csv(report: RunReport, path) -> None:
         fh.write("scenario,metric,mean,ci95_halfwidth\n")
         for metric in SUMMARY_METRICS:
             mean, hw = report.aggregate[metric]
-            fh.write(f"{report.scenario.value},{metric},{_fmt(mean)},{_fmt(hw)}\n")
+            fh.write(f"{report.scenario.value},{metric},{fmt(mean)},{fmt(hw)}\n")

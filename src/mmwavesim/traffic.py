@@ -8,21 +8,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fields import check_fields, ranged
 
 __all__ = ["TrafficConfig", "Packet", "PacketQueue", "arrival_rate_pps", "generate_arrivals"]
 
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    load_bps: float  # offered load per UE
-    packet_size_bytes: int = 32
-    seed: int = 0
+    load_bps: float = ranged(lo=0.0)  # offered load per UE
+    packet_size_bytes: int = ranged(32, lo=1)
 
     def __post_init__(self):
-        if self.load_bps < 0:
-            raise ConfigError("load_bps must be >= 0")
-        if self.packet_size_bytes < 1:
-            raise ConfigError("packet_size_bytes must be >= 1")
+        check_fields(self)
 
     @property
     def packet_size_bits(self) -> int:
@@ -67,10 +64,6 @@ class PacketQueue:
 
     def __len__(self):
         return len(self._packets)
-
-    @property
-    def queued_bits(self) -> int:
-        return sum(p.size_bits for p in self._packets)
 
     def push(self, size_bits: int, arrival_tti: int) -> None:
         self._packets.append(Packet(size_bits, arrival_tti))
