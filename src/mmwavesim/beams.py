@@ -29,6 +29,7 @@ from .geometry import Point2D, sq_distance
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "DB_LIMIT",
     "DEFAULT_CQI_THRESHOLDS_DB",
     "AntennaConfig",
     "Beam",
@@ -49,6 +50,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 # entry the report is cqi 0
 DEFAULT_CQI_THRESHOLDS_DB = tuple(-6.7 + 1.8 * k for k in range(15))
 
+# bound of every dB/dBm config value, so that 10 ** (x / 10) stays finite
+DB_LIMIT = 300.0
+
 # splits an over-full cluster in two (see `form_beams`)
 _SPLIT_CLUSTERING = ClusteringConfig(k=2, seed=0, init_strategy=InitStrategy.FARTHEST_FIRST)
 
@@ -58,8 +62,8 @@ class AntennaConfig:
     n_elements: int = ranged(1024, lo=1)
     element_spacing_over_wavelength: float = ranged(0.5, lo=0.0, closed=False)
     carrier_frequency_hz: float = ranged(28e9, lo=0.0, closed=False)
-    tx_power_dbm: float = ranged(30.0)
-    noise_power_dbm: float = ranged(-94.0)
+    tx_power_dbm: float = ranged(30.0, lo=-DB_LIMIT, hi=DB_LIMIT)
+    noise_power_dbm: float = ranged(-94.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     subcarrier_spacing_hz: float = ranged(120e3, lo=0.0, closed=False)
     rbs_per_rbg: int = ranged(2, lo=1)
 

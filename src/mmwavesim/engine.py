@@ -1,13 +1,21 @@
 """TTI-stepped simulation of one mmWave cell.
 
-Each TTI executes, in order: packet arrivals, UE movement (every
-`move_interval_ttis` TTIs, or from a position trace), clustering of the
-positions the base station believes in, beam formation from the cluster
-centroids, per-beam RBG scheduling by the DQN agents, queue service
-with the allocated rate, agent training/target sync at their intervals,
-and metric emission. Coverage is always evaluated against the TRUE
-positions; scheduling and beam pointing only ever see the reported
-ones, which is what makes localization error costly.
+Each TTI runs these stages in order: packet arrivals; mobility (every
+`move_interval_ttis` TTIs, or the rows of a position trace); the
+geometry stage, which clusters the positions the base station believes
+in, points beams at the cluster centroids, and evaluates coverage and
+every (beam, member) link; per-beam RBG scheduling by the DQN agents;
+queue service with the allocated rate; agent training/target sync at
+their intervals; and metric emission. Coverage and links are always
+evaluated against the TRUE positions; scheduling and beam pointing only
+ever see the reported ones, which is what makes localization error
+costly.
+
+The geometry stage is event-driven: its inputs are the positions and
+the warm-start centers, so it is recomputed only at a movement event or
+while clustering has not reached a fixed point, and every other TTI
+reuses the previous result (exactly, as clustering draws no random
+numbers).
 
 Scenarios differ only in what the clustering step consumes:
 exact clustering of true positions, plain clustering of the distorted
@@ -34,7 +42,15 @@ from .agent import (
     encode_state,
     reward,
 )
-from .beams import AntennaConfig, coverage_rate, form_beams, rbg_rate, sinr_to_cqi, compute_sinr
+from .beams import (
+    DB_LIMIT,
+    AntennaConfig,
+    compute_sinr,
+    coverage_rate,
+    form_beams,
+    rbg_rate,
+    sinr_to_cqi,
+)
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
 from .fields import check_fields, fmt, ranged, same_as
@@ -60,9 +76,13 @@ __all__ = [
     "write_per_tti_csv",
     "write_summary_csv",
     "SUMMARY_METRICS",
+    "MIN_GNB_DISTANCE_M",
 ]
 
 SUMMARY_METRICS = ("coverage_rate", "sum_rate_bps", "mean_delay_ttis")
+
+# the closest a trace may place a UE to the gNB (1 mm)
+MIN_GNB_DISTANCE_M = 1e-3
 
 
 class Scenario(Enum):
@@ -98,7 +118,7 @@ class ScenarioConfig:
     tti_duration_s: float = ranged(1.25e-4, lo=0.0, closed=False)
     move_interval_ttis: int = ranged(10, lo=1)
     qos_latency_ttis: int = ranged(8, lo=1)  # 1 ms at the default TTI duration
-    qos_sinr_db: float = ranged(15.0)
+    qos_sinr_db: float = ranged(15.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     runs: int = ranged(5, lo=1)
     master_seed: int = ranged(12345, lo=0)
     load_bps: float = same_as(TrafficConfig, "load_bps", default=2e6)
@@ -155,13 +175,25 @@ class ScenarioConfig:
         return 0.0 if self.scenario is Scenario.KMEANS_EXACT else self.error_rmse_m
 
 
-class _Outcome(NamedTuple):
-    """What scheduling one RBG of a beam to one of its members yields."""
+class _Link(NamedTuple):
+    """What scheduling one RBG of a beam to one of its members yields,
+    apart from the reward (which reads the head-of-line delay)."""
 
     bits: float  # RBG rate times the TTI duration
     cqi: int
     next_state: float
-    reward: float
+    sinr_ratio: float  # linear SINR over the QoS requirement
+
+
+class _Geometry(NamedTuple):
+    """The geometry stage's result for one set of positions."""
+
+    beams: list
+    coverage: float
+    sinr_db: dict  # (beam, UE id) -> dB; empty on coverage-only runs
+    feasible: list  # per beam: its member ids, ascending
+    masks: list  # per beam: one bool per UE, True for its members
+    links: list  # per beam: {member id: _Link}
 
 
 @dataclass
@@ -263,8 +295,10 @@ def reported_center(p: UncertainPoint) -> Point2D:
 def load_position_trace(path):
     """Parse a `tti,ue_id,x_m,y_m` CSV into {tti: [(ue_id, Point2D), ...]}.
 
-    Rows must be sorted by (tti, ue_id) and hold finite coordinates away
-    from the gNB at the origin; TTIs without rows hold the last position.
+    Rows must be sorted by (tti, ue_id) and hold finite coordinates at
+    least MIN_GNB_DISTANCE_M from the gNB at the origin (closer, the
+    free-space path loss overflows and the SINR is not a number); TTIs
+    without rows hold the last position.
     """
     trace = {}
     last = None
@@ -283,8 +317,11 @@ def load_position_trace(path):
                 raise ConfigError(f"{path}: line {lineno}: malformed row {row}") from exc
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ConfigError(f"{path}: line {lineno}: non-finite position {row}")
-            if x == 0.0 and y == 0.0:
-                raise ConfigError(f"{path}: line {lineno}: position is at the gNB (0, 0)")
+            if math.hypot(x, y) < MIN_GNB_DISTANCE_M:
+                raise ConfigError(
+                    f"{path}: line {lineno}: position is within {MIN_GNB_DISTANCE_M} m "
+                    f"of the gNB (0, 0)"
+                )
             key = (tti, ue_id)
             if last is not None and key <= last:
                 raise ConfigError(f"{path}: line {lineno}: rows not sorted by (tti, ue_id)")
@@ -296,10 +333,11 @@ def load_position_trace(path):
 class ScenarioRun:
     """One seeded run of one scenario; `step` advances a single TTI.
 
-    With coverage_only=True the traffic and DRL stages are skipped, so
-    the run reduces to movement, clustering, beam formation and coverage
-    (the positions are identical to the full run under the same seed:
-    random streams are stream-separated).
+    With coverage_only=True the traffic and DRL stages are skipped and
+    the geometry stage builds no link tables, so the run reduces to
+    movement, clustering, beam formation and coverage (the positions
+    are identical to the full run under the same seed: random streams
+    are stream-separated).
     """
 
     def __init__(
@@ -355,7 +393,9 @@ class ScenarioRun:
                 for b in range(cfg.n_beams)
             ]
             self.stack = AgentStack(self.agents)
-        self.prev_centers = None
+        self.prev_centers = None  # the warm start of the next clustering call
+        self._fixed_point = False  # whether the last call returned its warm start
+        self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
         self.packet_bits = cfg.packet_size_bytes * 8
 
     def _refresh_report(self, ue: UserEquipment) -> None:
@@ -369,52 +409,88 @@ class ScenarioRun:
         ue.reported = rep
         ue.reported_center = reported_center(rep)
 
-    def _move_all(self) -> None:
+    def _arrivals(self, t: int) -> None:
+        for ue in self.ues:
+            n = generate_arrivals(self.traffic, self.cfg.tti_duration_s, self.traffic_rngs[ue.id])
+            for _ in range(n):
+                ue.queue.push(self.packet_bits, t)
+
+    def _mobility(self, t: int) -> bool:
+        """Apply this TTI's movement event, if any: the trace rows at `t`,
+        or a redraw of every UE each `move_interval_ttis` TTIs. Moved UEs
+        get a new report. Returns whether any UE moved."""
+        if self.trace is not None:
+            rows = self.trace.get(t, ())
+            for ue_id, pos in rows:
+                if not 0 <= ue_id < len(self.ues):
+                    raise ConfigError(f"trace references unknown ue_id {ue_id}")
+                ue = self.ues[ue_id]
+                ue.true_position = pos
+                self._refresh_report(ue)
+            return bool(rows)
+        if t == 0 or t % self.cfg.move_interval_ttis:
+            return False
         for ue in self.ues:
             ue.true_position = uniform_disk_point(self.move_rng, self.cfg.cell_radius_m)
             self._refresh_report(ue)
+        return True
 
-    def _apply_trace(self, t: int) -> None:
-        for ue_id, pos in self.trace.get(t, ()):
-            if not 0 <= ue_id < len(self.ues):
-                raise ConfigError(f"trace references unknown ue_id {ue_id}")
-            ue = self.ues[ue_id]
-            ue.true_position = pos
-            self._refresh_report(ue)
+    def _geometry(self, moved: bool) -> _Geometry:
+        """Clustering, beam formation, coverage and the link tables.
 
-    def _cluster(self):
+        The clustering call is a deterministic function of the positions
+        and its warm-start centers, and everything after it is a function
+        of its result and the true positions. So the previous TTI's
+        result is returned as is unless a UE moved, or the previous call
+        did not end at a fixed point (its output centers, the next call's
+        warm start, differ from the centers it started from).
+        """
+        if self._fixed_point and not moved:
+            return self.geometry
         cfg = self.cfg
         if cfg.scenario is Scenario.KMEANS_EXACT:
             data = [ue.true_position for ue in self.ues]
-            geometry_points = data
+            points = data
         elif cfg.scenario is Scenario.KMEANS_ERROR:
             data = [ue.reported_center for ue in self.ues]
-            geometry_points = data
+            points = data
         else:
             data = [ue.reported for ue in self.ues]
-            geometry_points = [expected_position(p) for p in data]
-        result = run_clustering(
-            data,
-            self.clustering,
-            initial_centers=self.prev_centers,
-        )
+            points = [expected_position(p) for p in data]
+        result = run_clustering(data, self.clustering, initial_centers=self.prev_centers)
+        self._fixed_point = result.centers == self.prev_centers
         self.prev_centers = result.centers
-        return result.labels, list(result.centers), geometry_points
+        beams = form_beams(
+            list(result.centers),
+            self.gnb,
+            self.width_rad,
+            cfg.n_beams,
+            points=points,
+            labels=result.labels,
+            ids=[ue.id for ue in self.ues],
+            rbg_count=cfg.rbg_count,
+        )
+        cov = coverage_rate(
+            beams, [ue.true_position for ue in self.ues], self.gnb, cfg.cell_radius_m
+        )
+        if self.coverage_only:
+            self.geometry = _Geometry(beams, cov, {}, [], [], [])
+        else:
+            self.geometry = _Geometry(beams, cov, *self._links(beams))
+        return self.geometry
 
-    def _schedule(self, t: int, beams, sinr_db):
-        """Every beam's agent picks one member UE per RBG.
-
-        All agents advance together, one RBG per `AgentStack.act` call.
-        SINR and head-of-line delay cannot change before service, so the
-        rate, CQI report and reward of each (beam, member) are computed
-        once. Budgets, rewards and experiences are then accumulated beam
-        by beam, RBG by RBG, so every float sum and replay order is that
-        of scheduling one beam after the other. Returns the per-UE bit
-        budgets, the per-beam allocations and the rewards in that order.
-        """
+    def _links(self, beams):
+        """Each (beam, member)'s SINR and the `_Link` of an RBG scheduled
+        to it; with the per-beam feasible actions and action masks."""
         cfg = self.cfg
-        feasible, masks, outcomes = [], [], []
+        sinr_db, feasible, masks, links = {}, [], [], []
         for b, beam in enumerate(beams):
+            others = [bm for j, bm in enumerate(beams) if j != b]
+            for uid in beam.members:
+                p = self.ues[uid].true_position
+                ang = math.atan2(p.y - self.gnb.y, p.x - self.gnb.x)
+                dist = math.hypot(p.x - self.gnb.x, p.y - self.gnb.y)
+                sinr_db[(b, uid)] = compute_sinr(ang, dist, beam, others, cfg.antenna)
             mask = np.zeros(cfg.n_ues, dtype=bool)
             mask[list(beam.members)] = True
             feasible.append(np.flatnonzero(mask))
@@ -422,111 +498,97 @@ class ScenarioRun:
             table = {}
             for uid in feasible[-1].tolist():
                 sdb = sinr_db[(b, uid)]
-                ue = self.ues[uid]
-                sinr_ratio = (10.0 ** (sdb / 10.0)) / self.qos_sinr_lin
-                delay_ratio = cfg.qos_latency_ttis / ue.queue.head_of_line_delay(t)
                 cqi = sinr_to_cqi(sdb)
-                table[uid] = _Outcome(
+                table[uid] = _Link(
                     bits=rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s,
                     cqi=cqi,
                     next_state=encode_state(cqi),
-                    reward=reward(ue.klass, sinr_ratio, delay_ratio),
+                    sinr_ratio=(10.0 ** (sdb / 10.0)) / self.qos_sinr_lin,
                 )
-            outcomes.append(table)
+            links.append(table)
+        return sinr_db, feasible, masks, links
+
+    def _schedule(self, t: int, geo: _Geometry):
+        """Every beam's agent picks one member UE per RBG.
+
+        All agents advance together, one RBG per `AgentStack.act` call.
+        The links are fixed by the geometry and the head-of-line delay
+        cannot change before service, so each (beam, member)'s reward is
+        computed once. Budgets, rewards and experiences are then
+        accumulated beam by beam, RBG by RBG, so every float sum and
+        replay order is that of scheduling one beam after the other.
+        Returns the per-UE bit budgets, the per-beam allocations and the
+        rewards in that order.
+        """
+        cfg = self.cfg
+        rewards = []
+        for table in geo.links:
+            row = {}
+            for uid, link in table.items():
+                ue = self.ues[uid]
+                delay_ratio = cfg.qos_latency_ttis / ue.queue.head_of_line_delay(t)
+                row[uid] = reward(ue.klass, link.sinr_ratio, delay_ratio)
+            rewards.append(row)
 
         first_states = [encode_state(agent.last_cqi) for agent in self.agents]
         states, carry = first_states, self.stack.zero_carry()
         steps = []  # per RBG: the actions and the carry they were picked in
         for _ in range(cfg.rbg_count):  # form_beams gives every beam rbg_count
-            actions, _, next_carry = self.stack.act(states, carry, feasible)
+            actions, _, next_carry = self.stack.act(states, carry, geo.feasible)
             steps.append((actions, carry))
-            states = [outcomes[b][a].next_state for b, a in enumerate(actions)]
+            states = [geo.links[b][a].next_state for b, a in enumerate(actions)]
             carry = next_carry
 
         budgets = {}
         allocations = []
         rewards_seen = []
+        beams = geo.beams
         serve_limit = len(beams) if self.serve_beam_limit is None else self.serve_beam_limit
         for b, agent in enumerate(self.agents):
             state = first_states[b]
             beam_alloc = []
             for actions, (h, c) in steps:
                 action = actions[b]
-                bits, cqi_next, next_state, r = outcomes[b][action]
+                link, r = geo.links[b][action], rewards[b][action]
                 if b < serve_limit:
-                    budgets[action] = budgets.get(action, 0.0) + bits
+                    budgets[action] = budgets.get(action, 0.0) + link.bits
                 agent.remember(
                     ExperienceTuple(
                         state=state,
                         action=action,
-                        next_state=next_state,
+                        next_state=link.next_state,
                         reward=r,
                         hidden_context=(h[b], c[b]),
-                        action_mask=masks[b],
+                        action_mask=geo.masks[b],
                     )
                 )
                 rewards_seen.append(r)
                 beam_alloc.append(action)
-                state = next_state
-            agent.last_cqi = cqi_next
+                state = link.next_state
+            agent.last_cqi = link.cqi
             allocations.append(beam_alloc)
         return budgets, allocations, rewards_seen
 
     def step(self, t: int) -> TtiRecord:
         cfg = self.cfg
         if not self.coverage_only:
-            for ue in self.ues:
-                n = generate_arrivals(self.traffic, cfg.tti_duration_s, self.traffic_rngs[ue.id])
-                for _ in range(n):
-                    ue.queue.push(self.packet_bits, t)
-
-        if self.trace is not None:
-            self._apply_trace(t)
-        elif t > 0 and t % cfg.move_interval_ttis == 0:
-            self._move_all()
-
-        labels, centers, geometry_points = self._cluster()
-        beams = form_beams(
-            centers,
-            self.gnb,
-            self.width_rad,
-            cfg.n_beams,
-            points=geometry_points,
-            labels=labels,
-            ids=[ue.id for ue in self.ues],
-            rbg_count=cfg.rbg_count,
-        )
-        cov = coverage_rate(
-            beams, [ue.true_position for ue in self.ues], self.gnb, cfg.cell_radius_m
-        )
+            self._arrivals(t)
+        geo = self._geometry(self._mobility(t))
 
         delivered_bits = 0
         delays = []
         detail = None
         if not self.coverage_only:
-            sinr_db = {}
-            for b, beam in enumerate(beams):
-                others = [bm for j, bm in enumerate(beams) if j != b]
-                for uid in beam.members:
-                    if (b, uid) in sinr_db:
-                        continue
-                    ue = self.ues[uid]
-                    ang = math.atan2(ue.true_position.y - self.gnb.y, ue.true_position.x - self.gnb.x)
-                    dist = math.hypot(
-                        ue.true_position.x - self.gnb.x, ue.true_position.y - self.gnb.y
-                    )
-                    sinr_db[(b, uid)] = compute_sinr(ang, dist, beam, others, cfg.antenna)
+            budgets, allocations, rewards_seen = self._schedule(t, geo)
 
-            budgets, allocations, rewards_seen = self._schedule(t, beams, sinr_db)
-
-            per_beam_delivered = [0] * len(beams)
+            per_beam_delivered = [0] * len(geo.beams)
             for uid in sorted(budgets):
                 drained = self.ues[uid].queue.serve(budgets[uid], t)
                 for bits, _, dly in drained:
                     delivered_bits += bits
                     delays.append(dly)
                 if drained and self.collect_detail:
-                    serving = next(b for b, beam in enumerate(beams) if uid in beam.members)
+                    serving = next(b for b, beam in enumerate(geo.beams) if uid in beam.members)
                     per_beam_delivered[serving] += sum(d[0] for d in drained)
 
             if t > 0 and t % cfg.train_interval_ttis == 0:
@@ -540,7 +602,7 @@ class ScenarioRun:
                 detail = {
                     "allocations": allocations,
                     "budgets": dict(budgets),
-                    "sinr_db": sinr_db,
+                    "sinr_db": dict(geo.sinr_db),
                     "rewards": rewards_seen,
                     "per_beam_delivered": per_beam_delivered,
                     "positions": [(ue.true_position.x, ue.true_position.y) for ue in self.ues],
@@ -554,7 +616,7 @@ class ScenarioRun:
         return TtiRecord(
             run=self.run_index,
             tti=t,
-            coverage_rate=cov,
+            coverage_rate=geo.coverage,
             delivered_bits=delivered_bits,
             mean_delay_ttis=mean_delay,
             detail=detail,

@@ -1,0 +1,68 @@
+"""Inputs that would make a link's SINR or a dB conversion non-finite are
+rejected with their line before any cell starts."""
+
+import math
+
+import pytest
+
+from mmwavesim.beams import DB_LIMIT, AntennaConfig, Beam, compute_sinr
+from mmwavesim.cli import main
+from mmwavesim.engine import MIN_GNB_DISTANCE_M, load_position_trace
+from mmwavesim.errors import ConfigError
+
+TINY = (
+    "tti_count = 6\nruns = 1\nn_ues = 2\nn_clusters = 1\nn_beams = 1\n"
+    "rbg_count = 2\nhidden_units = 4\nminibatch = 4\nreplay_capacity = 8\n"
+)
+
+
+def _trace(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text("tti,ue_id,x_m,y_m\n" + "".join(r + "\n" for r in rows))
+    return path
+
+
+class TestTraceDistance:
+    @pytest.mark.parametrize("x, y", [("0", "1e-200"), ("1e-200", "0"), ("-5e-4", "5e-4")])
+    def test_row_within_1mm_of_gnb_rejected_with_line(self, tmp_path, x, y):
+        path = _trace(tmp_path, ["0,0,10.0,5.0", f"0,1,{x},{y}"])
+        with pytest.raises(ConfigError, match="line 3: position is within"):
+            load_position_trace(path)
+
+    def test_sinr_is_finite_at_the_minimum_distance(self):
+        beam = Beam(boresight=0.0, width=0.3, members=(0,))
+        other = Beam(boresight=0.1, width=0.3, members=(1,))
+        assert math.isnan(compute_sinr(0.0, 1e-200, beam, [other], AntennaConfig()))
+        assert math.isfinite(compute_sinr(0.0, MIN_GNB_DISTANCE_M, beam, [other], AntennaConfig()))
+
+    def test_close_trace_row_fails_run_before_any_cell(self, tmp_path, capsys):
+        trace = _trace(tmp_path, ["0,0,0,1e-200", "0,1,10,10"])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"position_trace_csv = {trace}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDbKeys:
+    @pytest.mark.parametrize("key", ["qos_sinr_db", "tx_power_dbm", "noise_power_dbm"])
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", "300.5"])
+    def test_huge_db_value_exits_1_before_any_cell(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        line = TINY.count("\n") + 1
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count(f"line {line}: {key} must be in [-300, 300]") == 2
+
+    @pytest.mark.parametrize("key", ["qos_sinr_db", "tx_power_dbm", "noise_power_dbm"])
+    def test_bounds_run(self, tmp_path, key):
+        for value in (-DB_LIMIT, DB_LIMIT):
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(TINY + f"{key} = {value}\n")
+            out = tmp_path / f"out{value}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
