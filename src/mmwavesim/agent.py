@@ -24,6 +24,8 @@ context.
 `AgentStack` holds the main networks of one run's agents on a leading
 agent axis and advances all of them by one step per call, with the same
 floating-point operations as `select_action` on each agent.
+`RolloutMemo` keeps its steps within a TTI so that a repeated sequence
+of input states is not computed again.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "ReplayMemory",
     "DqnAgent",
     "AgentStack",
+    "RolloutMemo",
+    "ROLLOUT_MEMO_CAP",
     "encode_state",
     "reward",
     "lstm_forward",
@@ -496,17 +500,80 @@ class AgentStack:
         q = np.matmul(h_new[:, None, :], self.wq)[:, 0] + self.bq
         return q, (h_new, c_new)
 
+    def decide(self, q: np.ndarray, mask: np.ndarray) -> list:
+        """Epsilon-greedy action of every agent from its Q-row.
+
+        `mask` (N, A) marks each agent's feasible actions. Agent k draws
+        from its own `action_rng` exactly as `select_action` would and
+        otherwise takes the feasible argmax of q[k], as `_epsilon_greedy`
+        does: the lowest index on ties, the first NaN if there is one,
+        and the lowest feasible index when every feasible entry is -inf.
+        """
+        actions = np.where(mask, q, -np.inf).argmax(axis=1).tolist()
+        for k, agent in enumerate(self.agents):
+            epsilon, rng = agent.cfg.epsilon, agent.action_rng
+            if epsilon > 0.0 and rng.random() < epsilon:
+                feasible = np.flatnonzero(mask[k])
+                actions[k] = int(feasible[rng.integers(feasible.size)])
+            elif not mask[k, actions[k]]:  # every masked entry is -inf: argmax gave 0
+                actions[k] = int(np.flatnonzero(mask[k])[0])
+        return actions
+
     def act(self, states: Sequence[float], carry, feasible: Sequence[np.ndarray]):
         """Epsilon-greedy action of every agent for one resource-block group.
 
-        `feasible[k]` holds agent k's feasible actions in ascending order.
-        Agent k draws from its own `action_rng` exactly as
-        `select_action` would. Returns (actions, Q-rows, new carry).
+        `forward` then `decide`; `feasible[k]` holds agent k's feasible
+        actions. Returns (actions, Q-rows, new carry).
         """
         x = np.asarray(states, dtype=float).reshape(len(self.agents), -1)
         q, new_carry = self.forward(x, carry)
-        actions = [
-            _epsilon_greedy(row, idx, agent.cfg.epsilon, agent.action_rng)
-            for agent, row, idx in zip(self.agents, q, feasible)
-        ]
-        return actions, q, new_carry
+        mask = np.zeros(q.shape, dtype=bool)
+        for k, idx in enumerate(feasible):
+            mask[k, idx] = True
+        return self.decide(q, mask), q, new_carry
+
+
+# the most nodes one RolloutMemo keeps, each N (A + 2H) floats; it bounds the
+# memory of a run whose geometry and weights never change
+ROLLOUT_MEMO_CAP = 4096
+
+
+class _Node:
+    __slots__ = ("q", "carry", "children")
+
+    def __init__(self, q, carry):
+        self.q = q  # Q-rows (N, A) of the step into this node
+        self.carry = carry  # the carry after that step
+        self.children = {}  # next RBG's tuple of states -> _Node
+
+
+class RolloutMemo:
+    """`AgentStack.forward` results of the RBGs of a TTI, kept across TTIs.
+
+    The carry restarts at zero every TTI, so the Q-rows and the carry
+    after RBG r are a function of the main weights and of every agent's
+    (scalar) input state at RBGs 0..r. A prefix tree holds them, one
+    edge per RBG keyed by the tuple of states, and `forward` runs only
+    for an edge not yet in the tree. Call `clear` whenever the weights
+    may have changed.
+    """
+
+    def __init__(self, stack: AgentStack):
+        self.stack = stack
+        self.clear()
+
+    def clear(self) -> None:
+        self.root = _Node(None, self.stack.zero_carry())
+        self.size = 0  # nodes below the root
+
+    def step(self, node: _Node, states: Sequence[float]) -> _Node:
+        """The node one RBG after `node` with input `states`."""
+        key = tuple(states)
+        child = node.children.get(key)
+        if child is None:
+            x = np.asarray(states, dtype=float).reshape(len(key), 1)
+            child = _Node(*self.stack.forward(x, node.carry))
+            if self.size < ROLLOUT_MEMO_CAP:
+                node.children[key] = child
+                self.size += 1
+        return child

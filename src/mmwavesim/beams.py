@@ -61,7 +61,8 @@ _SPLIT_CLUSTERING = ClusteringConfig(k=2, seed=0, init_strategy=InitStrategy.FAR
 class AntennaConfig:
     n_elements: int = ranged(1024, lo=1)
     element_spacing_over_wavelength: float = ranged(0.5, lo=0.0, closed=False)
-    carrier_frequency_hz: float = ranged(28e9, lo=0.0, closed=False)
+    # 1 MHz to 1 THz: the free-space path loss stays finite from 1 mm to 1000 km
+    carrier_frequency_hz: float = ranged(28e9, lo=1e6, hi=1e12)
     tx_power_dbm: float = ranged(30.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     noise_power_dbm: float = ranged(-94.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     subcarrier_spacing_hz: float = ranged(120e3, lo=0.0, closed=False)

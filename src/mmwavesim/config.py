@@ -1,11 +1,12 @@
 """Flat `key = value` experiment configs and sweep construction.
 
 The file format is deliberately plain so experiment provenance diffs
-cleanly: one `key = value` per line, `#` comments, blank lines ignored.
-Every key has a default; unknown keys are errors. Units are suffixed in
-key names (_m, _deg, _bps, _db, _hz, _s). An empty file is the default
-experiment: all three scenarios, a single sweep point, and the defaults
-that `emit_config` prints.
+cleanly: one `key = value` per line, `#` comments (a `#` at the start of
+a line or after whitespace), blank lines ignored. Every key has a
+default; unknown keys are errors. Units are suffixed in key names (_m,
+_deg, _bps, _db, _hz, _s). An empty file is the default experiment: all
+three scenarios, a single sweep point, and the defaults that
+`emit_config` prints.
 
 `KEYS` lists every key once, in emission order. Its rows are read off
 the `ScenarioConfig` and `AntennaConfig` fields, which declare each
@@ -16,6 +17,7 @@ default and range (see `fields.ranged`), so parsing, `emit_config` and
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -91,11 +93,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# a comment starts at a `#` that begins the line or follows whitespace, so a
+# value such as a path may hold `#`
+_COMMENT = re.compile(r"(?:^|(?<=\s))#")
+
+
 def _parse_lines(text: str):
     """Raw key -> (string value, line number), with line-anchored errors."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -15,7 +15,9 @@ The geometry stage is event-driven: its inputs are the positions and
 the warm-start centers, so it is recomputed only at a movement event or
 while clustering has not reached a fixed point, and every other TTI
 reuses the previous result (exactly, as clustering draws no random
-numbers).
+numbers). Scheduling reuses the agents' LSTM rollouts of earlier TTIs in
+the same geometry while the weights are unchanged, and builds only the
+replay experiences that a training sample can read.
 
 Scenarios differ only in what the clustering step consumes:
 exact clustering of true positions, plain clustering of the distorted
@@ -38,6 +40,7 @@ from .agent import (
     AgentStack,
     DqnAgent,
     ExperienceTuple,
+    RolloutMemo,
     UserClass,
     encode_state,
     reward,
@@ -186,14 +189,16 @@ class _Link(NamedTuple):
 
 
 class _Geometry(NamedTuple):
-    """The geometry stage's result for one set of positions."""
+    """The geometry stage's result for one set of positions; coverage-only
+    runs leave the link fields None."""
 
     beams: list
     coverage: float
-    sinr_db: dict  # (beam, UE id) -> dB; empty on coverage-only runs
-    feasible: list  # per beam: its member ids, ascending
-    masks: list  # per beam: one bool per UE, True for its members
-    links: list  # per beam: {member id: _Link}
+    sinr_db: Optional[dict] = None  # (beam, UE id) -> dB
+    mask: Optional[np.ndarray] = None  # (beam, UE): True for the beam's members
+    masks: Optional[list] = None  # the rows of `mask` as tuples of bools
+    links: Optional[list] = None  # per beam: {member id: _Link}
+    memo: Optional[RolloutMemo] = None  # the schedule's LSTM rollouts
 
 
 @dataclass
@@ -338,6 +343,9 @@ class ScenarioRun:
     movement, clustering, beam formation and coverage (the positions
     are identical to the full run under the same seed: random streams
     are stream-separated).
+
+    `step` is meant for the TTIs 0 .. tti_count - 1: experiences that no
+    training sample in that range can read are not pushed to replay.
     """
 
     def __init__(
@@ -474,16 +482,18 @@ class ScenarioRun:
             beams, [ue.true_position for ue in self.ues], self.gnb, cfg.cell_radius_m
         )
         if self.coverage_only:
-            self.geometry = _Geometry(beams, cov, {}, [], [], [])
+            self.geometry = _Geometry(beams, cov)
         else:
-            self.geometry = _Geometry(beams, cov, *self._links(beams))
+            # a fresh memo: its nodes are keyed by states this geometry's links give
+            self.geometry = _Geometry(beams, cov, *self._links(beams), RolloutMemo(self.stack))
         return self.geometry
 
     def _links(self, beams):
         """Each (beam, member)'s SINR and the `_Link` of an RBG scheduled
-        to it; with the per-beam feasible actions and action masks."""
+        to it; with the per-beam action masks."""
         cfg = self.cfg
-        sinr_db, feasible, masks, links = {}, [], [], []
+        sinr_db, links = {}, []
+        mask = np.zeros((len(beams), cfg.n_ues), dtype=bool)
         for b, beam in enumerate(beams):
             others = [bm for j, bm in enumerate(beams) if j != b]
             for uid in beam.members:
@@ -491,12 +501,9 @@ class ScenarioRun:
                 ang = math.atan2(p.y - self.gnb.y, p.x - self.gnb.x)
                 dist = math.hypot(p.x - self.gnb.x, p.y - self.gnb.y)
                 sinr_db[(b, uid)] = compute_sinr(ang, dist, beam, others, cfg.antenna)
-            mask = np.zeros(cfg.n_ues, dtype=bool)
-            mask[list(beam.members)] = True
-            feasible.append(np.flatnonzero(mask))
-            masks.append(tuple(bool(m) for m in mask))
+            mask[b, list(beam.members)] = True
             table = {}
-            for uid in feasible[-1].tolist():
+            for uid in np.flatnonzero(mask[b]).tolist():
                 sdb = sinr_db[(b, uid)]
                 cqi = sinr_to_cqi(sdb)
                 table[uid] = _Link(
@@ -506,19 +513,40 @@ class ScenarioRun:
                     sinr_ratio=(10.0 ** (sdb / 10.0)) / self.qos_sinr_lin,
                 )
             links.append(table)
-        return sinr_db, feasible, masks, links
+        return sinr_db, mask, [tuple(row) for row in mask.tolist()], links
+
+    def _first_replayed(self, t: int) -> int:
+        """Index of the first of this TTI's experiences, per agent, that a
+        replay sample can read; the ones before it need not be pushed.
+
+        Training samples at the TTIs T > 0 with T % train_interval_ttis
+        == 0 below tti_count. Of the R = rbg_count experiences of TTI t,
+        experience j is followed by R - 1 - j pushes in TTI t and R in
+        each TTI up to the next such T, so the first sample that could
+        read it finds it evicted unless (R - 1 - j) + (T - t) R <
+        replay_capacity, and later samples find it further back still.
+        """
+        cfg = self.cfg
+        interval, rbgs = cfg.train_interval_ttis, cfg.rbg_count
+        train_t = max(1, -(-t // interval)) * interval  # the next T >= t
+        if train_t >= cfg.tti_count:
+            return rbgs
+        return max(0, (train_t - t + 1) * rbgs - cfg.replay_capacity)
 
     def _schedule(self, t: int, geo: _Geometry):
         """Every beam's agent picks one member UE per RBG.
 
-        All agents advance together, one RBG per `AgentStack.act` call.
-        The links are fixed by the geometry and the head-of-line delay
-        cannot change before service, so each (beam, member)'s reward is
-        computed once. Budgets, rewards and experiences are then
-        accumulated beam by beam, RBG by RBG, so every float sum and
-        replay order is that of scheduling one beam after the other.
-        Returns the per-UE bit budgets, the per-beam allocations and the
-        rewards in that order.
+        All agents advance together, one RBG per step of the geometry's
+        `RolloutMemo` (which calls `AgentStack.forward` only for a sequence
+        of states it has not seen since the weights last changed) and one
+        `AgentStack.decide`. The links are fixed by the geometry and the
+        head-of-line delay cannot change before service, so each (beam,
+        member)'s reward is computed once. Budgets, rewards and
+        experiences are then accumulated beam by beam, RBG by RBG, so
+        every float sum and replay order is that of scheduling one beam
+        after the other; only the experiences a replay sample can read
+        are built (see `_first_replayed`). Returns the per-UE bit budgets,
+        the per-beam allocations and the rewards in that order.
         """
         cfg = self.cfg
         rewards = []
@@ -531,37 +559,40 @@ class ScenarioRun:
             rewards.append(row)
 
         first_states = [encode_state(agent.last_cqi) for agent in self.agents]
-        states, carry = first_states, self.stack.zero_carry()
+        states, node = first_states, geo.memo.root
         steps = []  # per RBG: the actions and the carry they were picked in
         for _ in range(cfg.rbg_count):  # form_beams gives every beam rbg_count
-            actions, _, next_carry = self.stack.act(states, carry, geo.feasible)
-            steps.append((actions, carry))
+            child = geo.memo.step(node, states)
+            actions = self.stack.decide(child.q, geo.mask)
+            steps.append((actions, node.carry))
             states = [geo.links[b][a].next_state for b, a in enumerate(actions)]
-            carry = next_carry
+            node = child
 
         budgets = {}
         allocations = []
         rewards_seen = []
         beams = geo.beams
         serve_limit = len(beams) if self.serve_beam_limit is None else self.serve_beam_limit
+        first_replayed = self._first_replayed(t)
         for b, agent in enumerate(self.agents):
             state = first_states[b]
             beam_alloc = []
-            for actions, (h, c) in steps:
+            for j, (actions, (h, c)) in enumerate(steps):
                 action = actions[b]
                 link, r = geo.links[b][action], rewards[b][action]
                 if b < serve_limit:
                     budgets[action] = budgets.get(action, 0.0) + link.bits
-                agent.remember(
-                    ExperienceTuple(
-                        state=state,
-                        action=action,
-                        next_state=link.next_state,
-                        reward=r,
-                        hidden_context=(h[b], c[b]),
-                        action_mask=geo.masks[b],
+                if j >= first_replayed:
+                    agent.remember(
+                        ExperienceTuple(
+                            state=state,
+                            action=action,
+                            next_state=link.next_state,
+                            reward=r,
+                            hidden_context=(h[b], c[b]),
+                            action_mask=geo.masks[b],
+                        )
                     )
-                )
                 rewards_seen.append(r)
                 beam_alloc.append(action)
                 state = link.next_state
@@ -594,6 +625,7 @@ class ScenarioRun:
             if t > 0 and t % cfg.train_interval_ttis == 0:
                 for agent in self.agents:
                     agent.train()
+                geo.memo.clear()
             if t > 0 and t % cfg.target_copy_interval_ttis == 0:
                 for agent in self.agents:
                     agent.sync()

@@ -265,3 +265,23 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-3"]) == 1
         assert not out.exists()
         assert "master_seed" in capsys.readouterr().err
+
+
+class TestComments:
+    def test_hash_inside_a_value_round_trips(self):
+        spec = parse_config_text("position_trace_csv = traces/run#2.csv\n")
+        assert spec.base[0].trace_csv == "traces/run#2.csv"
+        assert "position_trace_csv = traces/run#2.csv\n" in emit_config(spec)
+        assert parse_config_text(emit_config(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "text", ["n_ues = 6 # six\n", "n_ues = 6\t# six\n", "# n_ues = 2\nn_ues = 6\n"]
+    )
+    def test_hash_after_whitespace_starts_a_comment(self, text):
+        assert parse_config_text(text).base[0].n_ues == 6
+
+    def test_validate_prints_the_whole_path(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("position_trace_csv = traces/run#2.csv  # the second run\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert "position_trace_csv = traces/run#2.csv\n" in capsys.readouterr().out

@@ -66,3 +66,25 @@ class TestDbKeys:
             cfg.write_text(TINY + f"{key} = {value}\n")
             out = tmp_path / f"out{value}"
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+class TestCarrierFrequency:
+    @pytest.mark.parametrize("value", ["1e-300", "999999.0", "1.000001e12", "1e308"])
+    def test_out_of_range_exits_1_before_any_cell(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"carrier_frequency_hz = {value}\n")
+        out = tmp_path / "out"
+        line = TINY.count("\n") + 1
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(f"line {line}: carrier_frequency_hz") == 2
+
+    @pytest.mark.parametrize("hz", [1e6, 1e12])
+    @pytest.mark.parametrize("distance", [MIN_GNB_DISTANCE_M, 1e6])
+    def test_sinr_is_finite_at_the_range_ends(self, hz, distance):
+        beam = Beam(boresight=0.0, width=0.3, members=(0,))
+        other = Beam(boresight=0.1, width=0.3, members=(1,))
+        antenna = AntennaConfig(carrier_frequency_hz=hz)
+        for interferers in ([], [other]):
+            assert math.isfinite(compute_sinr(0.0, distance, beam, interferers, antenna))
