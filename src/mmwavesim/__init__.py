@@ -19,13 +19,11 @@ from .agent import (
 from .beams import (
     AntennaConfig,
     Beam,
-    LinkQuality,
     array_response,
     beam_gain,
     compute_sinr,
     coverage_rate,
     form_beams,
-    link_quality,
     rbg_rate,
     sinr_to_cqi,
 )
@@ -52,7 +50,6 @@ from .engine import (
     load_position_trace,
     mean_coverage,
     run_scenario,
-    uniform_disk_point,
     write_per_tti_csv,
     write_summary_csv,
 )
@@ -68,6 +65,7 @@ from .geometry import (
     sample_position,
     sq_distance,
     translate,
+    uniform_disk_point,
 )
 from .seeding import derive_seed, make_rng, splitmix64
 from .stats import confidence_interval

@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_CQI_THRESHOLDS_DB",
     "AntennaConfig",
     "Beam",
-    "LinkQuality",
     "array_response",
     "beam_gain",
     "form_beams",
@@ -41,7 +40,6 @@ __all__ = [
     "compute_sinr",
     "sinr_to_cqi",
     "rbg_rate",
-    "link_quality",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -93,13 +91,6 @@ class Beam:
             raise ConfigError(f"beam width must be in (0, pi), got {self.width}")
         if self.rbg_count < 1:
             raise ConfigError("rbg_count must be >= 1")
-
-
-@dataclass(frozen=True)
-class LinkQuality:
-    sinr_db: float
-    cqi: int
-    rate_bps: float
 
 
 def _wrap_angle(a: float) -> float:
@@ -328,16 +319,3 @@ def rbg_rate(sinr_db: float, cfg: AntennaConfig) -> float:
     sinr = 10.0 ** (sinr_db / 10.0)
     return cfg.rbg_bandwidth_hz * math.log2(1.0 + sinr)
 
-
-def link_quality(
-    ue_angle: float,
-    ue_distance: float,
-    serving_beam: Beam,
-    interfering_beams: Sequence[Beam],
-    cfg: AntennaConfig,
-) -> LinkQuality:
-    """SINR, CQI report and per-RBG rate for one link."""
-    sinr_db = compute_sinr(ue_angle, ue_distance, serving_beam, interfering_beams, cfg)
-    return LinkQuality(
-        sinr_db=sinr_db, cqi=sinr_to_cqi(sinr_db), rate_bps=rbg_rate(sinr_db, cfg)
-    )

@@ -5,11 +5,11 @@ Each TTI runs these stages in order: packet arrivals; mobility (every
 geometry stage, which clusters the positions the base station believes
 in, points beams at the cluster centroids, and evaluates coverage and
 every (beam, member) link; per-beam RBG scheduling by the DQN agents;
-queue service with the allocated rate; agent training/target sync at
-their intervals; and metric emission. Coverage and links are always
-evaluated against the TRUE positions; scheduling and beam pointing only
-ever see the reported ones, which is what makes localization error
-costly.
+serving, which drains the queues with the allocated bits; and learning
+(agent training and target sync at their intervals). Coverage and links
+are always evaluated against the TRUE positions; scheduling and beam
+pointing only ever see the reported ones, which is what makes
+localization error costly.
 
 The geometry stage is event-driven: its inputs are the positions and
 the warm-start centers, so it is recomputed only at a movement event or
@@ -56,8 +56,15 @@ from .beams import (
 )
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
-from .fields import check_fields, fmt, ranged, same_as
-from .geometry import Point2D, SampleBased, UncertainPoint, UniformDisk, expected_position
+from .fields import check_fields, fmt, ranged, same_as, shared_values
+from .geometry import (
+    Point2D,
+    SampleBased,
+    UncertainPoint,
+    UniformDisk,
+    expected_position,
+    uniform_disk_point,
+)
 from .seeding import derive_seed, make_rng
 from .stats import confidence_interval
 from .traffic import PacketQueue, TrafficConfig, generate_arrivals
@@ -114,8 +121,9 @@ class ScenarioConfig:
     n_clusters: int = ranged(3, lo=1)
     n_beams: int = ranged(3, lo=1)
     beam_width_deg: float = ranged(20.0, lo=0.0, hi=180.0, closed=False)
-    cell_radius_m: float = ranged(160.0, lo=0.0, closed=False)
-    error_rmse_m: float = ranged(8.0, lo=0.0)
+    # (0, 1e6]: Range has one `closed` flag, so the open end 0 is its next float up
+    cell_radius_m: float = ranged(160.0, lo=math.ulp(0.0), hi=1e6)
+    error_rmse_m: float = ranged(8.0, lo=0.0, hi=1e6)
     informative_pdf: bool = False
     tti_count: int = ranged(1400, lo=1)
     tti_duration_s: float = ranged(1.25e-4, lo=0.0, closed=False)
@@ -149,28 +157,10 @@ class ScenarioConfig:
             raise ConfigError("minibatch cannot exceed replay_capacity")
 
     def agent_config(self, action_count: int, seed: int) -> AgentConfig:
-        return AgentConfig(
-            action_count=action_count,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            nn_learning_rate=self.nn_learning_rate,
-            hidden_units=self.hidden_units,
-            input_size=1,
-            minibatch=self.minibatch,
-            replay_capacity=self.replay_capacity,
-            train_interval_ttis=self.train_interval_ttis,
-            target_copy_interval_ttis=self.target_copy_interval_ttis,
-            seed=seed,
-        )
+        return AgentConfig(action_count=action_count, seed=seed, **shared_values(self, AgentConfig))
 
     def clustering_config(self, seed: int) -> ClusteringConfig:
-        return ClusteringConfig(
-            k=self.n_clusters,
-            max_iterations=self.cluster_max_iterations,
-            convergence_epsilon=self.cluster_convergence_epsilon,
-            init_strategy=self.cluster_init,
-            seed=seed,
-        )
+        return ClusteringConfig(k=self.n_clusters, seed=seed, **shared_values(self, ClusteringConfig))
 
     @property
     def effective_rmse_m(self) -> float:
@@ -228,15 +218,6 @@ class RunReport:
     aggregate: dict  # metric -> (mean, ci95_halfwidth)
 
 
-def uniform_disk_point(
-    rng: np.random.Generator, radius: float, center: Point2D = Point2D(0.0, 0.0)
-) -> Point2D:
-    """Area-uniform draw inside a disk (mean distance 2R/3 from center)."""
-    r = radius * math.sqrt(rng.random())
-    theta = rng.random() * 2.0 * math.pi
-    return Point2D(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
-
-
 def inject_error(
     true_position: Point2D,
     error_rmse_m: float,
@@ -267,12 +248,7 @@ def inject_error(
         raise ConfigError("error_rmse_m must be >= 0")
     r_err = error_rmse_m * math.sqrt(2.0)
     if not informative:
-        u = rng.random()
-        theta = rng.random() * 2.0 * math.pi
-        r = r_err * math.sqrt(u)
-        center = Point2D(
-            true_position.x + r * math.cos(theta), true_position.y + r * math.sin(theta)
-        )
+        center = uniform_disk_point(rng, r_err, true_position)
         return UncertainPoint(pdf=UniformDisk(center, r_err), id=point_id)
     ghosted = rng.random() < 0.5
     theta = rng.random() * 2.0 * math.pi
@@ -342,7 +318,9 @@ class ScenarioRun:
     the geometry stage builds no link tables, so the run reduces to
     movement, clustering, beam formation and coverage (the positions
     are identical to the full run under the same seed: random streams
-    are stream-separated).
+    are stream-separated). With collect_detail=True every record of a
+    full run carries `detail`: its TTI's allocations, budgets, sinr_db
+    and rewards.
 
     `step` is meant for the TTIs 0 .. tti_count - 1: experiences that no
     training sample in that range can read are not pushed to replay.
@@ -356,7 +334,6 @@ class ScenarioRun:
         trace: Optional[dict] = None,
         coverage_only: bool = False,
         collect_detail: bool = False,
-        serve_beam_limit: Optional[int] = None,
     ):
         cfg.validate()
         self.cfg = cfg
@@ -364,7 +341,6 @@ class ScenarioRun:
         self.trace = trace
         self.coverage_only = coverage_only
         self.collect_detail = collect_detail
-        self.serve_beam_limit = serve_beam_limit
         self.gnb = Point2D(0.0, 0.0)
         self.width_rad = math.radians(cfg.beam_width_deg)
         self.qos_sinr_lin = 10.0 ** (cfg.qos_sinr_db / 10.0)
@@ -391,7 +367,7 @@ class ScenarioRun:
                     queue=PacketQueue(),
                 )
             )
-        self.traffic = TrafficConfig(load_bps=cfg.load_bps, packet_size_bytes=cfg.packet_size_bytes)
+        self.traffic = TrafficConfig(**shared_values(cfg, TrafficConfig))
 
         if coverage_only:
             self.agents = []
@@ -404,7 +380,6 @@ class ScenarioRun:
         self.prev_centers = None  # the warm start of the next clustering call
         self._fixed_point = False  # whether the last call returned its warm start
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
-        self.packet_bits = cfg.packet_size_bytes * 8
 
     def _refresh_report(self, ue: UserEquipment) -> None:
         rep = inject_error(
@@ -421,7 +396,7 @@ class ScenarioRun:
         for ue in self.ues:
             n = generate_arrivals(self.traffic, self.cfg.tti_duration_s, self.traffic_rngs[ue.id])
             for _ in range(n):
-                ue.queue.push(self.packet_bits, t)
+                ue.queue.push(self.traffic.packet_size_bits, t)
 
     def _mobility(self, t: int) -> bool:
         """Apply this TTI's movement event, if any: the trace rows at `t`,
@@ -490,21 +465,20 @@ class ScenarioRun:
 
     def _links(self, beams):
         """Each (beam, member)'s SINR and the `_Link` of an RBG scheduled
-        to it; with the per-beam action masks."""
+        to it; with the per-beam action masks. The gNB is at the origin."""
         cfg = self.cfg
         sinr_db, links = {}, []
         mask = np.zeros((len(beams), cfg.n_ues), dtype=bool)
         for b, beam in enumerate(beams):
-            others = [bm for j, bm in enumerate(beams) if j != b]
-            for uid in beam.members:
-                p = self.ues[uid].true_position
-                ang = math.atan2(p.y - self.gnb.y, p.x - self.gnb.x)
-                dist = math.hypot(p.x - self.gnb.x, p.y - self.gnb.y)
-                sinr_db[(b, uid)] = compute_sinr(ang, dist, beam, others, cfg.antenna)
-            mask[b, list(beam.members)] = True
+            others = beams[:b] + beams[b + 1 :]
             table = {}
-            for uid in np.flatnonzero(mask[b]).tolist():
-                sdb = sinr_db[(b, uid)]
+            for uid in sorted(beam.members):
+                p = self.ues[uid].true_position
+                sdb = compute_sinr(
+                    math.atan2(p.y, p.x), math.hypot(p.x, p.y), beam, others, cfg.antenna
+                )
+                sinr_db[(b, uid)] = sdb
+                mask[b, uid] = True
                 cqi = sinr_to_cqi(sdb)
                 table[uid] = _Link(
                     bits=rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s,
@@ -571,8 +545,6 @@ class ScenarioRun:
         budgets = {}
         allocations = []
         rewards_seen = []
-        beams = geo.beams
-        serve_limit = len(beams) if self.serve_beam_limit is None else self.serve_beam_limit
         first_replayed = self._first_replayed(t)
         for b, agent in enumerate(self.agents):
             state = first_states[b]
@@ -580,8 +552,7 @@ class ScenarioRun:
             for j, (actions, (h, c)) in enumerate(steps):
                 action = actions[b]
                 link, r = geo.links[b][action], rewards[b][action]
-                if b < serve_limit:
-                    budgets[action] = budgets.get(action, 0.0) + link.bits
+                budgets[action] = budgets.get(action, 0.0) + link.bits
                 if j >= first_replayed:
                     agent.remember(
                         ExperienceTuple(
@@ -600,59 +571,47 @@ class ScenarioRun:
             allocations.append(beam_alloc)
         return budgets, allocations, rewards_seen
 
-    def step(self, t: int) -> TtiRecord:
+    def _serve(self, t: int, budgets: dict):
+        """Drain each scheduled UE's queue with its bit budget, in UE order.
+        Returns the bits delivered and every delivered packet's delay."""
+        delivered_bits, delays = 0, []
+        for uid in sorted(budgets):
+            for bits, _, dly in self.ues[uid].queue.serve(budgets[uid], t):
+                delivered_bits += bits
+                delays.append(dly)
+        return delivered_bits, delays
+
+    def _learn(self, t: int, geo: _Geometry) -> None:
+        """Train at the train interval (which makes the memo's rollouts
+        stale) and copy to the target networks at the sync interval."""
         cfg = self.cfg
-        if not self.coverage_only:
-            self._arrivals(t)
+        if t > 0 and t % cfg.train_interval_ttis == 0:
+            for agent in self.agents:
+                agent.train()
+            geo.memo.clear()
+        if t > 0 and t % cfg.target_copy_interval_ttis == 0:
+            for agent in self.agents:
+                agent.sync()
+
+    def step(self, t: int) -> TtiRecord:
+        if self.coverage_only:
+            geo = self._geometry(self._mobility(t))
+            return TtiRecord(self.run_index, t, geo.coverage, 0, float("nan"))
+        self._arrivals(t)
         geo = self._geometry(self._mobility(t))
-
-        delivered_bits = 0
-        delays = []
+        budgets, allocations, rewards = self._schedule(t, geo)
+        delivered_bits, delays = self._serve(t, budgets)
+        self._learn(t, geo)
         detail = None
-        if not self.coverage_only:
-            budgets, allocations, rewards_seen = self._schedule(t, geo)
-
-            per_beam_delivered = [0] * len(geo.beams)
-            for uid in sorted(budgets):
-                drained = self.ues[uid].queue.serve(budgets[uid], t)
-                for bits, _, dly in drained:
-                    delivered_bits += bits
-                    delays.append(dly)
-                if drained and self.collect_detail:
-                    serving = next(b for b, beam in enumerate(geo.beams) if uid in beam.members)
-                    per_beam_delivered[serving] += sum(d[0] for d in drained)
-
-            if t > 0 and t % cfg.train_interval_ttis == 0:
-                for agent in self.agents:
-                    agent.train()
-                geo.memo.clear()
-            if t > 0 and t % cfg.target_copy_interval_ttis == 0:
-                for agent in self.agents:
-                    agent.sync()
-
-            if self.collect_detail:
-                detail = {
-                    "allocations": allocations,
-                    "budgets": dict(budgets),
-                    "sinr_db": dict(geo.sinr_db),
-                    "rewards": rewards_seen,
-                    "per_beam_delivered": per_beam_delivered,
-                    "positions": [(ue.true_position.x, ue.true_position.y) for ue in self.ues],
-                }
-        elif self.collect_detail:
+        if self.collect_detail:
             detail = {
-                "positions": [(ue.true_position.x, ue.true_position.y) for ue in self.ues]
+                "allocations": allocations,
+                "budgets": budgets,
+                "sinr_db": dict(geo.sinr_db),
+                "rewards": rewards,
             }
-
         mean_delay = float(np.mean(delays)) if delays else float("nan")
-        return TtiRecord(
-            run=self.run_index,
-            tti=t,
-            coverage_rate=geo.coverage,
-            delivered_bits=delivered_bits,
-            mean_delay_ttis=mean_delay,
-            detail=detail,
-        )
+        return TtiRecord(self.run_index, t, geo.coverage, delivered_bits, mean_delay, detail)
 
     def run(self):
         records = [self.step(t) for t in range(self.cfg.tti_count)]

@@ -3,7 +3,8 @@
 A field declared with `ranged` carries its `Range` in its metadata, so
 the constructor checks (`check_fields`), `ScenarioConfig.validate` and
 the config file parser all read one declaration. `same_as` declares a
-field with the default and range of a field of another config class.
+field with the default and range of a field of another config class,
+and records which one, so `shared_values` can build that class's config.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 
 from .errors import ConfigError
 
-__all__ = ["Range", "ranged", "same_as", "check_fields", "fmt"]
+__all__ = ["Range", "ranged", "same_as", "shared_values", "check_fields", "fmt"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,20 @@ def ranged(default=MISSING, *, lo=-math.inf, hi=math.inf, closed=True):
 def same_as(cls, name: str, default=MISSING):
     """A field with the range and, unless `default` is given, the default of `cls.name`."""
     shared = cls.__dataclass_fields__[name]
-    return field(default=shared.default if default is MISSING else default, metadata=shared.metadata)
+    return field(
+        default=shared.default if default is MISSING else default,
+        metadata={**shared.metadata, "same_as": (cls, name)},
+    )
+
+
+def shared_values(obj, cls) -> dict:
+    """The values of `obj`'s fields declared `same_as` a field of `cls`,
+    keyed by the field names on `cls`."""
+    return {
+        f.metadata["same_as"][1]: getattr(obj, f.name)
+        for f in fields(obj)
+        if "same_as" in f.metadata and f.metadata["same_as"][0] is cls
+    }
 
 
 @functools.cache

@@ -34,6 +34,7 @@ __all__ = [
     "sq_distance",
     "expected_position",
     "expected_sq_distance",
+    "uniform_disk_point",
     "sample_position",
     "mc_expected_sq_distance",
     "translate",
@@ -137,17 +138,22 @@ def expected_sq_distance(p: UncertainPoint, c: Point2D) -> float:
     return sum(w * sq_distance(s, c) for s, w in zip(pdf.samples, pdf.weights))
 
 
-def sample_position(p: UncertainPoint, rng: np.random.Generator) -> Point2D:
-    """One draw from the position PDF.
+def uniform_disk_point(
+    rng: np.random.Generator, radius: float, center: Point2D = Point2D(0.0, 0.0)
+) -> Point2D:
+    """Area-uniform draw inside a disk: the radius is drawn as R * sqrt(u)
+    with u uniform on [0, 1), then the angle, so E[r] = 2R/3 and
+    E[r^2] = R^2/2."""
+    r = radius * math.sqrt(rng.random())
+    theta = rng.random() * 2.0 * math.pi
+    return Point2D(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
 
-    Disk sampling is area-uniform: the radius is drawn as R * sqrt(u)
-    with u uniform on [0, 1), so E[r] = 2R/3 and E[r^2] = R^2/2.
-    """
+
+def sample_position(p: UncertainPoint, rng: np.random.Generator) -> Point2D:
+    """One draw from the position PDF (area-uniform for a disk)."""
     pdf = p.pdf
     if isinstance(pdf, UniformDisk):
-        r = pdf.radius * math.sqrt(rng.random())
-        theta = rng.random() * 2.0 * math.pi
-        return Point2D(pdf.center.x + r * math.cos(theta), pdf.center.y + r * math.sin(theta))
+        return uniform_disk_point(rng, pdf.radius, pdf.center)
     cum = np.cumsum(pdf.weights)
     idx = int(np.searchsorted(cum, rng.random(), side="right"))
     idx = min(idx, len(pdf.samples) - 1)

@@ -11,7 +11,6 @@ from mmwavesim.beams import (
     compute_sinr,
     coverage_rate,
     form_beams,
-    link_quality,
     rbg_rate,
     sinr_to_cqi,
 )
@@ -278,13 +277,6 @@ class TestCqiAndRate:
         expected = 2.88e6 * math.log2(1.0 + 10.0 ** 1.5)
         assert rbg_rate(15.0, cfg) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(14.48e6, rel=1e-3)
-
-    def test_link_quality_consistency(self):
-        cfg = AntennaConfig(n_elements=16)
-        b = Beam(boresight=0.3, width=math.radians(20), members=(0,))
-        lq = link_quality(0.31, 90.0, b, [], cfg)
-        assert lq.cqi == sinr_to_cqi(lq.sinr_db)
-        assert lq.rate_bps == rbg_rate(lq.sinr_db, cfg)
 
     def test_cqi_threshold_edges(self):
         assert sinr_to_cqi(-6.7) == 1

@@ -198,6 +198,7 @@ class TestTable:
         ours = ScenarioConfig.__dataclass_fields__[scenario_name]
         theirs = cls.__dataclass_fields__[name]
         assert ours.metadata["range"] is theirs.metadata["range"]
+        assert ours.metadata["same_as"] == (cls, name)
 
     def test_component_constructors_reject_non_finite(self):
         with pytest.raises(ConfigError, match="load_bps"):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwavesim import engine
-from mmwavesim.beams import compute_sinr, coverage_rate, form_beams
+from mmwavesim.agent import encode_state
+from mmwavesim.beams import compute_sinr, coverage_rate, form_beams, rbg_rate, sinr_to_cqi
 from mmwavesim.clustering import InitStrategy, run_clustering
 from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
 from mmwavesim.geometry import Point2D, expected_position
@@ -142,6 +143,20 @@ class TestReuseIsExact:
             assert record.coverage_rate == cov
             if not run.coverage_only:
                 assert record.detail["sinr_db"] == sinr_db
+                assert_links_follow_sinr(run)
+
+
+def assert_links_follow_sinr(run):
+    """Each (beam, member) link is the CQI, rate and state of its SINR."""
+    cfg, links = run.cfg, run.geometry.links
+    assert {(b, uid) for b, table in enumerate(links) for uid in table} == set(run.geometry.sinr_db)
+    for b, table in enumerate(links):
+        for uid, link in table.items():
+            sdb = run.geometry.sinr_db[(b, uid)]
+            assert link.cqi == sinr_to_cqi(sdb)
+            assert link.bits == rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s
+            assert link.next_state == encode_state(link.cqi)
+            assert link.sinr_ratio == 10 ** (sdb / 10) / 10 ** (cfg.qos_sinr_db / 10)
 
 
 class CallLog:

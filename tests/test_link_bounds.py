@@ -88,3 +88,31 @@ class TestCarrierFrequency:
         antenna = AntennaConfig(carrier_frequency_hz=hz)
         for interferers in ([], [other]):
             assert math.isfinite(compute_sinr(0.0, distance, beam, interferers, antenna))
+
+
+class TestCellRadius:
+    """Keys bounded to 1e6 m, so that the cell and the injected error stay
+    inside the span where every link is finite."""
+
+    KEY = "cell_radius_m"
+
+    @pytest.mark.parametrize("value", ["1e200", "1.000001e6"])
+    def test_out_of_range_exits_1_before_any_cell(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"{self.KEY} = {value}\n")
+        out = tmp_path / "out"
+        line = TINY.count("\n") + 1
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(f"line {line}: {self.KEY}") == 2
+
+    def test_upper_end_runs(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"{self.KEY} = 1e6\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+class TestErrorRmse(TestCellRadius):
+    KEY = "error_rmse_m"
