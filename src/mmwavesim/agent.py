@@ -519,19 +519,6 @@ class AgentStack:
                 actions[k] = int(np.flatnonzero(mask[k])[0])
         return actions
 
-    def act(self, states: Sequence[float], carry, feasible: Sequence[np.ndarray]):
-        """Epsilon-greedy action of every agent for one resource-block group.
-
-        `forward` then `decide`; `feasible[k]` holds agent k's feasible
-        actions. Returns (actions, Q-rows, new carry).
-        """
-        x = np.asarray(states, dtype=float).reshape(len(self.agents), -1)
-        q, new_carry = self.forward(x, carry)
-        mask = np.zeros(q.shape, dtype=bool)
-        for k, idx in enumerate(feasible):
-            mask[k, idx] = True
-        return self.decide(q, mask), q, new_carry
-
 
 # the most nodes one RolloutMemo keeps, each N (A + 2H) floats; it bounds the
 # memory of a run whose geometry and weights never change

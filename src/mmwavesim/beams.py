@@ -25,7 +25,7 @@ import numpy as np
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
 from .fields import check_fields, ranged
-from .geometry import Point2D, sq_distance
+from .geometry import Point2D
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -84,13 +84,10 @@ class Beam:
     boresight: float  # radians from the gNB
     width: float  # radians, full angular sector served
     members: tuple  # UE ids
-    rbg_count: int = 24
 
     def __post_init__(self):
         if not 0.0 < self.width < math.pi:
             raise ConfigError(f"beam width must be in (0, pi), got {self.width}")
-        if self.rbg_count < 1:
-            raise ConfigError("rbg_count must be >= 1")
 
 
 def _wrap_angle(a: float) -> float:
@@ -123,8 +120,9 @@ def beam_gain(boresight: float, ue_angle: float, cfg: AntennaConfig) -> float:
     return (r * r) / n
 
 
-def _angle_from(gnb: Point2D, p: Point2D) -> float:
-    return math.atan2(p.y - gnb.y, p.x - gnb.x)
+def _angle_from(p: Point2D) -> float:
+    """Angle of `p` seen from the gNB at the origin."""
+    return math.atan2(p.y, p.x)
 
 
 def _circular_range(angles) -> float:
@@ -148,15 +146,13 @@ class _Cluster:
 
 def form_beams(
     centers: Sequence[Point2D],
-    gnb: Point2D,
     width: float,
     n_beams: int,
     points: Optional[Sequence[Point2D]] = None,
     labels=None,
     ids=None,
-    rbg_count: int = 24,
 ) -> list:
-    """Beams pointed from `gnb` at the cluster centroids.
+    """Beams from the gNB (at the origin) pointed at the cluster centroids.
 
     When `n_beams` differs from the cluster count the set is adjusted
     deterministically: too few beams merge the two angularly closest
@@ -193,7 +189,7 @@ def form_beams(
         ]
         if not candidates:
             break
-        spreads = [_circular_range([_angle_from(gnb, p) for p in cl.points]) for _, cl in candidates]
+        spreads = [_circular_range([_angle_from(p) for p in cl.points]) for _, cl in candidates]
         pick = int(np.argmax(spreads))
         idx, cl = candidates[pick]
         sub = run_clustering(cl.points, _SPLIT_CLUSTERING)
@@ -214,7 +210,7 @@ def form_beams(
         clusters[idx : idx + 1] = halves
 
     while len(clusters) > n_beams:
-        bores = [_angle_from(gnb, cl.center) for cl in clusters]
+        bores = [_angle_from(cl.center) for cl in clusters]
         best = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
@@ -232,12 +228,7 @@ def form_beams(
         del clusters[j]
 
     beams = [
-        Beam(
-            boresight=_angle_from(gnb, cl.center),
-            width=width,
-            members=tuple(cl.ids),
-            rbg_count=rbg_count,
-        )
+        Beam(boresight=_angle_from(cl.center), width=width, members=tuple(cl.ids))
         for cl in clusters
     ]
     base = len(beams)
@@ -249,10 +240,9 @@ def form_beams(
 def coverage_rate(
     beams: Sequence[Beam],
     true_positions: Sequence[Point2D],
-    gnb: Point2D,
     cell_radius: float,
 ) -> float:
-    """Fraction of UEs inside the cell and inside +/- width/2 of some beam."""
+    """Fraction of UEs within `cell_radius` of the gNB and +/- width/2 of some beam."""
     if cell_radius <= 0:
         raise ConfigError("cell_radius must be > 0")
     if not len(true_positions):
@@ -260,9 +250,9 @@ def coverage_rate(
     covered = 0
     r2 = cell_radius * cell_radius
     for p in true_positions:
-        if sq_distance(p, gnb) > r2:
+        if p.x * p.x + p.y * p.y > r2:
             continue
-        ang = _angle_from(gnb, p)
+        ang = _angle_from(p)
         if any(abs(_wrap_angle(ang - b.boresight)) <= b.width / 2.0 for b in beams):
             covered += 1
     return covered / len(true_positions)
@@ -303,10 +293,10 @@ def compute_sinr(
     return 10.0 * math.log10(signal / (noise + interference))
 
 
-def sinr_to_cqi(sinr_db: float, thresholds_db=DEFAULT_CQI_THRESHOLDS_DB) -> int:
-    """Quantize SINR with a monotone 16-level table (0 = below the table)."""
+def sinr_to_cqi(sinr_db: float) -> int:
+    """Quantize SINR with the monotone 16-level table (0 = below the table)."""
     cqi = 0
-    for th in thresholds_db:
+    for th in DEFAULT_CQI_THRESHOLDS_DB:
         if sinr_db >= th:
             cqi += 1
         else:

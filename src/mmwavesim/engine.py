@@ -94,6 +94,9 @@ SUMMARY_METRICS = ("coverage_rate", "sum_rate_bps", "mean_delay_ttis")
 # the closest a trace may place a UE to the gNB (1 mm)
 MIN_GNB_DISTANCE_M = 1e-3
 
+# the most packets a UE may expect per TTI; numpy's Poisson draw fails near 9.2e18
+MAX_ARRIVALS_PER_TTI = 1e4
+
 
 class Scenario(Enum):
     KMEANS_ERROR = "kmeans_error"
@@ -107,8 +110,11 @@ class UserEquipment:
     klass: UserClass
     true_position: Point2D
     reported: UncertainPoint
-    reported_center: Point2D
     queue: PacketQueue
+
+    @property
+    def reported_center(self) -> Point2D:
+        return reported_center(self.reported)
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,7 @@ class ScenarioConfig:
     n_clusters: int = ranged(3, lo=1)
     n_beams: int = ranged(3, lo=1)
     beam_width_deg: float = ranged(20.0, lo=0.0, hi=180.0, closed=False)
-    # (0, 1e6]: Range has one `closed` flag, so the open end 0 is its next float up
-    cell_radius_m: float = ranged(160.0, lo=math.ulp(0.0), hi=1e6)
+    cell_radius_m: float = ranged(160.0, lo=1.0, hi=1e6)
     error_rmse_m: float = ranged(8.0, lo=0.0, hi=1e6)
     informative_pdf: bool = False
     tti_count: int = ranged(1400, lo=1)
@@ -153,6 +158,12 @@ class ScenarioConfig:
         check_fields(self)
         if self.n_clusters > self.n_ues:
             raise ConfigError("n_clusters cannot exceed n_ues")
+        arrivals = self.load_bps * self.tti_duration_s / (8 * self.packet_size_bytes)
+        if arrivals > MAX_ARRIVALS_PER_TTI:
+            raise ConfigError(
+                "the mean arrivals per UE and TTI, load_bps * tti_duration_s / "
+                f"(8 * packet_size_bytes), cannot exceed {MAX_ARRIVALS_PER_TTI:g}"
+            )
         if self.minibatch > self.replay_capacity:
             raise ConfigError("minibatch cannot exceed replay_capacity")
 
@@ -172,6 +183,7 @@ class _Link(NamedTuple):
     """What scheduling one RBG of a beam to one of its members yields,
     apart from the reward (which reads the head-of-line delay)."""
 
+    sinr_db: float
     bits: float  # RBG rate times the TTI duration
     cqi: int
     next_state: float
@@ -184,7 +196,6 @@ class _Geometry(NamedTuple):
 
     beams: list
     coverage: float
-    sinr_db: Optional[dict] = None  # (beam, UE id) -> dB
     mask: Optional[np.ndarray] = None  # (beam, UE): True for the beam's members
     masks: Optional[list] = None  # the rows of `mask` as tuples of bools
     links: Optional[list] = None  # per beam: {member id: _Link}
@@ -198,7 +209,6 @@ class TtiRecord:
     coverage_rate: float
     delivered_bits: int
     mean_delay_ttis: float  # nan when nothing was delivered this TTI
-    detail: Optional[dict] = None
 
 
 @dataclass
@@ -223,7 +233,6 @@ def inject_error(
     error_rmse_m: float,
     rng: np.random.Generator,
     informative: bool = False,
-    point_id=None,
 ) -> UncertainPoint:
     """Distort a true position and attach the matching uncertainty PDF.
 
@@ -249,7 +258,7 @@ def inject_error(
     r_err = error_rmse_m * math.sqrt(2.0)
     if not informative:
         center = uniform_disk_point(rng, r_err, true_position)
-        return UncertainPoint(pdf=UniformDisk(center, r_err), id=point_id)
+        return UncertainPoint(pdf=UniformDisk(center, r_err))
     ghosted = rng.random() < 0.5
     theta = rng.random() * 2.0 * math.pi
     gx = r_err * math.cos(theta)
@@ -259,7 +268,7 @@ def inject_error(
     else:
         rep = Point2D(true_position.x, true_position.y)
     alt = Point2D(rep.x - gx, rep.y - gy)
-    return UncertainPoint(pdf=SampleBased((rep, alt), (0.5, 0.5)), id=point_id)
+    return UncertainPoint(pdf=SampleBased((rep, alt), (0.5, 0.5)))
 
 
 def reported_center(p: UncertainPoint) -> Point2D:
@@ -318,9 +327,7 @@ class ScenarioRun:
     the geometry stage builds no link tables, so the run reduces to
     movement, clustering, beam formation and coverage (the positions
     are identical to the full run under the same seed: random streams
-    are stream-separated). With collect_detail=True every record of a
-    full run carries `detail`: its TTI's allocations, budgets, sinr_db
-    and rewards.
+    are stream-separated).
 
     `step` is meant for the TTIs 0 .. tti_count - 1: experiences that no
     training sample in that range can read are not pushed to replay.
@@ -333,15 +340,12 @@ class ScenarioRun:
         run_index: int = 0,
         trace: Optional[dict] = None,
         coverage_only: bool = False,
-        collect_detail: bool = False,
     ):
         cfg.validate()
         self.cfg = cfg
         self.run_index = run_index
         self.trace = trace
         self.coverage_only = coverage_only
-        self.collect_detail = collect_detail
-        self.gnb = Point2D(0.0, 0.0)
         self.width_rad = math.radians(cfg.beam_width_deg)
         self.qos_sinr_lin = 10.0 ** (cfg.qos_sinr_db / 10.0)
         self.rmse = cfg.effective_rmse_m
@@ -354,16 +358,14 @@ class ScenarioRun:
         self.ues = []
         for u in range(cfg.n_ues):
             pos = uniform_disk_point(self.move_rng, cfg.cell_radius_m)
-            rep = inject_error(
-                pos, self.rmse, self.error_rng, informative=cfg.informative_pdf, point_id=u
-            )
             self.ues.append(
                 UserEquipment(
                     id=u,
                     klass=UserClass.URLLC if u % 2 == 0 else UserClass.EMBB,
                     true_position=pos,
-                    reported=rep,
-                    reported_center=reported_center(rep),
+                    reported=inject_error(
+                        pos, self.rmse, self.error_rng, informative=cfg.informative_pdf
+                    ),
                     queue=PacketQueue(),
                 )
             )
@@ -382,15 +384,9 @@ class ScenarioRun:
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
 
     def _refresh_report(self, ue: UserEquipment) -> None:
-        rep = inject_error(
-            ue.true_position,
-            self.rmse,
-            self.error_rng,
-            informative=self.cfg.informative_pdf,
-            point_id=ue.id,
+        ue.reported = inject_error(
+            ue.true_position, self.rmse, self.error_rng, informative=self.cfg.informative_pdf
         )
-        ue.reported = rep
-        ue.reported_center = reported_center(rep)
 
     def _arrivals(self, t: int) -> None:
         for ue in self.ues:
@@ -444,18 +440,9 @@ class ScenarioRun:
         self._fixed_point = result.centers == self.prev_centers
         self.prev_centers = result.centers
         beams = form_beams(
-            list(result.centers),
-            self.gnb,
-            self.width_rad,
-            cfg.n_beams,
-            points=points,
-            labels=result.labels,
-            ids=[ue.id for ue in self.ues],
-            rbg_count=cfg.rbg_count,
+            list(result.centers), self.width_rad, cfg.n_beams, points=points, labels=result.labels
         )
-        cov = coverage_rate(
-            beams, [ue.true_position for ue in self.ues], self.gnb, cfg.cell_radius_m
-        )
+        cov = coverage_rate(beams, [ue.true_position for ue in self.ues], cfg.cell_radius_m)
         if self.coverage_only:
             self.geometry = _Geometry(beams, cov)
         else:
@@ -464,10 +451,10 @@ class ScenarioRun:
         return self.geometry
 
     def _links(self, beams):
-        """Each (beam, member)'s SINR and the `_Link` of an RBG scheduled
-        to it; with the per-beam action masks. The gNB is at the origin."""
+        """The (beam, UE) action mask, its rows as tuples, and per beam the
+        `_Link` of an RBG scheduled to each member. The gNB is at the origin."""
         cfg = self.cfg
-        sinr_db, links = {}, []
+        links = []
         mask = np.zeros((len(beams), cfg.n_ues), dtype=bool)
         for b, beam in enumerate(beams):
             others = beams[:b] + beams[b + 1 :]
@@ -477,17 +464,17 @@ class ScenarioRun:
                 sdb = compute_sinr(
                     math.atan2(p.y, p.x), math.hypot(p.x, p.y), beam, others, cfg.antenna
                 )
-                sinr_db[(b, uid)] = sdb
                 mask[b, uid] = True
                 cqi = sinr_to_cqi(sdb)
                 table[uid] = _Link(
+                    sinr_db=sdb,
                     bits=rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s,
                     cqi=cqi,
                     next_state=encode_state(cqi),
                     sinr_ratio=(10.0 ** (sdb / 10.0)) / self.qos_sinr_lin,
                 )
             links.append(table)
-        return sinr_db, mask, [tuple(row) for row in mask.tolist()], links
+        return mask, [tuple(row) for row in mask.tolist()], links
 
     def _first_replayed(self, t: int) -> int:
         """Index of the first of this TTI's experiences, per agent, that a
@@ -535,7 +522,7 @@ class ScenarioRun:
         first_states = [encode_state(agent.last_cqi) for agent in self.agents]
         states, node = first_states, geo.memo.root
         steps = []  # per RBG: the actions and the carry they were picked in
-        for _ in range(cfg.rbg_count):  # form_beams gives every beam rbg_count
+        for _ in range(cfg.rbg_count):
             child = geo.memo.step(node, states)
             actions = self.stack.decide(child.q, geo.mask)
             steps.append((actions, node.carry))
@@ -599,19 +586,11 @@ class ScenarioRun:
             return TtiRecord(self.run_index, t, geo.coverage, 0, float("nan"))
         self._arrivals(t)
         geo = self._geometry(self._mobility(t))
-        budgets, allocations, rewards = self._schedule(t, geo)
+        budgets, _, _ = self._schedule(t, geo)
         delivered_bits, delays = self._serve(t, budgets)
         self._learn(t, geo)
-        detail = None
-        if self.collect_detail:
-            detail = {
-                "allocations": allocations,
-                "budgets": budgets,
-                "sinr_db": dict(geo.sinr_db),
-                "rewards": rewards,
-            }
         mean_delay = float(np.mean(delays)) if delays else float("nan")
-        return TtiRecord(self.run_index, t, geo.coverage, delivered_bits, mean_delay, detail)
+        return TtiRecord(self.run_index, t, geo.coverage, delivered_bits, mean_delay)
 
     def run(self):
         records = [self.step(t) for t in range(self.cfg.tti_count)]
@@ -662,12 +641,11 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[dict] = None) -> RunReport
     )
 
 
-def mean_coverage(cfg: ScenarioConfig, run_index: int = 0) -> float:
-    """Mean per-TTI coverage of one seeded run, skipping traffic and DRL."""
+def mean_coverage(cfg: ScenarioConfig) -> float:
+    """Mean per-TTI coverage of run 0, skipping traffic and DRL."""
     run = ScenarioRun(
         cfg,
-        run_seed=derive_seed(cfg.master_seed, run_index),
-        run_index=run_index,
+        run_seed=derive_seed(cfg.master_seed, 0),
         trace=load_position_trace(cfg.trace_csv) if cfg.trace_csv else None,
         coverage_only=True,
     )

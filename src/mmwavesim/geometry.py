@@ -109,7 +109,6 @@ class UncertainPoint:
     """A position known only through its uncertainty PDF."""
 
     pdf: UncertaintyPdf
-    id: object = None
 
 
 def expected_position(p: UncertainPoint) -> Point2D:
@@ -189,4 +188,4 @@ def translate(p: UncertainPoint, dx: float, dy: float) -> UncertainPoint:
         moved = SampleBased(
             tuple(Point2D(s.x + dx, s.y + dy) for s in pdf.samples), pdf.weights
         )
-    return UncertainPoint(pdf=moved, id=p.id)
+    return UncertainPoint(pdf=moved)

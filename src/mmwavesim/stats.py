@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 
-def confidence_interval(samples, confidence: float = 0.95):
-    """Mean and two-sided Student-t half-width of `samples`.
+def confidence_interval(samples):
+    """Mean and two-sided 95% Student-t half-width of `samples`.
 
     With fewer than two samples the half-width is not applicable and is
     returned as nan.
@@ -21,5 +21,5 @@ def confidence_interval(samples, confidence: float = 0.95):
     if xs.size < 2:
         return mean, float("nan")
     s = float(xs.std(ddof=1))
-    tq = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=xs.size - 1))
+    tq = float(stdtrit(xs.size - 1, 0.975))  # the t quantile, as scipy.stats.t.ppf gives it
     return mean, tq * s / math.sqrt(xs.size)

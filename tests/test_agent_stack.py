@@ -108,7 +108,7 @@ def test_stacked_step_matches_select_action(data):
     reference = [DqnAgent(_config(actions, hidden, epsilon, derive_seed(seed, k))) for k in range(n)]
     agents = [DqnAgent(_config(actions, hidden, epsilon, derive_seed(seed, k))) for k in range(n)]
     stack = AgentStack(agents)
-    feasible = [np.flatnonzero(m) for m in masks]
+    mask = np.array(masks, dtype=bool)
 
     cqis = [0] * n
     for _ in range(ttis):
@@ -116,7 +116,8 @@ def test_stacked_step_matches_select_action(data):
         carry = stack.zero_carry()
         for _ in range(rbgs):
             states = [encode_state(c) for c in cqis]
-            picked, q, new_carry = stack.act(states, carry, feasible)
+            q, new_carry = stack.forward(np.asarray(states, dtype=float).reshape(n, 1), carry)
+            picked = stack.decide(q, mask)
             for k, agent in enumerate(reference):
                 q_ref, _ = lstm_forward(agent.main, [states[k]], ref_carry[k])
                 a_ref, ref_next = select_action(

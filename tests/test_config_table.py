@@ -14,7 +14,7 @@ from mmwavesim.beams import AntennaConfig
 from mmwavesim.cli import main
 from mmwavesim.clustering import ClusteringConfig
 from mmwavesim.config import KEYS, SWEEPABLE, emit_config, parse_config_text
-from mmwavesim.engine import Scenario, ScenarioConfig
+from mmwavesim.engine import MAX_ARRIVALS_PER_TTI, Scenario, ScenarioConfig
 from mmwavesim.errors import ConfigError
 from mmwavesim.fields import fmt
 from mmwavesim.traffic import TrafficConfig
@@ -112,6 +112,14 @@ def out_of_range(key):
     return st.one_of(options)
 
 
+def within_arrivals(load_bps, values):
+    """`load_bps`, or 0.0 where it gives more than MAX_ARRIVALS_PER_TTI mean
+    arrivals per UE and TTI at the TTI duration and packet size of `values`."""
+    tti = values.get("tti_duration_s", BY_NAME["tti_duration_s"].default)
+    size = values.get("packet_size_bytes", BY_NAME["packet_size_bytes"].default)
+    return load_bps if load_bps * tti / (8 * size) <= MAX_ARRIVALS_PER_TTI else 0.0
+
+
 @st.composite
 def config_values(draw):
     """A subset of the field keys with in-range values, cross-field rules kept."""
@@ -119,6 +127,8 @@ def config_values(draw):
     for small, big in (("n_clusters", "n_ues"), ("minibatch", "replay_capacity")):
         pair = [chosen.get(small, BY_NAME[small].default), chosen.get(big, BY_NAME[big].default)]
         chosen[small], chosen[big] = min(pair), max(pair)
+    load = chosen.get("load_bps", BY_NAME["load_bps"].default)
+    chosen["load_bps"] = within_arrivals(load, chosen)
     if 1e-3 / chosen.get("tti_duration_s", 1.0) == math.inf:  # nothing to derive from
         chosen["qos_latency_ttis"] = draw(in_range(BY_NAME["qos_latency_ttis"]).filter(bool))
     return chosen
@@ -133,7 +143,10 @@ class TestTable:
         data=st.data(),
     )
     def test_emit_then_parse_is_identity(self, values, scenarios, variable, data):
-        sweep = data.draw(st.lists(in_range(BY_NAME[variable]), min_size=1, max_size=4))
+        sweep_value = in_range(BY_NAME[variable])
+        if variable == "load_bps":
+            sweep_value = sweep_value.map(lambda load: within_arrivals(load, values))
+        sweep = data.draw(st.lists(sweep_value, min_size=1, max_size=4))
         lines = [f"{name} = {fmt(value)}" for name, value in values.items()]
         lines += [
             "scenarios = " + ",".join(s.value for s in scenarios),

@@ -46,6 +46,15 @@ def make_run(cfg, **kwargs):
     return ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0), run_index=0, **kwargs)
 
 
+class Scheduled(ScenarioRun):
+    """Keeps the scheduling stage's output of the last TTI: the per-UE bit
+    budgets, the per-beam allocations and the rewards."""
+
+    def _schedule(self, t, geo):
+        self.budgets, self.allocations, self.rewards = super()._schedule(t, geo)
+        return self.budgets, self.allocations, self.rewards
+
+
 class FirstBeamServed(ScenarioRun):
     """Serves only beam 0's RBGs; every beam still schedules and learns."""
 
@@ -205,25 +214,26 @@ class TestStepTti:
         assert got == self.GOLDEN
 
     def test_zero_traffic_still_rewards(self):
-        run = make_run(micro_cfg(load_bps=0.0), collect_detail=True)
-        records = [run.step(t) for t in range(5)]
-        assert all(r.delivered_bits == 0 for r in records)
-        for r in records:
-            assert len(r.detail["rewards"]) == 2 * 6  # beams x rbgs
-            assert all(0.0 < x <= 1.0 for x in r.detail["rewards"])
+        cfg = micro_cfg(load_bps=0.0)
+        run = Scheduled(cfg, run_seed=derive_seed(cfg.master_seed, 0))
+        for t in range(5):
+            assert run.step(t).delivered_bits == 0
+            assert len(run.rewards) == 2 * 6  # beams x rbgs
+            assert all(0.0 < x <= 1.0 for x in run.rewards)
 
     def test_single_ue_single_beam_gets_every_rbg(self):
         cfg = micro_cfg(n_ues=1, n_clusters=1, n_beams=1)
-        run = make_run(cfg, collect_detail=True)
+        run = Scheduled(cfg, run_seed=derive_seed(cfg.master_seed, 0))
         for t in range(5):
-            r = run.step(t)
-            assert r.detail["allocations"] == [[0] * 6]
+            run.step(t)
+            assert run.allocations == [[0] * 6]
 
     def test_conservation_delivered_vs_allocated(self):
-        run = make_run(micro_cfg(), collect_detail=True)
+        cfg = micro_cfg()
+        run = Scheduled(cfg, run_seed=derive_seed(cfg.master_seed, 0))
         for t in range(30):
             r = run.step(t)
-            allocated = sum(r.detail["budgets"].values())
+            allocated = sum(run.budgets.values())
             assert r.delivered_bits <= allocated + 1e-9
 
     def test_queue_conservation_every_tti(self):

@@ -15,8 +15,6 @@ from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
 from mmwavesim.geometry import Point2D, expected_position
 from mmwavesim.seeding import derive_seed
 
-GNB = Point2D(0.0, 0.0)
-
 
 def micro_cfg(**overrides):
     base = dict(
@@ -63,16 +61,14 @@ class Mirror:
         self.centers = result.centers
         beams = form_beams(
             list(result.centers),
-            GNB,
             math.radians(cfg.beam_width_deg),
             cfg.n_beams,
             points=points,
             labels=result.labels,
             ids=list(range(cfg.n_ues)),
-            rbg_count=cfg.rbg_count,
         )
         true = [ue.true_position for ue in run.ues]
-        cov = coverage_rate(beams, true, GNB, cfg.cell_radius_m)
+        cov = coverage_rate(beams, true, cfg.cell_radius_m)
         sinr_db = {}
         for b, beam in enumerate(beams):
             others = beams[:b] + beams[b + 1 :]
@@ -126,9 +122,7 @@ def runs(draw):
         cluster_init=draw(st.sampled_from(list(InitStrategy))),
     )
     trace = draw(st.none() | sparse_traces(n_ues, cfg.tti_count))
-    return make_run(
-        cfg, trace=trace, coverage_only=draw(st.booleans()), collect_detail=True
-    )
+    return make_run(cfg, trace=trace, coverage_only=draw(st.booleans()))
 
 
 class TestReuseIsExact:
@@ -142,17 +136,21 @@ class TestReuseIsExact:
             assert run.geometry.beams == beams
             assert record.coverage_rate == cov
             if not run.coverage_only:
-                assert record.detail["sinr_db"] == sinr_db
+                link_sinr_db = {
+                    (b, uid): link.sinr_db
+                    for b, table in enumerate(run.geometry.links)
+                    for uid, link in table.items()
+                }
+                assert link_sinr_db == sinr_db
                 assert_links_follow_sinr(run)
 
 
 def assert_links_follow_sinr(run):
     """Each (beam, member) link is the CQI, rate and state of its SINR."""
-    cfg, links = run.cfg, run.geometry.links
-    assert {(b, uid) for b, table in enumerate(links) for uid in table} == set(run.geometry.sinr_db)
-    for b, table in enumerate(links):
-        for uid, link in table.items():
-            sdb = run.geometry.sinr_db[(b, uid)]
+    cfg = run.cfg
+    for table in run.geometry.links:
+        for link in table.values():
+            sdb = link.sinr_db
             assert link.cqi == sinr_to_cqi(sdb)
             assert link.bits == rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s
             assert link.next_state == encode_state(link.cqi)

@@ -7,7 +7,12 @@ import pytest
 
 from mmwavesim.beams import DB_LIMIT, AntennaConfig, Beam, compute_sinr
 from mmwavesim.cli import main
-from mmwavesim.engine import MIN_GNB_DISTANCE_M, load_position_trace
+from mmwavesim.engine import (
+    MAX_ARRIVALS_PER_TTI,
+    MIN_GNB_DISTANCE_M,
+    ScenarioConfig,
+    load_position_trace,
+)
 from mmwavesim.errors import ConfigError
 
 TINY = (
@@ -116,3 +121,50 @@ class TestCellRadius:
 
 class TestErrorRmse(TestCellRadius):
     KEY = "error_rmse_m"
+
+
+class TestCellRadiusLowerEnd:
+    """Below 1 m a synthetic UE may land within 1 mm of the gNB, where no
+    link is defined; from 1 m on it lands at least 1e-8 m away."""
+
+    @pytest.mark.parametrize("value", ["1e-300", "0.5"])
+    def test_below_one_metre_exits_1_before_any_cell(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"cell_radius_m = {value}\n")
+        out = tmp_path / "out"
+        line = TINY.count("\n") + 1
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(f"line {line}: cell_radius_m") == 2
+
+    def test_one_metre_runs(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + "cell_radius_m = 1.0\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+class TestArrivalsPerTti:
+    """The mean packets per UE and TTI are bounded, so the Poisson draw of
+    every accepted config is defined."""
+
+    @pytest.mark.parametrize("key", ["load_bps", "tti_duration_s"])
+    def test_huge_mean_exits_1_before_any_cell(self, tmp_path, capsys, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"{key} = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count("mean arrivals per UE and TTI") == 2
+
+    def test_the_bound_itself_runs(self, tmp_path):
+        # 2.048e10 b/s * 125 us / 256 b = 10000.0 packets per TTI
+        cfg = ScenarioConfig(load_bps=2.048e10)
+        arrivals = cfg.load_bps * cfg.tti_duration_s / (8 * cfg.packet_size_bytes)
+        assert arrivals == MAX_ARRIVALS_PER_TTI
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY + "load_bps = 2.048e10\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -25,9 +25,19 @@ from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
 
 
+class Recorded(ScenarioRun):
+    """Keeps the scheduling stage's output of the last TTI: the per-UE bit
+    budgets, the per-beam allocations and the rewards."""
+
+    def _schedule(self, t, geo):
+        self.scheduled = super()._schedule(t, geo)
+        return self.scheduled
+
+
 class Mirror(ScenarioRun):
     """The scheduling stage without the memo or the push rule: one
-    `AgentStack.act` per RBG from a zero carry, every experience pushed."""
+    `AgentStack.forward` and `decide` per RBG from a zero carry, every
+    experience pushed."""
 
     def _schedule(self, t, geo):
         cfg = self.cfg
@@ -39,12 +49,13 @@ class Mirror(ScenarioRun):
                 delay_ratio = cfg.qos_latency_ttis / ue.queue.head_of_line_delay(t)
                 row[uid] = reward(ue.klass, link.sinr_ratio, delay_ratio)
             rewards.append(row)
-        feasible = [np.flatnonzero(row) for row in geo.mask]
         first_states = [encode_state(agent.last_cqi) for agent in self.agents]
         states, carry = first_states, self.stack.zero_carry()
         steps = []
         for _ in range(cfg.rbg_count):
-            actions, _, next_carry = self.stack.act(states, carry, feasible)
+            x = np.asarray(states, dtype=float).reshape(len(self.agents), 1)
+            q, next_carry = self.stack.forward(x, carry)
+            actions = self.stack.decide(q, geo.mask)
             steps.append((actions, carry))
             states = [geo.links[b][a].next_state for b, a in enumerate(actions)]
             carry = next_carry
@@ -65,6 +76,10 @@ class Mirror(ScenarioRun):
             agent.last_cqi = link.cqi
             allocations.append(beam_alloc)
         return budgets, allocations, rewards_seen
+
+
+class RecordedMirror(Recorded, Mirror):
+    """The mirror, keeping its scheduling output as `Recorded` does."""
 
 
 class ReplayWatch:
@@ -128,22 +143,31 @@ def assert_same_weights(run, mirror):
                 assert np.array_equal(a, b)
 
 
-def record(r):
-    return (r.tti, r.coverage_rate, r.delivered_bits, repr(r.mean_delay_ttis), r.detail)
+def link_sinr_db(run):
+    """{(beam, UE id): SINR in dB} of the run's current links."""
+    return {
+        (b, uid): link.sinr_db
+        for b, table in enumerate(run.geometry.links)
+        for uid, link in table.items()
+    }
+
+
+def record(run, t):
+    r = run.step(t)
+    fields = (r.tti, r.coverage_rate, r.delivered_bits, repr(r.mean_delay_ttis))
+    return fields, run.scheduled, link_sinr_db(run)
 
 
 def run_pair(cfg):
     seed = derive_seed(cfg.master_seed, 0)
-    run = ScenarioRun(cfg, run_seed=seed, collect_detail=True)
-    mirror = Mirror(cfg, run_seed=seed, collect_detail=True)
-    return run, mirror
+    return Recorded(cfg, run_seed=seed), RecordedMirror(cfg, run_seed=seed)
 
 
 def step_and_compare(run, mirror):
     watch = ReplayWatch(run, reachable=True)
     watch_ref = ReplayWatch(mirror)
     for t in range(run.cfg.tti_count):
-        assert record(run.step(t)) == record(mirror.step(t))
+        assert record(run, t) == record(mirror, t)
         assert_same_samples(watch.samples, watch_ref.samples)
         assert_same_weights(run, mirror)
     # every push was followed by a sample that could read it
@@ -331,7 +355,7 @@ def invariant_runs(draw):
         runs=1,
         master_seed=draw(st.integers(0, 2**32)),
     )
-    return ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0), collect_detail=True)
+    return Recorded(cfg, run_seed=derive_seed(cfg.master_seed, 0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -339,11 +363,12 @@ def invariant_runs(draw):
 def test_invariants(run):
     cfg = run.cfg
     for t in range(cfg.tti_count):
-        detail = run.step(t).detail
-        for beam, alloc in zip(run.geometry.beams, detail["allocations"]):
+        run.step(t)
+        _, allocations, _ = run.scheduled
+        for beam, alloc in zip(run.geometry.beams, allocations):
             assert len(alloc) == cfg.rbg_count
             assert set(alloc) <= set(beam.members)
         for ue in run.ues:
             q = ue.queue
             assert q.arrivals_total == q.delivered_packets + len(q)
-        assert all(math.isfinite(v) for v in detail["sinr_db"].values())
+        assert all(math.isfinite(v) for v in link_sinr_db(run).values())

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from scipy.stats import t
 
+import mmwavesim
 from mmwavesim.stats import confidence_interval
 
 
@@ -35,3 +41,21 @@ def test_single_sample_not_applicable():
 def test_empty_rejected():
     with pytest.raises(ValueError):
         confidence_interval([])
+
+
+def test_halfwidth_is_the_student_t_quantile_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in range(2, 61):
+        xs = rng.normal(10.0, 3.0, n)
+        s = float(np.std(xs, ddof=1))
+        _, hw = confidence_interval(xs)
+        assert hw == float(t.ppf(0.975, n - 1)) * s / math.sqrt(n)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(mmwavesim.__file__))
+    code = "import sys, mmwavesim, mmwavesim.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
