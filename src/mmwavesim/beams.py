@@ -144,6 +144,17 @@ class _Cluster:
         self.points = list(points)
 
 
+def _group(centers, labels, ids, points) -> list:
+    """One `_Cluster` per center with the ids and points labelled with its
+    index; a center without members (emptied by a final reseed) gets none."""
+    clusters = []
+    for j, c in enumerate(centers):
+        member = [i for i, l in enumerate(labels) if l == j]
+        if member:
+            clusters.append(_Cluster(c, [ids[i] for i in member], [points[i] for i in member]))
+    return clusters
+
+
 def form_beams(
     centers: Sequence[Point2D],
     width: float,
@@ -170,13 +181,7 @@ def form_beams(
     if points is not None and labels is not None:
         if ids is None:
             ids = list(range(len(points)))
-        clusters = []
-        for j, c in enumerate(centers):
-            member = [i for i, l in enumerate(labels) if l == j]
-            if member:  # clusters emptied by a final reseed carry no members
-                clusters.append(
-                    _Cluster(c, [ids[i] for i in member], [points[i] for i in member])
-                )
+        clusters = _group(centers, labels, ids, points)
     else:
         clusters = [_Cluster(c, [j], [c]) for j, c in enumerate(centers)]
 
@@ -193,17 +198,7 @@ def form_beams(
         pick = int(np.argmax(spreads))
         idx, cl = candidates[pick]
         sub = run_clustering(cl.points, _SPLIT_CLUSTERING)
-        halves = []
-        for j in range(2):
-            member = [i for i, l in enumerate(sub.labels) if l == j]
-            if member:
-                halves.append(
-                    _Cluster(
-                        sub.centers[j],
-                        [cl.ids[i] for i in member],
-                        [cl.points[i] for i in member],
-                    )
-                )
+        halves = _group(sub.centers, sub.labels, cl.ids, cl.points)
         if len(halves) < 2:  # coincident points cannot be separated
             unsplittable.add(id(cl))
             continue

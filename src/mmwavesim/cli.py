@@ -15,29 +15,26 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 from .config import SweepSpec, emit_config, parse_config
-from .engine import (
-    SUMMARY_METRICS,
-    load_position_trace,
-    run_scenario,
-    write_per_tti_csv,
-    write_summary_csv,
-)
+from .engine import load_position_trace, run_scenario, write_per_tti_csv, write_summary_csv
 from .errors import ConfigError
 from .fields import fmt
 from .geometry import Point2D, UncertainPoint, UniformDisk, expected_sq_distance, mc_expected_sq_distance
 from .seeding import make_rng
 
 
-def _atomic_write(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+def _atomic_write(path: str, write) -> None:
+    """Fill `path` through `write(tmp)` on a temporary file beside it and
+    rename that into place; a failed write removes it, so no partial file
+    is ever left."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,48 +42,37 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _cell_paths(out_dir: str, scenario_name: str, variable: str, value_index: int):
-    stem = f"{scenario_name}_{variable}_{value_index}"
-    return (
-        os.path.join(out_dir, f"report_{stem}.csv"),
-        os.path.join(out_dir, f"summary_{stem}.csv"),
-    )
-
-
 def _run_cell(args):
     """Worker for one (scenario, sweep value) cell; returns summary rows."""
     cfg, variable, value, value_index, out_dir, trace = args
     report = run_scenario(cfg, trace=trace)
-    report_path, summary_path = _cell_paths(out_dir, cfg.scenario.value, variable, value_index)
-    tmp_report = report_path + ".part"
-    write_per_tti_csv(report, tmp_report)
-    os.replace(tmp_report, report_path)
-    tmp_summary = summary_path + ".part"
-    write_summary_csv(report, tmp_summary)
-    os.replace(tmp_summary, summary_path)
-    rows = []
-    for metric in SUMMARY_METRICS:
-        mean, hw = report.aggregate[metric]
-        rows.append(
-            f"{variable},{fmt(value)},{cfg.scenario.value},{metric},{fmt(mean)},{fmt(hw)}"
-        )
-    return rows
+    stem = f"{cfg.scenario.value}_{variable}_{value_index}.csv"
+    for kind, write in (("report", write_per_tti_csv), ("summary", write_summary_csv)):
+        _atomic_write(os.path.join(out_dir, f"{kind}_{stem}"), partial(write, report))
+    return [f"{variable},{fmt(value)},{row}" for row in report.summary_rows()]
 
 
 def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
     """Run every sweep cell and write the CSV outputs.
 
-    Position traces are loaded once, before any cell starts, so a bad
-    trace raises ConfigError instead of failing every cell. At most
+    Position traces are loaded, and their `ue_id`s checked against
+    `n_ues`, once before any cell starts, so a bad trace raises
+    ConfigError instead of failing every cell. At most
     min(jobs, cells, CPUs) worker processes run. Returns the process exit
     code: 0 if every cell completed, 2 if any failed (completed cells
     are still written).
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    traces = {
-        cfg.trace_csv: load_position_trace(cfg.trace_csv) for cfg in spec.base if cfg.trace_csv
-    }
+    paths = dict.fromkeys(cfg.trace_csv for cfg in spec.base if cfg.trace_csv)
+    traces = {path: load_position_trace(path) for path in paths}
+    ue_ids = {path: {uid for rows in t.values() for uid, _ in rows} for path, t in traces.items()}
+    for cfg in spec.base:
+        for uid in sorted(ue_ids.get(cfg.trace_csv, ())):
+            if not 0 <= uid < cfg.n_ues:
+                raise ConfigError(
+                    f"{cfg.trace_csv}: ue_id {uid} is outside [0, n_ues), n_ues = {cfg.n_ues}"
+                )
     os.makedirs(out_dir, exist_ok=True)
     cells = [
         (cfg, spec.variable, value, i // len(spec.base), out_dir, traces.get(cfg.trace_csv))
@@ -115,7 +101,9 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
     for rows in results:
         if rows is not None:
             lines.extend(rows)
-    _atomic_write(os.path.join(out_dir, "sweep_summary.csv"), "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    path = os.path.join(out_dir, "sweep_summary.csv")
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
     if failures:
         for (cfg, _, value, *_), exc in failures:
@@ -128,22 +116,14 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        spec = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    spec = parse_config(args.config)
     if args.seed is not None:  # SweepSpec re-validates every cell
         spec = replace(spec, base=tuple(replace(cfg, master_seed=args.seed) for cfg in spec.base))
     return run_sweep(spec, args.out, jobs=args.jobs)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        spec = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    spec = parse_config(args.config)
     sys.stdout.write(emit_config(spec))
     return 0
 

@@ -164,8 +164,7 @@ class ScenarioConfig:
                 "the mean arrivals per UE and TTI, load_bps * tti_duration_s / "
                 f"(8 * packet_size_bytes), cannot exceed {MAX_ARRIVALS_PER_TTI:g}"
             )
-        if self.minibatch > self.replay_capacity:
-            raise ConfigError("minibatch cannot exceed replay_capacity")
+        self.agent_config(action_count=self.n_ues, seed=0)  # the agent's replay rule
 
     def agent_config(self, action_count: int, seed: int) -> AgentConfig:
         return AgentConfig(action_count=action_count, seed=seed, **shared_values(self, AgentConfig))
@@ -221,11 +220,18 @@ class RunSummary:
 
 @dataclass
 class RunReport:
-    scenario: Scenario
     config: ScenarioConfig
     records: list  # one list of TtiRecord per run
     summaries: list  # one RunSummary per run
     aggregate: dict  # metric -> (mean, ci95_halfwidth)
+
+    def summary_rows(self) -> list:
+        """The aggregate as `scenario,metric,mean,ci95_halfwidth` rows."""
+        rows = []
+        for metric in SUMMARY_METRICS:
+            mean, hw = self.aggregate[metric]
+            rows.append(f"{self.config.scenario.value},{metric},{fmt(mean)},{fmt(hw)}")
+        return rows
 
 
 def inject_error(
@@ -609,6 +615,19 @@ class ScenarioRun:
         )
 
 
+def _scenario_runs(cfg: ScenarioConfig, count: int, trace=None, coverage_only=False):
+    """Runs 0 .. count - 1 of `cfg`, built one at a time: run i uses the
+    seed derive_seed(master_seed, i) and `trace`, or else cfg.trace_csv
+    loaded once."""
+    cfg.validate()
+    if trace is None and cfg.trace_csv:
+        trace = load_position_trace(cfg.trace_csv)
+    for i in range(count):
+        yield ScenarioRun(
+            cfg, derive_seed(cfg.master_seed, i), i, trace=trace, coverage_only=coverage_only
+        )
+
+
 def run_scenario(cfg: ScenarioConfig, trace: Optional[dict] = None) -> RunReport:
     """Execute cfg.runs independent runs and aggregate their metrics.
 
@@ -617,18 +636,9 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[dict] = None) -> RunReport
     95% Student-t half-width (nan for a single run). `trace` is the
     already loaded `cfg.trace_csv`; when None the file is loaded here.
     """
-    cfg.validate()
-    if trace is None and cfg.trace_csv:
-        trace = load_position_trace(cfg.trace_csv)
     records = []
     summaries = []
-    for i in range(cfg.runs):
-        run = ScenarioRun(
-            cfg,
-            run_seed=derive_seed(cfg.master_seed, i),
-            run_index=i,
-            trace=trace,
-        )
+    for run in _scenario_runs(cfg, cfg.runs, trace):
         recs, summ = run.run()
         records.append(recs)
         summaries.append(summ)
@@ -636,21 +646,13 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[dict] = None) -> RunReport
     for metric in SUMMARY_METRICS:
         values = [getattr(s, metric) for s in summaries]
         aggregate[metric] = confidence_interval(values)
-    return RunReport(
-        scenario=cfg.scenario, config=cfg, records=records, summaries=summaries, aggregate=aggregate
-    )
+    return RunReport(config=cfg, records=records, summaries=summaries, aggregate=aggregate)
 
 
 def mean_coverage(cfg: ScenarioConfig) -> float:
     """Mean per-TTI coverage of run 0, skipping traffic and DRL."""
-    run = ScenarioRun(
-        cfg,
-        run_seed=derive_seed(cfg.master_seed, 0),
-        trace=load_position_trace(cfg.trace_csv) if cfg.trace_csv else None,
-        coverage_only=True,
-    )
-    records, _ = run.run()
-    return float(np.mean([r.coverage_rate for r in records]))
+    (run,) = _scenario_runs(cfg, 1, coverage_only=True)
+    return run.run()[1].coverage_rate
 
 
 def write_per_tti_csv(report: RunReport, path) -> None:
@@ -669,6 +671,5 @@ def write_summary_csv(report: RunReport, path) -> None:
     """Aggregate rows: scenario,metric,mean,ci95_halfwidth."""
     with open(path, "w", newline="") as fh:
         fh.write("scenario,metric,mean,ci95_halfwidth\n")
-        for metric in SUMMARY_METRICS:
-            mean, hw = report.aggregate[metric]
-            fh.write(f"{report.scenario.value},{metric},{fmt(mean)},{fmt(hw)}\n")
+        for row in report.summary_rows():
+            fh.write(row + "\n")
