@@ -24,8 +24,8 @@ context.
 `AgentStack` holds the main networks of one run's agents on a leading
 agent axis and advances all of them by one step per call, with the same
 floating-point operations as `select_action` on each agent.
-`RolloutMemo` keeps its steps within a TTI so that a repeated sequence
-of input states is not computed again.
+`RolloutMemo` keeps its steps within a TTI, each with its greedy
+decision, so a repeated sequence of input states is not computed again.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class AgentConfig:
     def __post_init__(self):
         check_fields(self)
         if self.minibatch > self.replay_capacity:
-            raise ConfigError("minibatch cannot exceed replay_capacity")
+            rule = ("minibatch", "replay_capacity")
+            raise ConfigError("minibatch cannot exceed replay_capacity", rule)
 
 
 @dataclass
@@ -500,37 +501,45 @@ class AgentStack:
         q = np.matmul(h_new[:, None, :], self.wq)[:, 0] + self.bq
         return q, (h_new, c_new)
 
-    def decide(self, q: np.ndarray, mask: np.ndarray) -> list:
-        """Epsilon-greedy action of every agent from its Q-row.
-
-        `mask` (N, A) marks each agent's feasible actions. Agent k draws
-        from its own `action_rng` exactly as `select_action` would and
-        otherwise takes the feasible argmax of q[k], as `_epsilon_greedy`
-        does: the lowest index on ties, the first NaN if there is one,
-        and the lowest feasible index when every feasible entry is -inf.
-        """
+    def greedy(self, q: np.ndarray, mask: np.ndarray) -> list:
+        """Every agent's feasible argmax of q[k] under `mask` (N, A), as in
+        `_epsilon_greedy`: the lowest index on ties, the first NaN if there
+        is one, and the lowest feasible index if every feasible entry is -inf."""
         actions = np.where(mask, q, -np.inf).argmax(axis=1).tolist()
-        for k, agent in enumerate(self.agents):
-            epsilon, rng = agent.cfg.epsilon, agent.action_rng
-            if epsilon > 0.0 and rng.random() < epsilon:
-                feasible = np.flatnonzero(mask[k])
-                actions[k] = int(feasible[rng.integers(feasible.size)])
-            elif not mask[k, actions[k]]:  # every masked entry is -inf: argmax gave 0
+        for k, a in enumerate(actions):
+            if not mask[k, a]:  # every feasible entry is -inf: argmax gave 0
                 actions[k] = int(np.flatnonzero(mask[k])[0])
         return actions
 
+    def explore(self, greedy: list, feasible: Sequence[tuple]) -> list:
+        """`greedy` after exploration: agent k draws from its `action_rng` as in
+        `_epsilon_greedy` and, exploring, takes a uniform member of `feasible[k]`
+        (ascending). Returns `greedy` itself when no agent explores."""
+        actions = greedy
+        for k, agent in enumerate(self.agents):
+            epsilon, rng = agent.cfg.epsilon, agent.action_rng
+            if epsilon > 0.0 and rng.random() < epsilon:
+                pick = feasible[k][rng.integers(len(feasible[k]))]
+                actions = actions[:k] + [pick] + actions[k + 1 :]  # a copy: `greedy` is kept
+        return actions
 
-# the most nodes one RolloutMemo keeps, each N (A + 2H) floats; it bounds the
-# memory of a run whose geometry and weights never change
+    def decide(self, q: np.ndarray, mask: np.ndarray) -> list:
+        """Every agent's epsilon-greedy action, as `select_action` draws it."""
+        return self.explore(self.greedy(q, mask), [tuple(np.flatnonzero(r).tolist()) for r in mask])
+
+
+# the most nodes one RolloutMemo keeps, each a 2NH-float carry and N actions and
+# states; it bounds the memory of a run whose geometry and weights never change
 ROLLOUT_MEMO_CAP = 4096
 
 
 class _Node:
-    __slots__ = ("q", "carry", "children")
+    __slots__ = ("carry", "children", "greedy", "greedy_states")
 
-    def __init__(self, q, carry):
-        self.q = q  # Q-rows (N, A) of the step into this node
-        self.carry = carry  # the carry after that step
+    def __init__(self, carry, greedy=None, greedy_states=None):
+        self.carry = carry  # the carry after the step into this node
+        self.greedy = greedy  # the greedy actions of that step's Q-rows
+        self.greedy_states = greedy_states  # the next RBG's states after them
         self.children = {}  # next RBG's tuple of states -> _Node
 
 
@@ -541,25 +550,31 @@ class RolloutMemo:
     after RBG r are a function of the main weights and of every agent's
     (scalar) input state at RBGs 0..r. A prefix tree holds them, one
     edge per RBG keyed by the tuple of states, and `forward` runs only
-    for an edge not yet in the tree. Call `clear` whenever the weights
-    may have changed.
+    for an edge not yet in the tree. A node keeps the carry, the greedy
+    actions under the geometry's `mask` and the states they lead to
+    (`next_states[b][action]`). Call `clear` whenever the weights change.
     """
 
-    def __init__(self, stack: AgentStack):
+    def __init__(self, stack: AgentStack, mask: np.ndarray, next_states: Sequence[dict]):
         self.stack = stack
+        self.mask = mask
+        self.next_states = next_states
         self.clear()
 
     def clear(self) -> None:
-        self.root = _Node(None, self.stack.zero_carry())
+        self.root = _Node(self.stack.zero_carry())
         self.size = 0  # nodes below the root
 
-    def step(self, node: _Node, states: Sequence[float]) -> _Node:
-        """The node one RBG after `node` with input `states`."""
-        key = tuple(states)
+    def states(self, actions: Sequence[int]) -> tuple:
+        return tuple(self.next_states[b][a] for b, a in enumerate(actions))
+
+    def step(self, node: _Node, key: tuple) -> _Node:
+        """The node one RBG after `node` with the input states `key`."""
         child = node.children.get(key)
         if child is None:
-            x = np.asarray(states, dtype=float).reshape(len(key), 1)
-            child = _Node(*self.stack.forward(x, node.carry))
+            q, carry = self.stack.forward(np.asarray(key, dtype=float).reshape(-1, 1), node.carry)
+            greedy = self.stack.greedy(q, self.mask)
+            child = _Node(carry, greedy, self.states(greedy))
             if self.size < ROLLOUT_MEMO_CAP:
                 node.children[key] = child
                 self.size += 1

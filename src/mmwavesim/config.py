@@ -194,7 +194,12 @@ def parse_config_text(text: str) -> SweepSpec:
     top["antenna"] = AntennaConfig(**antenna)
     base = tuple(ScenarioConfig(scenario=s, **top) for s in _scenarios(values, raw))
     variable = values["sweep_variable"]
-    return SweepSpec(variable=variable, values=_sweep_values(variable, values, raw), base=base)
+    try:
+        return SweepSpec(variable=variable, values=_sweep_values(variable, values, raw), base=base)
+    except ConfigError as exc:  # anchor a cross-field rule at the first of its keys the file sets
+        keys = ["sweep_values" if k == variable and values["sweep_values"] else k for k in exc.keys]
+        where = next((_where(raw, key) for key in keys if key in raw), "")
+        raise ConfigError(f"{where}{exc}", exc.keys) from None
 
 
 def parse_config(path) -> SweepSpec:

@@ -15,9 +15,9 @@ The geometry stage is event-driven: its inputs are the positions and
 the warm-start centers, so it is recomputed only at a movement event or
 while clustering has not reached a fixed point, and every other TTI
 reuses the previous result (exactly, as clustering draws no random
-numbers). Scheduling reuses the agents' LSTM rollouts of earlier TTIs in
-the same geometry while the weights are unchanged, and builds only the
-replay experiences that a training sample can read.
+numbers). Scheduling reuses the agents' LSTM rollouts and greedy picks
+of earlier TTIs in the same geometry while the weights are unchanged, and
+builds only the replay experiences that a training sample can read.
 
 Scenarios differ only in what the clustering step consumes:
 exact clustering of true positions, plain clustering of the distorted
@@ -157,12 +157,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         check_fields(self)
         if self.n_clusters > self.n_ues:
-            raise ConfigError("n_clusters cannot exceed n_ues")
+            raise ConfigError("n_clusters cannot exceed n_ues", ("n_clusters", "n_ues"))
         arrivals = self.load_bps * self.tti_duration_s / (8 * self.packet_size_bytes)
         if arrivals > MAX_ARRIVALS_PER_TTI:
             raise ConfigError(
                 "the mean arrivals per UE and TTI, load_bps * tti_duration_s / "
-                f"(8 * packet_size_bytes), cannot exceed {MAX_ARRIVALS_PER_TTI:g}"
+                f"(8 * packet_size_bytes), cannot exceed {MAX_ARRIVALS_PER_TTI:g}",
+                ("load_bps", "tti_duration_s", "packet_size_bytes"),
             )
         self.agent_config(action_count=self.n_ues, seed=0)  # the agent's replay rule
 
@@ -197,6 +198,7 @@ class _Geometry(NamedTuple):
     coverage: float
     mask: Optional[np.ndarray] = None  # (beam, UE): True for the beam's members
     masks: Optional[list] = None  # the rows of `mask` as tuples of bools
+    feasible: Optional[list] = None  # per beam: its members' ids in ascending order
     links: Optional[list] = None  # per beam: {member id: _Link}
     memo: Optional[RolloutMemo] = None  # the schedule's LSTM rollouts
 
@@ -452,13 +454,16 @@ class ScenarioRun:
         if self.coverage_only:
             self.geometry = _Geometry(beams, cov)
         else:
+            mask, masks, feasible, links = self._links(beams)
+            states = [{uid: link.next_state for uid, link in table.items()} for table in links]
             # a fresh memo: its nodes are keyed by states this geometry's links give
-            self.geometry = _Geometry(beams, cov, *self._links(beams), RolloutMemo(self.stack))
+            memo = RolloutMemo(self.stack, mask, states)
+            self.geometry = _Geometry(beams, cov, mask, masks, feasible, links, memo)
         return self.geometry
 
     def _links(self, beams):
-        """The (beam, UE) action mask, its rows as tuples, and per beam the
-        `_Link` of an RBG scheduled to each member. The gNB is at the origin."""
+        """The (beam, UE) action mask, its rows as tuples, each beam's member ids
+        and per beam the `_Link` of an RBG to each member; the gNB is at the origin."""
         cfg = self.cfg
         links = []
         mask = np.zeros((len(beams), cfg.n_ues), dtype=bool)
@@ -480,7 +485,7 @@ class ScenarioRun:
                     sinr_ratio=(10.0 ** (sdb / 10.0)) / self.qos_sinr_lin,
                 )
             links.append(table)
-        return mask, [tuple(row) for row in mask.tolist()], links
+        return mask, [tuple(row) for row in mask.tolist()], [tuple(t) for t in links], links
 
     def _first_replayed(self, t: int) -> int:
         """Index of the first of this TTI's experiences, per agent, that a
@@ -504,9 +509,9 @@ class ScenarioRun:
         """Every beam's agent picks one member UE per RBG.
 
         All agents advance together, one RBG per step of the geometry's
-        `RolloutMemo` (which calls `AgentStack.forward` only for a sequence
-        of states it has not seen since the weights last changed) and one
-        `AgentStack.decide`. The links are fixed by the geometry and the
+        `RolloutMemo` (which runs `AgentStack.forward` and `greedy` only for
+        states not seen since the weights last changed) and one
+        `AgentStack.explore`. The links are fixed by the geometry and the
         head-of-line delay cannot change before service, so each (beam,
         member)'s reward is computed once. Budgets, rewards and
         experiences are then accumulated beam by beam, RBG by RBG, so
@@ -525,14 +530,14 @@ class ScenarioRun:
                 row[uid] = reward(ue.klass, link.sinr_ratio, delay_ratio)
             rewards.append(row)
 
-        first_states = [encode_state(agent.last_cqi) for agent in self.agents]
+        first_states = tuple(encode_state(agent.last_cqi) for agent in self.agents)
         states, node = first_states, geo.memo.root
         steps = []  # per RBG: the actions and the carry they were picked in
         for _ in range(cfg.rbg_count):
             child = geo.memo.step(node, states)
-            actions = self.stack.decide(child.q, geo.mask)
+            actions = self.stack.explore(child.greedy, geo.feasible)
             steps.append((actions, node.carry))
-            states = [geo.links[b][a].next_state for b, a in enumerate(actions)]
+            states = child.greedy_states if actions is child.greedy else geo.memo.states(actions)
             node = child
 
         budgets = {}
@@ -595,7 +600,8 @@ class ScenarioRun:
         budgets, _, _ = self._schedule(t, geo)
         delivered_bits, delays = self._serve(t, budgets)
         self._learn(t, geo)
-        mean_delay = float(np.mean(delays)) if delays else float("nan")
+        # the delays are ints, so this equals float(np.mean(delays)) bit for bit
+        mean_delay = sum(delays) / len(delays) if delays else float("nan")
         return TtiRecord(self.run_index, t, geo.coverage, delivered_bits, mean_delay)
 
     def run(self):

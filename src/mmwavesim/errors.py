@@ -2,4 +2,8 @@
 
 
 class ConfigError(ValueError):
-    """Raised when a configuration value or combination is invalid."""
+    """Raised when a config value or combination is invalid; `keys` names a combination's fields."""
+
+    def __init__(self, message: str = "", keys: tuple = ()):
+        super().__init__(message)
+        self.keys = keys
