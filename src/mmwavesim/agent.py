@@ -59,8 +59,6 @@ __all__ = [
     "select_action",
     "train_step",
     "sync_target",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 _GATES = ("i", "f", "o", "g")
@@ -390,33 +388,6 @@ class ReplayMemory:
         return [self._buf[int(i)] for i in idx]
 
 
-def save_checkpoint(path, main: LstmNetwork, target: LstmNetwork) -> None:
-    """Dump both parameter sets to an .npz archive.
-
-    Layout: `meta` holds (input_size, hidden_units, action_count);
-    every parameter array appears twice under `main_<key>` and
-    `target_<key>`. float64 payloads round-trip bit-identically.
-    """
-    arrays = {f"main_{k}": v for k, v in main.params.items()}
-    arrays.update({f"target_{k}": v for k, v in target.params.items()})
-    arrays["meta"] = np.array(
-        [main.input_size, main.hidden_units, main.action_count], dtype=np.int64
-    )
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path):
-    """Rebuild (main, target) networks from `save_checkpoint` output."""
-    data = np.load(path)
-    d, h, a = (int(v) for v in data["meta"])
-    main = LstmNetwork(d, h, a, seed=0)
-    target = LstmNetwork(d, h, a, seed=0)
-    for k in main.params:
-        np.copyto(main.params[k], data[f"main_{k}"])
-        np.copyto(target.params[k], data[f"target_{k}"])
-    return main, target
-
-
 class DqnAgent:
     """One beam's scheduler: paired networks, replay memory and rngs.
 
@@ -522,10 +493,6 @@ class AgentStack:
                 pick = feasible[k][rng.integers(len(feasible[k]))]
                 actions = actions[:k] + [pick] + actions[k + 1 :]  # a copy: `greedy` is kept
         return actions
-
-    def decide(self, q: np.ndarray, mask: np.ndarray) -> list:
-        """Every agent's epsilon-greedy action, as `select_action` draws it."""
-        return self.explore(self.greedy(q, mask), [tuple(np.flatnonzero(r).tolist()) for r in mask])
 
 
 # the most nodes one RolloutMemo keeps, each a 2NH-float carry and N actions and

@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_CQI_THRESHOLDS_DB",
     "AntennaConfig",
     "Beam",
-    "array_response",
     "beam_gain",
     "form_beams",
     "coverage_rate",
@@ -93,13 +92,6 @@ class Beam:
 def _wrap_angle(a: float) -> float:
     """Wrap to [-pi, pi]."""
     return math.remainder(a, 2.0 * math.pi)
-
-
-def array_response(angle: float, cfg: AntennaConfig) -> np.ndarray:
-    """Unit-norm ULA response vector toward `angle` (radians)."""
-    phase = 2.0 * math.pi * cfg.element_spacing_over_wavelength * math.sin(angle)
-    m = np.arange(cfg.n_elements)
-    return np.exp(1j * phase * m) / math.sqrt(cfg.n_elements)
 
 
 def beam_gain(boresight: float, ue_angle: float, cfg: AntennaConfig) -> float:

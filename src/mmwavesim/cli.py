@@ -52,18 +52,10 @@ def _run_cell(args):
     return [f"{variable},{fmt(value)},{row}" for row in report.summary_rows()]
 
 
-def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
-    """Run every sweep cell and write the CSV outputs.
-
-    Position traces are loaded, and their `ue_id`s checked against
-    `n_ues`, once before any cell starts, so a bad trace raises
-    ConfigError instead of failing every cell. At most
-    min(jobs, cells, CPUs) worker processes run. Returns the process exit
-    code: 0 if every cell completed, 2 if any failed (completed cells
-    are still written).
-    """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+def _load_traces(spec: SweepSpec) -> dict:
+    """Every position trace of the sweep, loaded once, by path; a trace that
+    cannot be read or parsed, or that holds a `ue_id` outside [0, n_ues) of
+    a config using it, raises ConfigError."""
     paths = dict.fromkeys(cfg.trace_csv for cfg in spec.base if cfg.trace_csv)
     traces = {path: load_position_trace(path) for path in paths}
     ue_ids = {path: {uid for rows in t.values() for uid, _ in rows} for path, t in traces.items()}
@@ -73,6 +65,21 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
                 raise ConfigError(
                     f"{cfg.trace_csv}: ue_id {uid} is outside [0, n_ues), n_ues = {cfg.n_ues}"
                 )
+    return traces
+
+
+def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
+    """Run every sweep cell and write the CSV outputs.
+
+    Position traces are loaded and checked (`_load_traces`) once before
+    any cell starts, so a bad trace raises ConfigError instead of failing
+    every cell. At most min(jobs, cells, CPUs) worker processes run.
+    Returns the process exit code: 0 if every cell completed, 2 if any
+    failed (completed cells are still written).
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    traces = _load_traces(spec)
     os.makedirs(out_dir, exist_ok=True)
     cells = [
         (cfg, spec.variable, value, i // len(spec.base), out_dir, traces.get(cfg.trace_csv))
@@ -124,6 +131,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec = parse_config(args.config)
+    _load_traces(spec)  # what `run` rejects, before any output
     sys.stdout.write(emit_config(spec))
     return 0
 

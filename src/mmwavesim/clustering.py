@@ -32,10 +32,6 @@ __all__ = [
     "InitStrategy",
     "ClusteringConfig",
     "ClusteringResult",
-    "kmeans_assign",
-    "kmeans_update",
-    "ukmeans_assign",
-    "ukmeans_update",
     "run_clustering",
 ]
 
@@ -100,37 +96,6 @@ def _update(mus: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
             centers[j] = mus[idx]
             own[idx] = -1.0  # a point reseeds at most one empty cluster
     return centers
-
-
-def kmeans_assign(points: Sequence[Point2D], centers: Sequence[Point2D]):
-    """Nearest-center labels; ties break to the lowest cluster index."""
-    if not len(points) or not len(centers):
-        raise ConfigError("points and centers must be non-empty")
-    return [int(l) for l in _assign(_as_array(points), _as_array(centers))]
-
-
-def kmeans_update(points: Sequence[Point2D], labels, k: int):
-    """Per-cluster arithmetic means, with the empty-cluster reseed rule."""
-    centers = _update(_as_array(points), np.asarray(labels, dtype=int), k)
-    return [Point2D(float(x), float(y)) for x, y in centers]
-
-
-def ukmeans_assign(upoints: Sequence[UncertainPoint], centers: Sequence[Point2D]):
-    """Labels minimizing the expected squared distance to each center.
-
-    Uses the mean decomposition: the argmin over centers of
-    ||mu - c||^2 + spread equals the argmin of ||mu - c||^2, so the
-    assignment is the nearest-center rule on the PDF means (with the
-    same lowest-index tie rule as the exact variant).
-    """
-    mus = [expected_position(p) for p in upoints]
-    return kmeans_assign(mus, centers)
-
-
-def ukmeans_update(upoints: Sequence[UncertainPoint], labels, k: int):
-    """Per-cluster means of the expected positions."""
-    mus = [expected_position(p) for p in upoints]
-    return kmeans_update(mus, labels, k)
 
 
 def _init_centers(

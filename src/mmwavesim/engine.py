@@ -77,7 +77,6 @@ __all__ = [
     "RunSummary",
     "RunReport",
     "inject_error",
-    "uniform_disk_point",
     "reported_center",
     "load_position_trace",
     "ScenarioRun",
@@ -296,35 +295,39 @@ def load_position_trace(path):
     Rows must be sorted by (tti, ue_id) and hold finite coordinates at
     least MIN_GNB_DISTANCE_M from the gNB at the origin (closer, the
     free-space path loss overflows and the SINR is not a number); TTIs
-    without rows hold the last position.
+    without rows hold the last position; an unreadable file is a ConfigError.
     """
     trace = {}
     last = None
-    with open(path, newline="") as fh:
-        rdr = csv.reader(fh)
-        header = next(rdr, None)
-        if header is None or [h.strip() for h in header] != ["tti", "ue_id", "x_m", "y_m"]:
-            raise ConfigError(f"{path}: expected header tti,ue_id,x_m,y_m")
-        for lineno, row in enumerate(rdr, start=2):
-            if not row:
-                continue
-            try:
-                tti, ue_id = int(row[0]), int(row[1])
-                x, y = float(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}: line {lineno}: malformed row {row}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ConfigError(f"{path}: line {lineno}: non-finite position {row}")
-            if math.hypot(x, y) < MIN_GNB_DISTANCE_M:
-                raise ConfigError(
-                    f"{path}: line {lineno}: position is within {MIN_GNB_DISTANCE_M} m "
-                    f"of the gNB (0, 0)"
-                )
-            key = (tti, ue_id)
-            if last is not None and key <= last:
-                raise ConfigError(f"{path}: line {lineno}: rows not sorted by (tti, ue_id)")
-            last = key
-            trace.setdefault(tti, []).append((ue_id, Point2D(x, y)))
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    rdr = csv.reader(lines)
+    header = next(rdr, None)
+    if header is None or [h.strip() for h in header] != ["tti", "ue_id", "x_m", "y_m"]:
+        raise ConfigError(f"{path}: expected header tti,ue_id,x_m,y_m")
+    for lineno, row in enumerate(rdr, start=2):
+        if not row:
+            continue
+        try:
+            tti, ue_id = int(row[0]), int(row[1])
+            x, y = float(row[2]), float(row[3])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}: line {lineno}: malformed row {row}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigError(f"{path}: line {lineno}: non-finite position {row}")
+        if math.hypot(x, y) < MIN_GNB_DISTANCE_M:
+            raise ConfigError(
+                f"{path}: line {lineno}: position is within {MIN_GNB_DISTANCE_M} m "
+                f"of the gNB (0, 0)"
+            )
+        key = (tti, ue_id)
+        if last is not None and key <= last:
+            raise ConfigError(f"{path}: line {lineno}: rows not sorted by (tti, ue_id)")
+        last = key
+        trace.setdefault(tti, []).append((ue_id, Point2D(x, y)))
     return trace
 
 

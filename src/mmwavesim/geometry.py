@@ -35,9 +35,7 @@ __all__ = [
     "expected_position",
     "expected_sq_distance",
     "uniform_disk_point",
-    "sample_position",
     "mc_expected_sq_distance",
-    "translate",
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -148,17 +146,6 @@ def uniform_disk_point(
     return Point2D(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
 
 
-def sample_position(p: UncertainPoint, rng: np.random.Generator) -> Point2D:
-    """One draw from the position PDF (area-uniform for a disk)."""
-    pdf = p.pdf
-    if isinstance(pdf, UniformDisk):
-        return uniform_disk_point(rng, pdf.radius, pdf.center)
-    cum = np.cumsum(pdf.weights)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    idx = min(idx, len(pdf.samples) - 1)
-    return pdf.samples[idx]
-
-
 def mc_expected_sq_distance(
     p: UncertainPoint, c: Point2D, n_samples: int, rng: np.random.Generator
 ) -> float:
@@ -177,15 +164,3 @@ def mc_expected_sq_distance(
         xs = pts[idx, 0]
         ys = pts[idx, 1]
     return float(np.mean((xs - c.x) ** 2 + (ys - c.y) ** 2))
-
-
-def translate(p: UncertainPoint, dx: float, dy: float) -> UncertainPoint:
-    """The same PDF shifted rigidly by (dx, dy)."""
-    pdf = p.pdf
-    if isinstance(pdf, UniformDisk):
-        moved = UniformDisk(Point2D(pdf.center.x + dx, pdf.center.y + dy), pdf.radius)
-    else:
-        moved = SampleBased(
-            tuple(Point2D(s.x + dx, s.y + dy) for s in pdf.samples), pdf.weights
-        )
-    return UncertainPoint(pdf=moved)

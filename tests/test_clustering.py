@@ -4,11 +4,7 @@ import pytest
 from mmwavesim.clustering import (
     ClusteringConfig,
     InitStrategy,
-    kmeans_assign,
-    kmeans_update,
     run_clustering,
-    ukmeans_assign,
-    ukmeans_update,
 )
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import (
@@ -17,9 +13,9 @@ from mmwavesim.geometry import (
     UncertainPoint,
     UniformDisk,
     expected_sq_distance,
-    sample_position,
 )
 from mmwavesim.seeding import make_rng
+from reference import kmeans_assign, kmeans_update, sample_position, ukmeans_assign, ukmeans_update
 
 
 def P(x, y):

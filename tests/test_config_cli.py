@@ -66,6 +66,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"n_ues = \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config(path)
+
     def test_round_trip(self):
         text = (
             "scenarios = kmeans_error,kmeans_exact\n"

@@ -294,7 +294,10 @@ class TestComments:
     def test_hash_after_whitespace_starts_a_comment(self, text):
         assert parse_config_text(text).base[0].n_ues == 6
 
-    def test_validate_prints_the_whole_path(self, tmp_path, capsys):
+    def test_validate_prints_the_whole_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # validate reads the trace, so it must exist
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "traces" / "run#2.csv").write_text("tti,ue_id,x_m,y_m\n0,0,30,10\n")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("position_trace_csv = traces/run#2.csv  # the second run\n")
         assert main(["validate", "--config", str(cfg)]) == 0

@@ -14,6 +14,7 @@ from mmwavesim import agent as agent_module
 from mmwavesim.agent import AgentConfig, AgentStack, DqnAgent, _epsilon_greedy
 from mmwavesim.engine import ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
+from reference import decide
 
 # Q entries that give ties, NaN and both infinities
 Q_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats(-2.0, 2.0)
@@ -61,7 +62,7 @@ class TestGreedyThenExplore:
             feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
             greedy = split.greedy(q, mask)
             picked = split.explore(greedy, feasible)
-            assert picked == whole.decide(q, mask)
+            assert picked == decide(whole, q, mask)
             for k, eps in enumerate(epsilons):
                 ref = _epsilon_greedy(q[k], np.flatnonzero(mask[k]), eps, by_row[k].action_rng)
                 assert picked[k] == ref

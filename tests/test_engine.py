@@ -12,12 +12,11 @@ from mmwavesim.engine import (
     mean_coverage,
     reported_center,
     run_scenario,
-    uniform_disk_point,
     write_per_tti_csv,
     write_summary_csv,
 )
 from mmwavesim.errors import ConfigError
-from mmwavesim.geometry import Point2D, SampleBased, UniformDisk, expected_position
+from mmwavesim.geometry import Point2D, SampleBased, UniformDisk, expected_position, uniform_disk_point
 from mmwavesim.seeding import derive_seed, make_rng
 
 

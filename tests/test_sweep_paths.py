@@ -1,6 +1,7 @@
-"""The path from a config file to the sweep CSVs: trace ids checked before
-any output exists, no partial file after a failed write, the run builder's
-trace branch, the cross-field rules' order and beam grouping."""
+"""The path from a config file to the sweep CSVs: traces checked, by `run`
+and `validate` alike, before any output exists, no partial file after a
+failed write, the run builder's trace branch, the cross-field rules' order
+and beam grouping."""
 
 import math
 import os
@@ -75,6 +76,34 @@ class TestTraceUeIds:
         monkeypatch.setattr(cli, "load_position_trace", lambda p: loaded.append(p) or {})
         assert run_sweep(spec, str(tmp_path / "out")) == 0
         assert loaded == [str(trace)]
+
+
+class TestValidateReadsTraces:
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read trace"),
+            (b"tti,ue_id,x_m,y_m\n0,0,\xff,1\n", "cannot read trace"),
+            (b"0,0,30,10\n", "expected header tti,ue_id,x_m,y_m"),
+            (b"tti,ue_id,x_m,y_m\n0,0,30,10\n0,3,-20,40\n", "ue_id 3 is outside [0, n_ues)"),
+        ],
+        ids=["missing_file", "not_utf8", "bad_header", "ue_id_at_n_ues"],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, content, message):
+        trace = tmp_path / "trace.csv"
+        if content is not None:
+            trace.write_bytes(content)
+        cfg = _config(tmp_path, TINY + f"position_trace_csv = {trace}\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == 1
+        validated = capsys.readouterr()
+        assert validated.out == ""
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        ran = capsys.readouterr()
+        assert not out.exists()
+        assert validated.err == ran.err
+        assert ran.err.startswith("config error: ") and message in ran.err
+        assert ran.err.count("\n") == 1
 
 
 class TestFailedWrite:
