@@ -123,10 +123,7 @@ def reward(user_class: UserClass, sinr_ratio: float, delay_ratio: float = None) 
         x = sinr_ratio * delay_ratio
     else:
         x = sinr_ratio
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    ex = math.exp(x)
-    return ex / (1.0 + ex)
+    return 1.0 / (1.0 + math.exp(-x))
 
 
 class LstmNetwork:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,28 +122,24 @@ def _circular_range(angles) -> float:
     if len(angles) < 2:
         return 0.0
     a = np.sort(np.asarray([_wrap_angle(x) for x in angles]))
-    gaps = np.diff(a)
     wrap_gap = 2.0 * math.pi - (a[-1] - a[0])
-    return float(2.0 * math.pi - max(gaps.max() if len(gaps) else 0.0, wrap_gap))
+    return float(2.0 * math.pi - max(np.diff(a).max(), wrap_gap))
 
 
-class _Cluster:
-    __slots__ = ("center", "ids", "points")
-
-    def __init__(self, center, ids, points):
-        self.center = center
-        self.ids = list(ids)
-        self.points = list(points)
+class _Cluster(NamedTuple):
+    center: Point2D
+    ids: list  # the members' UE ids
+    rows: list  # the members' rows of the points array
 
 
-def _group(centers, labels, ids, points) -> list:
-    """One `_Cluster` per center with the ids and points labelled with its
+def _group(centers, labels, ids, rows) -> list:
+    """One `_Cluster` per center with the ids and rows labelled with its
     index; a center without members (emptied by a final reseed) gets none."""
     clusters = []
     for j, c in enumerate(centers):
         member = [i for i, l in enumerate(labels) if l == j]
         if member:
-            clusters.append(_Cluster(c, [ids[i] for i in member], [points[i] for i in member]))
+            clusters.append(_Cluster(c, [ids[i] for i in member], [rows[i] for i in member]))
     return clusters
 
 
@@ -151,46 +147,47 @@ def form_beams(
     centers: Sequence[Point2D],
     width: float,
     n_beams: int,
-    points: Optional[Sequence[Point2D]] = None,
-    labels=None,
+    points: np.ndarray,
+    labels,
     ids=None,
 ) -> list:
     """Beams from the gNB (at the origin) pointed at the cluster centroids.
 
-    When `n_beams` differs from the cluster count the set is adjusted
-    deterministically: too few beams merge the two angularly closest
-    clusters (member-weighted centroid); too many split the cluster with
-    the widest angular spread of members by re-clustering it with k=2.
-    Once every remaining cluster is a single point, extra beams repeat
-    existing boresights in index order. Splitting requires member data
-    (`points` + `labels`); without it extra beams are repeats.
+    `points` is the (N, 2) array that was clustered, `labels` its
+    cluster indices and `ids` the UE id of each row (the row index by
+    default); beams on the centers alone take `points` = the centers and
+    `labels` = range(k). When `n_beams` differs from the cluster count
+    the set is adjusted deterministically: too few beams merge the two
+    angularly closest clusters (member-weighted centroid); too many split
+    the cluster with the widest angular spread of members by re-clustering
+    it with k=2. Once every remaining cluster is a single point, extra
+    beams repeat existing boresights in index order.
     """
     if n_beams < 1:
         raise ConfigError("n_beams must be >= 1")
     if not len(centers):
         raise ConfigError("need at least one cluster center")
 
-    if points is not None and labels is not None:
-        if ids is None:
-            ids = list(range(len(points)))
-        clusters = _group(centers, labels, ids, points)
-    else:
-        clusters = [_Cluster(c, [j], [c]) for j, c in enumerate(centers)]
+    rows = range(len(points))
+    clusters = _group(centers, labels, rows if ids is None else ids, rows)
 
     unsplittable = set()
     while len(clusters) < n_beams:
         candidates = [
             (idx, cl)
             for idx, cl in enumerate(clusters)
-            if len(cl.points) >= 2 and id(cl) not in unsplittable
+            if len(cl.rows) >= 2 and id(cl) not in unsplittable
         ]
         if not candidates:
             break
-        spreads = [_circular_range([_angle_from(p) for p in cl.points]) for _, cl in candidates]
+        spreads = [
+            _circular_range([math.atan2(y, x) for x, y in points[cl.rows].tolist()])
+            for _, cl in candidates
+        ]
         pick = int(np.argmax(spreads))
         idx, cl = candidates[pick]
-        sub = run_clustering(cl.points, _SPLIT_CLUSTERING)
-        halves = _group(sub.centers, sub.labels, cl.ids, cl.points)
+        sub = run_clustering(points[cl.rows], _SPLIT_CLUSTERING)
+        halves = _group(sub.centers, sub.labels, cl.ids, cl.rows)
         if len(halves) < 2:  # coincident points cannot be separated
             unsplittable.add(id(cl))
             continue
@@ -206,12 +203,12 @@ def form_beams(
                     best = (gap, i, j)
         _, i, j = best
         a, b = clusters[i], clusters[j]
-        wa, wb = len(a.points), len(b.points)
+        wa, wb = len(a.rows), len(b.rows)
         merged_center = Point2D(
             (wa * a.center.x + wb * b.center.x) / (wa + wb),
             (wa * a.center.y + wb * b.center.y) / (wa + wb),
         )
-        clusters[i] = _Cluster(merged_center, a.ids + b.ids, a.points + b.points)
+        clusters[i] = _Cluster(merged_center, a.ids + b.ids, a.rows + b.rows)
         del clusters[j]
 
     beams = [
@@ -226,20 +223,21 @@ def form_beams(
 
 def coverage_rate(
     beams: Sequence[Beam],
-    true_positions: Sequence[Point2D],
+    true_positions: np.ndarray,
     cell_radius: float,
 ) -> float:
-    """Fraction of UEs within `cell_radius` of the gNB and +/- width/2 of some beam."""
+    """Fraction of the UEs at the (N, 2) `true_positions` within
+    `cell_radius` of the gNB and +/- width/2 of some beam."""
     if cell_radius <= 0:
         raise ConfigError("cell_radius must be > 0")
     if not len(true_positions):
         raise ConfigError("no positions to evaluate")
     covered = 0
     r2 = cell_radius * cell_radius
-    for p in true_positions:
-        if p.x * p.x + p.y * p.y > r2:
+    for x, y in true_positions.tolist():
+        if x * x + y * y > r2:
             continue
-        ang = _angle_from(p)
+        ang = math.atan2(y, x)
         if any(abs(_wrap_angle(ang - b.boresight)) <= b.width / 2.0 for b in beams):
             covered += 1
     return covered / len(true_positions)

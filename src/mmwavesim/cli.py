@@ -13,6 +13,7 @@ parallel cells never interleave file contents.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,11 +22,20 @@ from functools import partial
 from pathlib import Path
 
 from .config import SweepSpec, emit_config, parse_config
-from .engine import load_position_trace, run_scenario, write_per_tti_csv, write_summary_csv
+from .engine import (
+    check_trace_ids,
+    load_position_trace,
+    run_scenario,
+    write_per_tti_csv,
+    write_summary_csv,
+)
 from .errors import ConfigError
 from .fields import fmt
 from .geometry import Point2D, UncertainPoint, UniformDisk, expected_sq_distance, mc_expected_sq_distance
 from .seeding import make_rng
+
+# the Monte Carlo oracle holds about 48 bytes per sample at its peak
+MAX_MC_SAMPLES = 10_000_000
 
 
 def _atomic_write(path: str, write) -> None:
@@ -58,13 +68,9 @@ def _load_traces(spec: SweepSpec) -> dict:
     a config using it, raises ConfigError."""
     paths = dict.fromkeys(cfg.trace_csv for cfg in spec.base if cfg.trace_csv)
     traces = {path: load_position_trace(path) for path in paths}
-    ue_ids = {path: {uid for rows in t.values() for uid, _ in rows} for path, t in traces.items()}
     for cfg in spec.base:
-        for uid in sorted(ue_ids.get(cfg.trace_csv, ())):
-            if not 0 <= uid < cfg.n_ues:
-                raise ConfigError(
-                    f"{cfg.trace_csv}: ue_id {uid} is outside [0, n_ues), n_ues = {cfg.n_ues}"
-                )
+        if cfg.trace_csv:
+            check_trace_ids(traces[cfg.trace_csv], cfg)
     return traces
 
 
@@ -137,6 +143,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle_mc_distance(args) -> int:
+    if not 1 <= args.samples <= MAX_MC_SAMPLES:
+        raise ConfigError(f"--samples must be in [1, {MAX_MC_SAMPLES}], got {args.samples}")
+    if not (math.isfinite(args.radius) and args.radius >= 0.0):
+        raise ConfigError(f"--radius must be finite and >= 0, got {args.radius}")
+    if not all(math.isfinite(v) for v in (*args.center, *args.point)):
+        raise ConfigError("--center and --point must be finite")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     point = UncertainPoint(
         pdf=UniformDisk(Point2D(args.center[0], args.center[1]), args.radius)
     )

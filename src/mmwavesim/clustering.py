@@ -2,17 +2,14 @@
 
 Both variants run the same four-step loop: pick initial centers, assign
 every point to the nearest center, recompute each center as the mean of
-its members, repeat until the centers stop moving. The uncertain
-variant scores assignments by the expected squared distance under each
-point's PDF and updates centers with the mean of the expected
-positions.
+its members, repeat until the centers stop moving.
 
 Because E||x - c||^2 = ||mu - c||^2 + spread with a spread term that
-does not depend on the candidate center, the uncertain assignment is
-the nearest-center rule applied to the PDF means; the spread only
-shifts the objective. In particular, points whose PDFs are symmetric
-disks centered on the reported location produce exactly the same label
-sequence as exact clustering of those centers.
+does not depend on the candidate center, the uncertain (expected-distance)
+variant is the exact loop run on the PDF means, `geometry.moments`, with
+the total spread added to the objective. In particular, points whose
+PDFs are symmetric disks centered on the reported location produce
+exactly the same label sequence as exact clustering of those centers.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import check_fields, ranged
-from .geometry import Point2D, UncertainPoint, expected_position, expected_sq_distance
+from .geometry import Point2D
 from .seeding import make_rng
 
 __all__ = [
@@ -62,10 +59,6 @@ class ClusteringResult:
     converged: bool
     label_history: tuple  # labels after every assign step
     objective_history: tuple  # objective after every (assign, update) pair
-
-
-def _as_array(points: Sequence[Point2D]) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in points], dtype=float)
 
 
 def _assign(mus: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -120,39 +113,31 @@ def _init_centers(
 
 
 def run_clustering(
-    data,
+    points: np.ndarray,
     cfg: ClusteringConfig,
     initial_centers: Optional[Sequence[Point2D]] = None,
+    spread: float = 0.0,
 ) -> ClusteringResult:
     """Alternate assign/update until centers move less than epsilon.
 
-    `data` is either a sequence of Point2D (exact variant) or a sequence
-    of UncertainPoint (expected-distance variant). The result is fully
-    determined by (data, cfg, initial_centers). The reported objective
-    is the sum over points of the (expected) squared distance to the
-    assigned center and is non-increasing across iterations.
+    `points` is an (N, 2) array: exact positions, or the PDF means of
+    uncertain ones with their total `spread` (both from
+    `geometry.moments`). The result is fully determined by (points, cfg,
+    initial_centers, spread). The reported objective is the sum over
+    points of the (expected) squared distance to the assigned center and
+    is non-increasing across iterations.
     """
-    n = len(data)
+    mus = np.asarray(points, dtype=float)
+    n = len(mus)
     if n == 0:
         raise ConfigError("cannot cluster zero points")
     if cfg.k > n:
         raise ConfigError(f"k={cfg.k} exceeds the number of data points ({n})")
 
-    uncertain = isinstance(data[0], UncertainPoint)
-    if uncertain:
-        mu_points = [expected_position(p) for p in data]
-        mus = _as_array(mu_points)
-        spread_total = sum(
-            expected_sq_distance(p, mu) for p, mu in zip(data, mu_points)
-        )
-    else:
-        mus = _as_array(data)
-        spread_total = 0.0
-
     if initial_centers is not None:
         if len(initial_centers) != cfg.k:
             raise ConfigError("initial_centers length must equal k")
-        centers = _as_array(initial_centers)
+        centers = np.array([(c.x, c.y) for c in initial_centers], dtype=float)
     else:
         centers = _init_centers(mus, cfg, make_rng(cfg.seed))
 
@@ -168,7 +153,7 @@ def run_clustering(
         new_centers = _update(mus, labels, cfg.k)
         movement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
-        objective = float(((mus - centers[labels]) ** 2).sum()) + spread_total
+        objective = float(((mus - centers[labels]) ** 2).sum()) + spread
         iterations += 1
         label_history.append(tuple(int(l) for l in labels))
         objective_history.append(objective)

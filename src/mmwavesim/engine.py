@@ -19,10 +19,10 @@ numbers). Scheduling reuses the agents' LSTM rollouts and greedy picks
 of earlier TTIs in the same geometry while the weights are unchanged, and
 builds only the replay experiences that a training sample can read.
 
-Scenarios differ only in what the clustering step consumes:
-exact clustering of true positions, plain clustering of the distorted
-reported positions, or expected-distance clustering of the reported
-uncertainty PDFs.
+Scenarios differ only in the (N, 2) array the clustering step consumes:
+the true positions, the distorted reported positions, or the means of
+the reported uncertainty PDFs, whose spread (expected-distance
+clustering) shifts only the objective.
 """
 
 from __future__ import annotations
@@ -57,21 +57,13 @@ from .beams import (
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
 from .fields import check_fields, fmt, ranged, same_as, shared_values
-from .geometry import (
-    Point2D,
-    SampleBased,
-    UncertainPoint,
-    UniformDisk,
-    expected_position,
-    uniform_disk_point,
-)
+from .geometry import Point2D, SampleBased, UncertainPoint, UniformDisk, moments, uniform_disk_point
 from .seeding import derive_seed, make_rng
 from .stats import confidence_interval
 from .traffic import PacketQueue, TrafficConfig, generate_arrivals
 
 __all__ = [
     "Scenario",
-    "UserEquipment",
     "ScenarioConfig",
     "TtiRecord",
     "RunSummary",
@@ -79,6 +71,7 @@ __all__ = [
     "inject_error",
     "reported_center",
     "load_position_trace",
+    "check_trace_ids",
     "ScenarioRun",
     "run_scenario",
     "mean_coverage",
@@ -101,19 +94,6 @@ class Scenario(Enum):
     KMEANS_ERROR = "kmeans_error"
     UKMEANS_ERROR = "ukmeans_error"
     KMEANS_EXACT = "kmeans_exact"
-
-
-@dataclass
-class UserEquipment:
-    id: int
-    klass: UserClass
-    true_position: Point2D
-    reported: UncertainPoint
-    queue: PacketQueue
-
-    @property
-    def reported_center(self) -> Point2D:
-        return reported_center(self.reported)
 
 
 @dataclass(frozen=True)
@@ -331,6 +311,16 @@ def load_position_trace(path):
     return trace
 
 
+def check_trace_ids(trace: dict, cfg: ScenarioConfig) -> None:
+    """Raise ConfigError if a row of `trace` holds a ue_id outside [0, n_ues)."""
+    bad = sorted(uid for rows in trace.values() for uid, _ in rows if not 0 <= uid < cfg.n_ues)
+    if bad:
+        raise ConfigError(
+            f"{cfg.trace_csv or 'position trace'}: ue_id {bad[0]} is outside [0, n_ues), "
+            f"n_ues = {cfg.n_ues}"
+        )
+
+
 class ScenarioRun:
     """One seeded run of one scenario; `step` advances a single TTI.
 
@@ -353,6 +343,8 @@ class ScenarioRun:
         coverage_only: bool = False,
     ):
         cfg.validate()
+        if trace is not None:
+            check_trace_ids(trace, cfg)
         self.cfg = cfg
         self.run_index = run_index
         self.trace = trace
@@ -366,20 +358,16 @@ class ScenarioRun:
         self.clustering = cfg.clustering_config(seed=derive_seed(run_seed, 3))
         self.traffic_rngs = [make_rng(derive_seed(run_seed, 100 + u)) for u in range(cfg.n_ues)]
 
-        self.ues = []
+        # per UE, by id: the true position, the position this scenario
+        # clusters and its spread (see `_place`), the class and the queue
+        self.true_xy = np.empty((cfg.n_ues, 2))
+        exact = cfg.scenario is Scenario.KMEANS_EXACT
+        self.believed_xy = self.true_xy if exact else np.empty((cfg.n_ues, 2))
+        self.spreads = [0.0] * cfg.n_ues
+        self.classes = [UserClass.URLLC if u % 2 == 0 else UserClass.EMBB for u in range(cfg.n_ues)]
+        self.queues = [PacketQueue() for _ in range(cfg.n_ues)]
         for u in range(cfg.n_ues):
-            pos = uniform_disk_point(self.move_rng, cfg.cell_radius_m)
-            self.ues.append(
-                UserEquipment(
-                    id=u,
-                    klass=UserClass.URLLC if u % 2 == 0 else UserClass.EMBB,
-                    true_position=pos,
-                    reported=inject_error(
-                        pos, self.rmse, self.error_rng, informative=cfg.informative_pdf
-                    ),
-                    queue=PacketQueue(),
-                )
-            )
+            self._place(u, uniform_disk_point(self.move_rng, cfg.cell_radius_m))
         self.traffic = TrafficConfig(**shared_values(cfg, TrafficConfig))
 
         if coverage_only:
@@ -394,16 +382,23 @@ class ScenarioRun:
         self._fixed_point = False  # whether the last call returned its warm start
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
 
-    def _refresh_report(self, ue: UserEquipment) -> None:
-        ue.reported = inject_error(
-            ue.true_position, self.rmse, self.error_rng, informative=self.cfg.informative_pdf
-        )
+    def _place(self, u: int, pos: Point2D) -> None:
+        """Move UE u to `pos` and draw its report. The row this scenario
+        clusters is the true position (`believed_xy` is `true_xy`), the
+        reported center, or the PDF mean with the PDF's spread."""
+        self.true_xy[u] = pos.x, pos.y
+        report = inject_error(pos, self.rmse, self.error_rng, informative=self.cfg.informative_pdf)
+        if self.cfg.scenario is Scenario.UKMEANS_ERROR:
+            means, self.spreads[u] = moments([report])
+            self.believed_xy[u] = means[0]
+        elif self.cfg.scenario is Scenario.KMEANS_ERROR:
+            center = reported_center(report)
+            self.believed_xy[u] = center.x, center.y
 
     def _arrivals(self, t: int) -> None:
-        for ue in self.ues:
-            n = generate_arrivals(self.traffic, self.cfg.tti_duration_s, self.traffic_rngs[ue.id])
-            for _ in range(n):
-                ue.queue.push(self.traffic.packet_size_bits, t)
+        for queue, rng in zip(self.queues, self.traffic_rngs):
+            for _ in range(generate_arrivals(self.traffic, self.cfg.tti_duration_s, rng)):
+                queue.push(self.traffic.packet_size_bits, t)
 
     def _mobility(self, t: int) -> bool:
         """Apply this TTI's movement event, if any: the trace rows at `t`,
@@ -412,17 +407,12 @@ class ScenarioRun:
         if self.trace is not None:
             rows = self.trace.get(t, ())
             for ue_id, pos in rows:
-                if not 0 <= ue_id < len(self.ues):
-                    raise ConfigError(f"trace references unknown ue_id {ue_id}")
-                ue = self.ues[ue_id]
-                ue.true_position = pos
-                self._refresh_report(ue)
+                self._place(ue_id, pos)
             return bool(rows)
         if t == 0 or t % self.cfg.move_interval_ttis:
             return False
-        for ue in self.ues:
-            ue.true_position = uniform_disk_point(self.move_rng, self.cfg.cell_radius_m)
-            self._refresh_report(ue)
+        for u in range(self.cfg.n_ues):
+            self._place(u, uniform_disk_point(self.move_rng, self.cfg.cell_radius_m))
         return True
 
     def _geometry(self, moved: bool) -> _Geometry:
@@ -438,22 +428,15 @@ class ScenarioRun:
         if self._fixed_point and not moved:
             return self.geometry
         cfg = self.cfg
-        if cfg.scenario is Scenario.KMEANS_EXACT:
-            data = [ue.true_position for ue in self.ues]
-            points = data
-        elif cfg.scenario is Scenario.KMEANS_ERROR:
-            data = [ue.reported_center for ue in self.ues]
-            points = data
-        else:
-            data = [ue.reported for ue in self.ues]
-            points = [expected_position(p) for p in data]
-        result = run_clustering(data, self.clustering, initial_centers=self.prev_centers)
+        result = run_clustering(
+            self.believed_xy, self.clustering, self.prev_centers, spread=sum(self.spreads)
+        )
         self._fixed_point = result.centers == self.prev_centers
         self.prev_centers = result.centers
         beams = form_beams(
-            list(result.centers), self.width_rad, cfg.n_beams, points=points, labels=result.labels
+            result.centers, self.width_rad, cfg.n_beams, self.believed_xy, result.labels
         )
-        cov = coverage_rate(beams, [ue.true_position for ue in self.ues], cfg.cell_radius_m)
+        cov = coverage_rate(beams, self.true_xy, cfg.cell_radius_m)
         if self.coverage_only:
             self.geometry = _Geometry(beams, cov)
         else:
@@ -468,16 +451,15 @@ class ScenarioRun:
         """The (beam, UE) action mask, its rows as tuples, each beam's member ids
         and per beam the `_Link` of an RBG to each member; the gNB is at the origin."""
         cfg = self.cfg
+        xy = self.true_xy.tolist()
         links = []
         mask = np.zeros((len(beams), cfg.n_ues), dtype=bool)
         for b, beam in enumerate(beams):
             others = beams[:b] + beams[b + 1 :]
             table = {}
             for uid in sorted(beam.members):
-                p = self.ues[uid].true_position
-                sdb = compute_sinr(
-                    math.atan2(p.y, p.x), math.hypot(p.x, p.y), beam, others, cfg.antenna
-                )
+                x, y = xy[uid]
+                sdb = compute_sinr(math.atan2(y, x), math.hypot(x, y), beam, others, cfg.antenna)
                 mask[b, uid] = True
                 cqi = sinr_to_cqi(sdb)
                 table[uid] = _Link(
@@ -528,9 +510,8 @@ class ScenarioRun:
         for table in geo.links:
             row = {}
             for uid, link in table.items():
-                ue = self.ues[uid]
-                delay_ratio = cfg.qos_latency_ttis / ue.queue.head_of_line_delay(t)
-                row[uid] = reward(ue.klass, link.sinr_ratio, delay_ratio)
+                delay_ratio = cfg.qos_latency_ttis / self.queues[uid].head_of_line_delay(t)
+                row[uid] = reward(self.classes[uid], link.sinr_ratio, delay_ratio)
             rewards.append(row)
 
         first_states = tuple(encode_state(agent.last_cqi) for agent in self.agents)
@@ -577,7 +558,7 @@ class ScenarioRun:
         Returns the bits delivered and every delivered packet's delay."""
         delivered_bits, delays = 0, []
         for uid in sorted(budgets):
-            for bits, _, dly in self.ues[uid].queue.serve(budgets[uid], t):
+            for bits, _, dly in self.queues[uid].serve(budgets[uid], t):
                 delivered_bits += bits
                 delays.append(dly)
         return delivered_bits, delays
@@ -614,8 +595,8 @@ class ScenarioRun:
     def summary(self, records) -> RunSummary:
         cfg = self.cfg
         delivered = sum(r.delivered_bits for r in records)
-        delay_sum = sum(ue.queue.delivered_delay_sum for ue in self.ues)
-        delay_n = sum(ue.queue.delivered_packets for ue in self.ues)
+        delay_sum = sum(q.delivered_delay_sum for q in self.queues)
+        delay_n = sum(q.delivered_packets for q in self.queues)
         return RunSummary(
             coverage_rate=float(np.mean([r.coverage_rate for r in records])),
             sum_rate_bps=delivered / (cfg.tti_count * cfg.tti_duration_s),

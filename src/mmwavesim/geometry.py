@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "sq_distance",
     "expected_position",
     "expected_sq_distance",
+    "moments",
     "uniform_disk_point",
     "mc_expected_sq_distance",
 ]
@@ -133,6 +134,14 @@ def expected_sq_distance(p: UncertainPoint, c: Point2D) -> float:
     if isinstance(pdf, UniformDisk):
         return sq_distance(pdf.center, c) + 0.5 * pdf.radius * pdf.radius
     return sum(w * sq_distance(s, c) for s, w in zip(pdf.samples, pdf.weights))
+
+
+def moments(points: Sequence[UncertainPoint]) -> tuple:
+    """The PDF means as an (N, 2) array and the total spread, the sum of
+    E||x - mu||^2: all that expected-distance clustering needs of the PDFs."""
+    mus = [expected_position(p) for p in points]
+    spread = sum(expected_sq_distance(p, mu) for p, mu in zip(points, mus))
+    return np.array([(mu.x, mu.y) for mu in mus], dtype=float), spread
 
 
 def uniform_disk_point(

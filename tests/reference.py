@@ -2,7 +2,8 @@
 against: the explicit ULA response vector behind the closed-form beam
 gain, per-point PDF sampling and rigid translation, the point-list forms
 of the k-means and UK-means assign/update steps, and the composed
-epsilon-greedy decision of an `AgentStack`."""
+epsilon-greedy decision of an `AgentStack`. `xy` turns a `Point2D` list
+into the (N, 2) array that clustering, beam forming and coverage take."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from mmwavesim.agent import AgentStack
 from mmwavesim.beams import AntennaConfig
-from mmwavesim.clustering import _as_array, _assign, _update
+from mmwavesim.clustering import _assign, _update
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import (
     Point2D,
@@ -23,6 +24,11 @@ from mmwavesim.geometry import (
     expected_position,
     uniform_disk_point,
 )
+
+
+def xy(points: Sequence[Point2D]) -> np.ndarray:
+    """The (N, 2) array of a `Point2D` list."""
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 def array_response(angle: float, cfg: AntennaConfig) -> np.ndarray:
@@ -59,12 +65,12 @@ def kmeans_assign(points: Sequence[Point2D], centers: Sequence[Point2D]):
     """Nearest-center labels; ties break to the lowest cluster index."""
     if not len(points) or not len(centers):
         raise ConfigError("points and centers must be non-empty")
-    return [int(l) for l in _assign(_as_array(points), _as_array(centers))]
+    return [int(l) for l in _assign(xy(points), xy(centers))]
 
 
 def kmeans_update(points: Sequence[Point2D], labels, k: int):
     """Per-cluster arithmetic means, with the empty-cluster reseed rule."""
-    centers = _update(_as_array(points), np.asarray(labels, dtype=int), k)
+    centers = _update(xy(points), np.asarray(labels, dtype=int), k)
     return [Point2D(float(x), float(y)) for x, y in centers]
 
 

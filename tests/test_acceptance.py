@@ -24,9 +24,11 @@ from mmwavesim.geometry import (
     UniformDisk,
     expected_sq_distance,
     mc_expected_sq_distance,
+    moments,
 )
 from mmwavesim.seeding import make_rng
 from mmwavesim.stats import confidence_interval
+from reference import xy
 
 from test_agent import _max_gradcheck_error, bandit_optimal_fraction
 
@@ -85,8 +87,9 @@ def test_criterion_2_ukmeans_degeneracy():
                 for (x, y), r in zip(pts, radii)
             ]
             cfg = ClusteringConfig(k=3, seed=int(rng.integers(1 << 31)))
-            uncertain = run_clustering(upoints, cfg)
-            exact = run_clustering([p.pdf.center for p in upoints], cfg)
+            means, spread = moments(upoints)
+            uncertain = run_clustering(means, cfg, spread=spread)
+            exact = run_clustering(xy([p.pdf.center for p in upoints]), cfg)
             assert uncertain.label_history == exact.label_history
             assert uncertain.labels == exact.labels
 
@@ -99,15 +102,15 @@ def test_criterion_3_lloyd_monotonicity():
             k = int(rng.integers(2, 6))
             pts = rng.uniform(-160, 160, size=(n, 2))
             if case % 3 == 0:
-                data = [Point2D(float(x), float(y)) for x, y in pts]
+                points, spread = xy([Point2D(float(x), float(y)) for x, y in pts]), 0.0
             elif case % 3 == 1:
                 radii = rng.uniform(0.0, 25.0, size=n)
-                data = [
+                points, spread = moments([
                     UncertainPoint(UniformDisk(Point2D(float(x), float(y)), float(r)))
                     for (x, y), r in zip(pts, radii)
-                ]
+                ])
             else:
-                data = [
+                points, spread = moments([
                     UncertainPoint(
                         SampleBased(
                             (
@@ -118,9 +121,9 @@ def test_criterion_3_lloyd_monotonicity():
                         )
                     )
                     for x, y in pts
-                ]
+                ])
             res = run_clustering(
-                data, ClusteringConfig(k=k, seed=int(rng.integers(1 << 31)))
+                points, ClusteringConfig(k=k, seed=int(rng.integers(1 << 31))), spread=spread
             )
             hist = res.objective_history
             assert all(later <= earlier + 1e-9 for earlier, later in zip(hist, hist[1:]))

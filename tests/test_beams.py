@@ -16,7 +16,7 @@ from mmwavesim.beams import (
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D
 from mmwavesim.seeding import make_rng
-from reference import array_response
+from reference import array_response, xy
 
 
 def P(x, y):
@@ -96,12 +96,12 @@ class TestFormBeams:
             P(100 * math.cos(math.radians(a)), 100 * math.sin(math.radians(a)))
             for a in (10, 50, 90)
         ]
-        beams = form_beams(centers, math.radians(20), 3)
+        beams = form_beams(centers, math.radians(20), 3, points=xy(centers), labels=range(3))
         got = [math.degrees(b.boresight) for b in beams]
         assert got == pytest.approx([10.0, 50.0, 90.0])
 
     def test_single_center(self):
-        beams = form_beams([P(0, 50)], math.radians(20), 1)
+        beams = form_beams([P(0, 50)], math.radians(20), 1, points=xy([P(0, 50)]), labels=range(1))
         assert len(beams) == 1
         assert beams[0].boresight == pytest.approx(math.pi / 2)
 
@@ -112,7 +112,7 @@ class TestFormBeams:
         labels = [0, 0, 1, 1]
         centers = [P(100, 5), P(30, 90)]
         beams = form_beams(
-            centers, math.radians(20), 3, points=pts, labels=labels, ids=[0, 1, 2, 3]
+            centers, math.radians(20), 3, points=xy(pts), labels=labels, ids=[0, 1, 2, 3]
         )
         got = sorted(math.degrees(b.boresight) for b in beams)
         expected = sorted(
@@ -130,7 +130,7 @@ class TestFormBeams:
             P(100 * math.cos(math.radians(a)), 100 * math.sin(math.radians(a)))
             for a in (10, 50, 90)
         ]
-        beams = form_beams(centers, math.radians(20), 2)
+        beams = form_beams(centers, math.radians(20), 2, points=xy(centers), labels=range(3))
         assert len(beams) == 2
         # gaps 10-50 and 50-90 tie at 40 deg; the lexicographically first
         # pair merges, centroid midway at 30 deg
@@ -140,7 +140,7 @@ class TestFormBeams:
     def test_duplicates_beyond_splittable(self):
         pts = [P(100, 0), P(0, 100)]
         beams = form_beams(
-            pts, math.radians(20), 4, points=pts, labels=[0, 1], ids=[7, 8]
+            pts, math.radians(20), 4, points=xy(pts), labels=[0, 1], ids=[7, 8]
         )
         assert len(beams) == 4
         assert [b.members for b in beams] == [(7,), (8,), (7,), (8,)]
@@ -150,26 +150,26 @@ class TestFormBeams:
         pts = [P(x, y) for x, y in rng.uniform(-100, 100, size=(12, 2))]
         labels = list(rng.integers(0, 3, 12))
         centers = [P(0, 50), P(50, 0), P(-50, -10)]
-        a = form_beams(centers, math.radians(30), 5, points=pts, labels=labels)
-        b = form_beams(centers, math.radians(30), 5, points=pts, labels=labels)
+        a = form_beams(centers, math.radians(30), 5, points=xy(pts), labels=labels)
+        b = form_beams(centers, math.radians(30), 5, points=xy(pts), labels=labels)
         assert a == b
 
 
 class TestCoverage:
     def test_on_beam_in_range(self):
         beams = [Beam(boresight=0.0, width=math.radians(20), members=(0,))]
-        assert coverage_rate(beams, [P(100, 0)], 160.0) == 1.0
+        assert coverage_rate(beams, xy([P(100, 0)]), 160.0) == 1.0
 
     def test_just_outside_sector(self):
         width = math.radians(20)
         beams = [Beam(boresight=0.0, width=width, members=(0,))]
         ang = width / 2 + 0.001
         pos = P(100 * math.cos(ang), 100 * math.sin(ang))
-        assert coverage_rate(beams, [pos], 160.0) == 0.0
+        assert coverage_rate(beams, xy([pos]), 160.0) == 0.0
 
     def test_out_of_cell_radius(self):
         beams = [Beam(boresight=0.0, width=math.radians(20), members=(0,))]
-        assert coverage_rate(beams, [P(161, 0)], 160.0) == 0.0
+        assert coverage_rate(beams, xy([P(161, 0)]), 160.0) == 0.0
 
     def test_rotation_invariance(self):
         rng = make_rng(6)
@@ -178,7 +178,7 @@ class TestCoverage:
             for b in rng.uniform(-math.pi, math.pi, 3)
         ]
         pts = [P(x, y) for x, y in rng.uniform(-120, 120, size=(40, 2))]
-        base = coverage_rate(beams, pts, 160.0)
+        base = coverage_rate(beams, xy(pts), 160.0)
         for theta in rng.uniform(-math.pi, math.pi, 5):
             c, s = math.cos(float(theta)), math.sin(float(theta))
             rot_beams = [
@@ -190,7 +190,7 @@ class TestCoverage:
                 for b in beams
             ]
             rot_pts = [P(c * p.x - s * p.y, s * p.x + c * p.y) for p in pts]
-            assert coverage_rate(rot_beams, rot_pts, 160.0) == base
+            assert coverage_rate(rot_beams, xy(rot_pts), 160.0) == base
 
     def test_adding_beam_never_decreases(self):
         rng = make_rng(7)
@@ -199,7 +199,7 @@ class TestCoverage:
         prev = 0.0
         for b in rng.uniform(-math.pi, math.pi, 6):
             beams.append(Beam(boresight=float(b), width=math.radians(30), members=(0,)))
-            cov = coverage_rate(beams, pts, 160.0)
+            cov = coverage_rate(beams, xy(pts), 160.0)
             assert cov >= prev
             prev = cov
 

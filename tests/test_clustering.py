@@ -13,9 +13,10 @@ from mmwavesim.geometry import (
     UncertainPoint,
     UniformDisk,
     expected_sq_distance,
+    moments,
 )
 from mmwavesim.seeding import make_rng
-from reference import kmeans_assign, kmeans_update, sample_position, ukmeans_assign, ukmeans_update
+from reference import kmeans_assign, kmeans_update, sample_position, ukmeans_assign, ukmeans_update, xy
 
 
 def P(x, y):
@@ -135,7 +136,7 @@ class TestUkmeansOps:
 class TestRunClustering:
     def test_two_separated_pairs(self):
         pts = [P(0, 0), P(0, 1), P(10, 0), P(10, 1)]
-        res = run_clustering(pts, ClusteringConfig(k=2, seed=1))
+        res = run_clustering(xy(pts), ClusteringConfig(k=2, seed=1))
         assert res.converged
         assert res.iterations <= 3
         assert sorted((c.x, c.y) for c in res.centers) == [(0, 0.5), (10, 0.5)]
@@ -143,13 +144,13 @@ class TestRunClustering:
     def test_k_equals_n_zero_objective(self):
         rng = make_rng(41)
         pts = random_points(rng, 5)
-        res = run_clustering(pts, ClusteringConfig(k=5, seed=2))
+        res = run_clustering(xy(pts), ClusteringConfig(k=5, seed=2))
         assert res.objective == pytest.approx(0.0, abs=1e-18)
 
     def test_better_than_random_labelings(self):
         rng = make_rng(43)
         pts = random_points(rng, 50)
-        res = run_clustering(pts, ClusteringConfig(k=2, seed=3))
+        res = run_clustering(xy(pts), ClusteringConfig(k=2, seed=3))
         arr = np.array([(p.x, p.y) for p in pts])
         for _ in range(1000):
             labels = rng.integers(0, 2, size=50)
@@ -165,7 +166,8 @@ class TestRunClustering:
     def test_objective_matches_recomputation(self):
         rng = make_rng(47)
         ups = random_disks(rng, 30)
-        res = run_clustering(ups, ClusteringConfig(k=3, seed=4))
+        means, spread = moments(ups)
+        res = run_clustering(means, ClusteringConfig(k=3, seed=4), spread=spread)
         recomputed = sum(
             expected_sq_distance(p, res.centers[l]) for p, l in zip(ups, res.labels)
         )
@@ -176,7 +178,7 @@ class TestRunClustering:
         for _ in range(100):
             pts = random_points(rng, 40)
             res = run_clustering(
-                pts, ClusteringConfig(k=4, seed=int(rng.integers(1 << 31)))
+                xy(pts), ClusteringConfig(k=4, seed=int(rng.integers(1 << 31)))
             )
             hist = res.objective_history
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
@@ -185,8 +187,8 @@ class TestRunClustering:
         rng = make_rng(59)
         pts = random_points(rng, 25)
         cfg = ClusteringConfig(k=3, seed=77)
-        r1 = run_clustering(pts, cfg)
-        r2 = run_clustering(pts, cfg)
+        r1 = run_clustering(xy(pts), cfg)
+        r2 = run_clustering(xy(pts), cfg)
         assert r1 == r2
 
     def test_uniform_disk_degeneracy_label_sequences(self):
@@ -195,8 +197,9 @@ class TestRunClustering:
         for _ in range(10):
             ups = random_disks(rng, 20, rmax=30.0)
             cfg = ClusteringConfig(k=3, seed=int(rng.integers(1 << 31)))
-            ru = run_clustering(ups, cfg)
-            rk = run_clustering([p.pdf.center for p in ups], cfg)
+            means, spread = moments(ups)
+            ru = run_clustering(means, cfg, spread=spread)
+            rk = run_clustering(xy([p.pdf.center for p in ups]), cfg)
             assert ru.label_history == rk.label_history
 
     def test_permutation_equivariance_on_separated_blobs(self):
@@ -207,9 +210,9 @@ class TestRunClustering:
         for cx, cy in ((0, 0), (200, 0), (0, 200)):
             blobs += [P(cx + dx, cy + dy) for dx, dy in rng.normal(0, 3, size=(8, 2))]
         cfg = ClusteringConfig(k=3, seed=5)
-        base = run_clustering(blobs, cfg)
+        base = run_clustering(xy(blobs), cfg)
         perm = list(rng.permutation(len(blobs)))
-        permuted = run_clustering([blobs[i] for i in perm], cfg)
+        permuted = run_clustering(xy([blobs[i] for i in perm]), cfg)
         assert sorted(np.bincount(base.labels, minlength=3)) == sorted(
             np.bincount(permuted.labels, minlength=3)
         )
@@ -219,7 +222,7 @@ class TestRunClustering:
         rng = make_rng(71)
         pts = random_points(rng, 12)
         res = run_clustering(
-            pts,
+            xy(pts),
             ClusteringConfig(k=3, seed=6, init_strategy=InitStrategy.RANDOM_POINTS),
         )
         assert res.converged
@@ -227,7 +230,7 @@ class TestRunClustering:
     def test_warm_start(self):
         pts = [P(0, 0), P(0, 1), P(10, 0), P(10, 1)]
         res = run_clustering(
-            pts,
+            xy(pts),
             ClusteringConfig(k=2, seed=7),
             initial_centers=[P(0, 0.5), P(10, 0.5)],
         )
@@ -236,7 +239,7 @@ class TestRunClustering:
 
     def test_k_exceeding_points_is_config_error(self):
         with pytest.raises(ConfigError):
-            run_clustering([P(0, 0)], ClusteringConfig(k=2, seed=0))
+            run_clustering(xy([P(0, 0)]), ClusteringConfig(k=2, seed=0))
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):

@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from mmwavesim.cli import main, run_sweep
+from mmwavesim import cli
+from mmwavesim.cli import MAX_MC_SAMPLES, main, run_sweep
 from mmwavesim.config import SWEEPABLE, emit_config, parse_config, parse_config_text
 from mmwavesim.engine import Scenario
 from mmwavesim.errors import ConfigError
@@ -248,3 +249,41 @@ class TestCli:
         out = capsys.readouterr().out
         assert "closed_form = 27.0" in out
         assert "monte_carlo" in out
+
+
+class TestOracleRejectsBadInput:
+    ARGS = {"--center": ["0", "0"], "--radius": ["2"], "--point": ["3", "4"], "--samples": ["1000"]}
+
+    @pytest.mark.parametrize(
+        "flag, values",
+        [
+            ("--samples", ["0"]),
+            ("--samples", ["-5"]),
+            ("--samples", [str(MAX_MC_SAMPLES + 1)]),
+            ("--radius", ["-1"]),
+            ("--radius", ["inf"]),
+            ("--radius", ["nan"]),
+            ("--center", ["nan", "0"]),
+            ("--center", ["0", "inf"]),
+            ("--point", ["0", "nan"]),
+            ("--seed", ["-1"]),
+        ],
+    )
+    def test_exit_1_before_any_draw(self, monkeypatch, capsys, flag, values):
+        drawn = []
+        monkeypatch.setattr(cli, "make_rng", lambda seed: drawn.append(seed))
+        args = dict(self.ARGS, **{flag: values})
+        argv = ["oracle", "mc-distance"] + [v for k, vs in args.items() for v in (k, *vs)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag in err
+        assert drawn == []
+
+    def test_largest_sample_count_is_accepted(self, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(
+            cli, "mc_expected_sq_distance", lambda p, c, n, rng: drawn.append(n) or 27.0
+        )
+        argv = ["oracle", "mc-distance", "--center", "0", "0", "--radius", "2", "--point", "3", "4"]
+        assert main(argv + ["--samples", str(MAX_MC_SAMPLES)]) == 0
+        assert drawn == [MAX_MC_SAMPLES]

@@ -140,7 +140,7 @@ class TestPlacementAndMovement:
         snap = {}
         for t in range(12):
             run.step(t)
-            snap[t] = [(ue.true_position.x, ue.true_position.y) for ue in run.ues]
+            snap[t] = run.true_xy.tolist()
         assert snap[9] == snap[0]
         assert snap[10] != snap[9]
         assert snap[11] == snap[10]
@@ -157,14 +157,14 @@ class TestPlacementAndMovement:
         run = ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0), trace=trace,
                           coverage_only=True)
         run.step(0)
-        assert run.ues[0].true_position == Point2D(10.0, 20.0)
-        assert run.ues[1].true_position == Point2D(30.0, 40.0)
+        assert Point2D(*run.true_xy[0]) == Point2D(10.0, 20.0)
+        assert Point2D(*run.true_xy[1]) == Point2D(30.0, 40.0)
         for t in range(1, 5):
             run.step(t)
-            assert run.ues[1].true_position == Point2D(30.0, 40.0)  # holds last
+            assert Point2D(*run.true_xy[1]) == Point2D(30.0, 40.0)  # holds last
         run.step(5)
-        assert run.ues[1].true_position == Point2D(-15.0, 25.0)
-        assert run.ues[0].true_position == Point2D(10.0, 20.0)
+        assert Point2D(*run.true_xy[1]) == Point2D(-15.0, 25.0)
+        assert Point2D(*run.true_xy[0]) == Point2D(10.0, 20.0)
 
     def test_trace_validation(self, tmp_path):
         bad_header = tmp_path / "bad1.csv"
@@ -239,8 +239,8 @@ class TestStepTti:
         run = make_run(micro_cfg())
         for t in range(30):
             run.step(t)
-            for ue in run.ues:
-                assert ue.queue.arrivals_total == ue.queue.delivered_packets + len(ue.queue)
+            for queue in run.queues:
+                assert queue.arrivals_total == queue.delivered_packets + len(queue)
 
     def test_beam_removal_never_gains_bits(self):
         # a run covered at every TTI drains essentially all arrivals, so
@@ -293,9 +293,9 @@ class TestRunScenario:
     def test_exact_scenario_forces_zero_error(self):
         cfg = micro_cfg(scenario=Scenario.KMEANS_EXACT, error_rmse_m=8.0)
         run = make_run(cfg)
-        for ue in run.ues:
-            assert ue.reported_center == ue.true_position
-            assert ue.reported.pdf.radius == 0.0
+        for u in range(cfg.n_ues):
+            assert Point2D(*run.believed_xy[u]) == Point2D(*run.true_xy[u])
+            assert run.spreads[u] == 0.0
 
     def test_csv_schema(self, tmp_path):
         cfg = micro_cfg(runs=2, tti_count=5)
@@ -330,8 +330,8 @@ class TestCoverageOnlyPath:
         for t in range(25):
             full.step(t)
             cov.step(t)
-            for uf, uc in zip(full.ues, cov.ues):
-                assert uf.true_position == uc.true_position
+            for uf, uc in zip(full.true_xy.tolist(), cov.true_xy.tolist()):
+                assert uf == uc
 
     def test_coverage_matches_full_run(self):
         cfg = micro_cfg()
@@ -357,7 +357,7 @@ class TestScenarioDifferences:
             positions = []
             for run in runs.values():
                 run.step(t)
-                positions.append([(u.true_position.x, u.true_position.y) for u in run.ues])
+                positions.append(run.true_xy.tolist())
             assert positions[0] == positions[1] == positions[2]
 
     def test_disk_pdf_scenarios_cluster_identically(self):

@@ -12,7 +12,7 @@ from mmwavesim.agent import encode_state
 from mmwavesim.beams import compute_sinr, coverage_rate, form_beams, rbg_rate, sinr_to_cqi
 from mmwavesim.clustering import InitStrategy, run_clustering
 from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
-from mmwavesim.geometry import Point2D, expected_position
+from mmwavesim.geometry import Point2D
 from mmwavesim.seeding import derive_seed
 
 
@@ -50,14 +50,10 @@ class Mirror:
 
     def step(self):
         run, cfg = self.run, self.run.cfg
-        if cfg.scenario is Scenario.KMEANS_EXACT:
-            data = points = [ue.true_position for ue in run.ues]
-        elif cfg.scenario is Scenario.KMEANS_ERROR:
-            data = points = [ue.reported_center for ue in run.ues]
-        else:
-            data = [ue.reported for ue in run.ues]
-            points = [expected_position(p) for p in data]
-        result = run_clustering(data, run.clustering, initial_centers=self.centers)
+        points = run.believed_xy
+        result = run_clustering(
+            points, run.clustering, initial_centers=self.centers, spread=sum(run.spreads)
+        )
         self.centers = result.centers
         beams = form_beams(
             list(result.centers),
@@ -67,13 +63,12 @@ class Mirror:
             labels=result.labels,
             ids=list(range(cfg.n_ues)),
         )
-        true = [ue.true_position for ue in run.ues]
-        cov = coverage_rate(beams, true, cfg.cell_radius_m)
+        cov = coverage_rate(beams, run.true_xy, cfg.cell_radius_m)
         sinr_db = {}
         for b, beam in enumerate(beams):
             others = beams[:b] + beams[b + 1 :]
             for uid in beam.members:
-                p = true[uid]
+                p = Point2D(*run.true_xy[uid].tolist())
                 sinr_db[(b, uid)] = compute_sinr(
                     math.atan2(p.y, p.x), math.hypot(p.x, p.y), beam, others, cfg.antenna
                 )
@@ -210,8 +205,8 @@ class TestRecomputedOnlyAtMovement:
         fixed = []
         wrapped = engine.run_clustering
 
-        def logged(data, cfg, initial_centers=None):
-            result = wrapped(data, cfg, initial_centers=initial_centers)
+        def logged(data, cfg, initial_centers=None, spread=0.0):
+            result = wrapped(data, cfg, initial_centers=initial_centers, spread=spread)
             fixed.append(result.centers == initial_centers)
             return result
 

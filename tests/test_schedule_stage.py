@@ -46,9 +46,8 @@ class Mirror(ScenarioRun):
         for table in geo.links:
             row = {}
             for uid, link in table.items():
-                ue = self.ues[uid]
-                delay_ratio = cfg.qos_latency_ttis / ue.queue.head_of_line_delay(t)
-                row[uid] = reward(ue.klass, link.sinr_ratio, delay_ratio)
+                delay_ratio = cfg.qos_latency_ttis / self.queues[uid].head_of_line_delay(t)
+                row[uid] = reward(self.classes[uid], link.sinr_ratio, delay_ratio)
             rewards.append(row)
         first_states = [encode_state(agent.last_cqi) for agent in self.agents]
         states, carry = first_states, self.stack.zero_carry()
@@ -369,7 +368,6 @@ def test_invariants(run):
         for beam, alloc in zip(run.geometry.beams, allocations):
             assert len(alloc) == cfg.rbg_count
             assert set(alloc) <= set(beam.members)
-        for ue in run.ues:
-            q = ue.queue
+        for q in run.queues:
             assert q.arrivals_total == q.delivered_packets + len(q)
         assert all(math.isfinite(v) for v in link_sinr_db(run).values())

@@ -19,10 +19,12 @@ from mmwavesim.engine import (
     ScenarioRun,
     load_position_trace,
     mean_coverage,
+    run_scenario,
 )
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D
 from mmwavesim.seeding import derive_seed
+from reference import xy
 
 TINY = (
     "tti_count = 6\nruns = 1\nn_ues = 3\nn_clusters = 1\nn_beams = 1\n"
@@ -68,6 +70,19 @@ class TestTraceUeIds:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(os.listdir(out)) == 7
+
+    @pytest.mark.parametrize("ue_id", [-1, 3])
+    def test_raises_before_the_first_step(self, monkeypatch, ue_id):
+        steps = []
+        monkeypatch.setattr(ScenarioRun, "step", lambda run, t: steps.append(t))
+        cfg = ScenarioConfig(n_ues=3, n_clusters=1, n_beams=1, tti_count=40, runs=1)
+        trace = {0: [(0, Point2D(30.0, 10.0))], 30: [(ue_id, Point2D(-20.0, 40.0))]}
+        message = rf"ue_id {ue_id} is outside \[0, n_ues\), n_ues = 3"
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(cfg, trace=trace)
+        with pytest.raises(ConfigError, match=message):
+            ScenarioRun(cfg, derive_seed(cfg.master_seed, 0), trace=trace)
+        assert steps == []
 
     def test_each_trace_file_is_loaded_once(self, tmp_path, monkeypatch):
         trace = _trace(tmp_path, ["0,0,30,10", "0,2,-20,40"])
@@ -174,7 +189,7 @@ def test_form_beams_skips_a_center_without_members():
     pts = [Point2D(100, 0), Point2D(100, 10), Point2D(0, 100), Point2D(10, 100)]
     centers = [Point2D(100, 5), Point2D(-50, -50), Point2D(5, 100)]
     beams = form_beams(
-        centers, math.radians(20), 2, points=pts, labels=[0, 0, 2, 2], ids=[4, 5, 6, 7]
+        centers, math.radians(20), 2, points=xy(pts), labels=[0, 0, 2, 2], ids=[4, 5, 6, 7]
     )
     assert [b.members for b in beams] == [(4, 5), (6, 7)]
     assert [b.boresight for b in beams] == [math.atan2(5, 100), math.atan2(100, 5)]
