@@ -1,11 +1,13 @@
-"""The sweep's output bytes, pinned: the SHA-256 of every file that two
+"""The sweep's output bytes, pinned: the SHA-256 of every file that three
 small sweeps write. Between them they reach beam merges (n_beams 1, 2),
 splits (5) and repeat beams (7, more beams than UEs), the disk and the
-informative two-mode PDFs, both cluster initialisations, and both kinds of
-movement: the periodic redraw and a position trace that moves some UEs
-and leaves the others where they were first drawn. A change to the
-simulator that is meant to keep its results must leave every digest
-as it is."""
+informative two-mode PDFs, both cluster initialisations, both kinds of
+movement (the periodic redraw, and a position trace that moves some UEs
+and leaves the others where they were first drawn) and queues that stay
+shallow or grow without bound: a load sweep up to about 140 arrivals per
+UE and TTI of 264-bit packets, far more than the links can drain. A
+change to the simulator that is meant to keep its results must leave
+every digest as it is."""
 
 import hashlib
 
@@ -14,7 +16,7 @@ import pytest
 from mmwavesim.cli import run_sweep
 from mmwavesim.config import parse_config_text
 
-COMMON = "tti_count = 150\nhidden_units = 7\nsweep_variable = n_beams\n"
+COMMON = "tti_count = 150\nhidden_units = 7\n"
 
 TRACE = (
     "tti,ue_id,x_m,y_m\n"
@@ -25,9 +27,12 @@ TRACE = (
 )
 
 CONFIGS = {
-    "redraw": "runs = 1\nsweep_values = 2,5\n",
+    "redraw": "runs = 1\nsweep_variable = n_beams\nsweep_values = 2,5\n",
+    "saturated": (
+        "runs = 2\npacket_size_bytes = 33\nsweep_variable = load_bps\nsweep_values = 4e6,3e8\n"
+    ),
     "trace": (
-        "runs = 2\nsweep_values = 1,2,5,7\ninformative_pdf = true\n"
+        "runs = 2\nsweep_variable = n_beams\nsweep_values = 1,2,5,7\ninformative_pdf = true\n"
         "cluster_init = random_points\nposition_trace_csv = {trace}\n"
     ),
 }
@@ -72,6 +77,47 @@ DIGESTS = {
         ),
         "sweep_summary.csv": (
             "24165635f901de327862e35b5a4d25d7fc689ff1d8df6fcf30c7f58290ff0fee"
+        ),
+    },
+    "saturated": {
+        "report_kmeans_error_load_bps_0.csv": (
+            "33e1724dd2e38a100b61fb4f767318beb85ca4d7de2e133dbec7021de882d55e"
+        ),
+        "report_kmeans_error_load_bps_1.csv": (
+            "90a1e5e08f367cda2d957bc941f773f3ac274ab8538afeee4112604bb2444929"
+        ),
+        "report_kmeans_exact_load_bps_0.csv": (
+            "b6dddda8e5ee8395a9fd61bc07da28f4ee9f4e81e440d1f71c3fee4ce3cb5e6f"
+        ),
+        "report_kmeans_exact_load_bps_1.csv": (
+            "4426f9d03dbff2758402820a921bff0ef5b17e0baff5f271be7653ff35ff10c9"
+        ),
+        "report_ukmeans_error_load_bps_0.csv": (
+            "33e1724dd2e38a100b61fb4f767318beb85ca4d7de2e133dbec7021de882d55e"
+        ),
+        "report_ukmeans_error_load_bps_1.csv": (
+            "90a1e5e08f367cda2d957bc941f773f3ac274ab8538afeee4112604bb2444929"
+        ),
+        "summary_kmeans_error_load_bps_0.csv": (
+            "2ee7a2648171430d843c2e5da32d84dff35c01a7f41b586c49e69cca9a072bd2"
+        ),
+        "summary_kmeans_error_load_bps_1.csv": (
+            "a4aa67a77b2d90cd1c37df9aa55fb5d20dccf809d9302a5efb863d3baf584b3d"
+        ),
+        "summary_kmeans_exact_load_bps_0.csv": (
+            "68437c4031588d2fa5078a854d3e281b045507d57dabffba6a0ace16bb0fe001"
+        ),
+        "summary_kmeans_exact_load_bps_1.csv": (
+            "50510e0666539bdaea3bc88b8a8f5b3444d3f609a8affaae31fce55a01c38dc5"
+        ),
+        "summary_ukmeans_error_load_bps_0.csv": (
+            "80cc012bfda39f32dc3aa1e566bfe41d2103ffe7b45e16660eb5c339aa72c35c"
+        ),
+        "summary_ukmeans_error_load_bps_1.csv": (
+            "d595910c726463b97a4ede02d869b6bc2a830bd50e02f02e13dbaccff27ac901"
+        ),
+        "sweep_summary.csv": (
+            "6856d56407da611603e6dcfa9900121d8c4c606c6ab0a0b0612c6287d1e1de79"
         ),
     },
     "trace": {
