@@ -128,18 +128,17 @@ def _circular_range(angles) -> float:
 
 class _Cluster(NamedTuple):
     center: Point2D
-    ids: list  # the members' UE ids
-    rows: list  # the members' rows of the points array
+    rows: list  # the members' rows of the points array, which are their UE ids
 
 
-def _group(centers, labels, ids, rows) -> list:
-    """One `_Cluster` per center with the ids and rows labelled with its
-    index; a center without members (emptied by a final reseed) gets none."""
+def _group(centers, labels, rows) -> list:
+    """One `_Cluster` per center with the rows labelled with its index; a
+    center without members (emptied by a final reseed) gets none."""
     clusters = []
     for j, c in enumerate(centers):
-        member = [i for i, l in enumerate(labels) if l == j]
+        member = [rows[i] for i, l in enumerate(labels) if l == j]
         if member:
-            clusters.append(_Cluster(c, [ids[i] for i in member], [rows[i] for i in member]))
+            clusters.append(_Cluster(c, member))
     return clusters
 
 
@@ -149,27 +148,25 @@ def form_beams(
     n_beams: int,
     points: np.ndarray,
     labels,
-    ids=None,
 ) -> list:
     """Beams from the gNB (at the origin) pointed at the cluster centroids.
 
-    `points` is the (N, 2) array that was clustered, `labels` its
-    cluster indices and `ids` the UE id of each row (the row index by
-    default); beams on the centers alone take `points` = the centers and
-    `labels` = range(k). When `n_beams` differs from the cluster count
-    the set is adjusted deterministically: too few beams merge the two
-    angularly closest clusters (member-weighted centroid); too many split
-    the cluster with the widest angular spread of members by re-clustering
-    it with k=2. Once every remaining cluster is a single point, extra
-    beams repeat existing boresights in index order.
+    `points` is the (N, 2) array that was clustered, row i being UE i,
+    and `labels` its cluster indices; beams on the centers alone take
+    `points` = the centers and `labels` = range(k). When `n_beams`
+    differs from the cluster count the set is adjusted deterministically:
+    too few beams merge the two angularly closest clusters
+    (member-weighted centroid); too many split the cluster with the
+    widest angular spread of members by re-clustering it with k=2. Once
+    every remaining cluster is a single point, extra beams repeat
+    existing boresights in index order.
     """
     if n_beams < 1:
         raise ConfigError("n_beams must be >= 1")
     if not len(centers):
         raise ConfigError("need at least one cluster center")
 
-    rows = range(len(points))
-    clusters = _group(centers, labels, rows if ids is None else ids, rows)
+    clusters = _group(centers, labels, range(len(points)))
 
     unsplittable = set()
     while len(clusters) < n_beams:
@@ -187,7 +184,7 @@ def form_beams(
         pick = int(np.argmax(spreads))
         idx, cl = candidates[pick]
         sub = run_clustering(points[cl.rows], _SPLIT_CLUSTERING)
-        halves = _group(sub.centers, sub.labels, cl.ids, cl.rows)
+        halves = _group(sub.centers, sub.labels, cl.rows)
         if len(halves) < 2:  # coincident points cannot be separated
             unsplittable.add(id(cl))
             continue
@@ -208,11 +205,11 @@ def form_beams(
             (wa * a.center.x + wb * b.center.x) / (wa + wb),
             (wa * a.center.y + wb * b.center.y) / (wa + wb),
         )
-        clusters[i] = _Cluster(merged_center, a.ids + b.ids, a.rows + b.rows)
+        clusters[i] = _Cluster(merged_center, a.rows + b.rows)
         del clusters[j]
 
     beams = [
-        Beam(boresight=_angle_from(cl.center), width=width, members=tuple(cl.ids))
+        Beam(boresight=_angle_from(cl.center), width=width, members=tuple(cl.rows))
         for cl in clusters
     ]
     base = len(beams)

@@ -60,7 +60,7 @@ from .fields import check_fields, fmt, ranged, same_as, shared_values
 from .geometry import Point2D, SampleBased, UncertainPoint, UniformDisk, moments, uniform_disk_point
 from .seeding import derive_seed, make_rng
 from .stats import confidence_interval
-from .traffic import PacketQueue, TrafficConfig, generate_arrivals
+from .traffic import PacketQueue, generate_arrivals
 
 __all__ = [
     "Scenario",
@@ -116,8 +116,8 @@ class ScenarioConfig:
     qos_sinr_db: float = ranged(15.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     runs: int = ranged(5, lo=1)
     master_seed: int = ranged(12345, lo=0)
-    load_bps: float = same_as(TrafficConfig, "load_bps", default=2e6)
-    packet_size_bytes: int = same_as(TrafficConfig, "packet_size_bytes")
+    load_bps: float = ranged(2e6, lo=0.0)  # offered load per UE
+    packet_size_bytes: int = ranged(32, lo=1)
     rbg_count: int = ranged(24, lo=1)
     gamma: float = same_as(AgentConfig, "gamma")
     epsilon: float = same_as(AgentConfig, "epsilon")
@@ -137,11 +137,10 @@ class ScenarioConfig:
         check_fields(self)
         if self.n_clusters > self.n_ues:
             raise ConfigError("n_clusters cannot exceed n_ues", ("n_clusters", "n_ues"))
-        arrivals = self.load_bps * self.tti_duration_s / (8 * self.packet_size_bytes)
-        if arrivals > MAX_ARRIVALS_PER_TTI:
+        if self.arrivals_per_tti > MAX_ARRIVALS_PER_TTI:
             raise ConfigError(
-                "the mean arrivals per UE and TTI, load_bps * tti_duration_s / "
-                f"(8 * packet_size_bytes), cannot exceed {MAX_ARRIVALS_PER_TTI:g}",
+                f"the mean arrivals per UE and TTI cannot exceed {MAX_ARRIVALS_PER_TTI:g}; "
+                f"load_bps, packet_size_bytes and tti_duration_s give {self.arrivals_per_tti:g}",
                 ("load_bps", "tti_duration_s", "packet_size_bytes"),
             )
         self.agent_config(action_count=self.n_ues, seed=0)  # the agent's replay rule
@@ -153,9 +152,9 @@ class ScenarioConfig:
         return ClusteringConfig(k=self.n_clusters, seed=seed, **shared_values(self, ClusteringConfig))
 
     @property
-    def effective_rmse_m(self) -> float:
-        """Exact-location runs force the injected error to zero."""
-        return 0.0 if self.scenario is Scenario.KMEANS_EXACT else self.error_rmse_m
+    def arrivals_per_tti(self) -> float:
+        """The mean packet arrivals per UE and TTI."""
+        return self.load_bps / (8 * self.packet_size_bytes) * self.tti_duration_s
 
 
 class _Link(NamedTuple):
@@ -272,10 +271,11 @@ def reported_center(p: UncertainPoint) -> Point2D:
 def load_position_trace(path):
     """Parse a `tti,ue_id,x_m,y_m` CSV into {tti: [(ue_id, Point2D), ...]}.
 
-    Rows must be sorted by (tti, ue_id) and hold finite coordinates at
-    least MIN_GNB_DISTANCE_M from the gNB at the origin (closer, the
-    free-space path loss overflows and the SINR is not a number); TTIs
-    without rows hold the last position; an unreadable file is a ConfigError.
+    Rows must be at TTIs >= 0, sorted by (tti, ue_id), and hold finite
+    coordinates at least MIN_GNB_DISTANCE_M from the gNB at the origin
+    (closer, the free-space path loss overflows and the SINR is not a
+    number); TTIs without rows hold the last position; an unreadable file
+    is a ConfigError.
     """
     trace = {}
     last = None
@@ -303,6 +303,8 @@ def load_position_trace(path):
                 f"{path}: line {lineno}: position is within {MIN_GNB_DISTANCE_M} m "
                 f"of the gNB (0, 0)"
             )
+        if tti < 0:
+            raise ConfigError(f"{path}: line {lineno}: tti must be >= 0")
         key = (tti, ue_id)
         if last is not None and key <= last:
             raise ConfigError(f"{path}: line {lineno}: rows not sorted by (tti, ue_id)")
@@ -351,7 +353,6 @@ class ScenarioRun:
         self.coverage_only = coverage_only
         self.width_rad = math.radians(cfg.beam_width_deg)
         self.qos_sinr_lin = 10.0 ** (cfg.qos_sinr_db / 10.0)
-        self.rmse = cfg.effective_rmse_m
 
         self.move_rng = make_rng(derive_seed(run_seed, 1))
         self.error_rng = make_rng(derive_seed(run_seed, 2))
@@ -365,10 +366,9 @@ class ScenarioRun:
         self.believed_xy = self.true_xy if exact else np.empty((cfg.n_ues, 2))
         self.spreads = [0.0] * cfg.n_ues
         self.classes = [UserClass.URLLC if u % 2 == 0 else UserClass.EMBB for u in range(cfg.n_ues)]
-        self.queues = [PacketQueue() for _ in range(cfg.n_ues)]
+        self.queues = [PacketQueue(8 * cfg.packet_size_bytes) for _ in range(cfg.n_ues)]
         for u in range(cfg.n_ues):
             self._place(u, uniform_disk_point(self.move_rng, cfg.cell_radius_m))
-        self.traffic = TrafficConfig(**shared_values(cfg, TrafficConfig))
 
         if coverage_only:
             self.agents = []
@@ -383,22 +383,27 @@ class ScenarioRun:
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
 
     def _place(self, u: int, pos: Point2D) -> None:
-        """Move UE u to `pos` and draw its report. The row this scenario
-        clusters is the true position (`believed_xy` is `true_xy`), the
-        reported center, or the PDF mean with the PDF's spread."""
+        """Move UE u to `pos` and, unless this scenario clusters the true
+        position (`believed_xy` is `true_xy`), draw its report. The row
+        then clustered is the reported center, or the PDF mean with the
+        PDF's spread."""
         self.true_xy[u] = pos.x, pos.y
-        report = inject_error(pos, self.rmse, self.error_rng, informative=self.cfg.informative_pdf)
-        if self.cfg.scenario is Scenario.UKMEANS_ERROR:
+        if self.believed_xy is self.true_xy:
+            return
+        cfg = self.cfg
+        report = inject_error(pos, cfg.error_rmse_m, self.error_rng, informative=cfg.informative_pdf)
+        if cfg.scenario is Scenario.UKMEANS_ERROR:
             means, self.spreads[u] = moments([report])
             self.believed_xy[u] = means[0]
-        elif self.cfg.scenario is Scenario.KMEANS_ERROR:
+        else:
             center = reported_center(report)
             self.believed_xy[u] = center.x, center.y
 
     def _arrivals(self, t: int) -> None:
+        mean = self.cfg.arrivals_per_tti
         for queue, rng in zip(self.queues, self.traffic_rngs):
-            for _ in range(generate_arrivals(self.traffic, self.cfg.tti_duration_s, rng)):
-                queue.push(self.traffic.packet_size_bits, t)
+            for _ in range(generate_arrivals(mean, rng)):
+                queue.push(t)
 
     def _mobility(self, t: int) -> bool:
         """Apply this TTI's movement event, if any: the trace rows at `t`,
@@ -556,12 +561,10 @@ class ScenarioRun:
     def _serve(self, t: int, budgets: dict):
         """Drain each scheduled UE's queue with its bit budget, in UE order.
         Returns the bits delivered and every delivered packet's delay."""
-        delivered_bits, delays = 0, []
+        delays = []
         for uid in sorted(budgets):
-            for bits, _, dly in self.queues[uid].serve(budgets[uid], t):
-                delivered_bits += bits
-                delays.append(dly)
-        return delivered_bits, delays
+            delays += self.queues[uid].serve(budgets[uid], t)
+        return len(delays) * 8 * self.cfg.packet_size_bytes, delays
 
     def _learn(self, t: int, geo: _Geometry) -> None:
         """Train at the train interval (which makes the memo's rollouts

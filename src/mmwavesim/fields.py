@@ -50,13 +50,10 @@ def ranged(default=MISSING, *, lo=-math.inf, hi=math.inf, closed=True):
     return field(default=default, metadata={"range": Range(lo, hi, closed)})
 
 
-def same_as(cls, name: str, default=MISSING):
-    """A field with the range and, unless `default` is given, the default of `cls.name`."""
+def same_as(cls, name: str):
+    """A field with the default and range of `cls.name`."""
     shared = cls.__dataclass_fields__[name]
-    return field(
-        default=shared.default if default is MISSING else default,
-        metadata={**shared.metadata, "same_as": (cls, name)},
-    )
+    return field(default=shared.default, metadata={**shared.metadata, "same_as": (cls, name)})
 
 
 def shared_values(obj, cls) -> dict:

@@ -111,9 +111,7 @@ class TestFormBeams:
         pts = [P(100, 0), P(100, 10), P(0, 100), P(60, 80)]
         labels = [0, 0, 1, 1]
         centers = [P(100, 5), P(30, 90)]
-        beams = form_beams(
-            centers, math.radians(20), 3, points=xy(pts), labels=labels, ids=[0, 1, 2, 3]
-        )
+        beams = form_beams(centers, math.radians(20), 3, points=xy(pts), labels=labels)
         got = sorted(math.degrees(b.boresight) for b in beams)
         expected = sorted(
             [
@@ -139,11 +137,9 @@ class TestFormBeams:
 
     def test_duplicates_beyond_splittable(self):
         pts = [P(100, 0), P(0, 100)]
-        beams = form_beams(
-            pts, math.radians(20), 4, points=xy(pts), labels=[0, 1], ids=[7, 8]
-        )
+        beams = form_beams(pts, math.radians(20), 4, points=xy(pts), labels=[0, 1])
         assert len(beams) == 4
-        assert [b.members for b in beams] == [(7,), (8,), (7,), (8,)]
+        assert [b.members for b in beams] == [(0,), (1,), (0,), (1,)]
 
     def test_deterministic(self):
         rng = make_rng(5)

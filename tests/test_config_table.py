@@ -17,7 +17,6 @@ from mmwavesim.config import KEYS, SWEEPABLE, emit_config, parse_config_text
 from mmwavesim.engine import MAX_ARRIVALS_PER_TTI, Scenario, ScenarioConfig
 from mmwavesim.errors import ConfigError
 from mmwavesim.fields import fmt
-from mmwavesim.traffic import TrafficConfig
 
 BY_NAME = {key.name: key for key in KEYS}
 FIELD_KEYS = [key for key in KEYS if key.path is not None]
@@ -115,9 +114,9 @@ def out_of_range(key):
 def within_arrivals(load_bps, values):
     """`load_bps`, or 0.0 where it gives more than MAX_ARRIVALS_PER_TTI mean
     arrivals per UE and TTI at the TTI duration and packet size of `values`."""
-    tti = values.get("tti_duration_s", BY_NAME["tti_duration_s"].default)
-    size = values.get("packet_size_bytes", BY_NAME["packet_size_bytes"].default)
-    return load_bps if load_bps * tti / (8 * size) <= MAX_ARRIVALS_PER_TTI else 0.0
+    keep = {name: values[name] for name in ("tti_duration_s", "packet_size_bytes") if name in values}
+    mean = ScenarioConfig(load_bps=load_bps, **keep).arrivals_per_tti
+    return load_bps if mean <= MAX_ARRIVALS_PER_TTI else 0.0
 
 
 @st.composite
@@ -203,8 +202,7 @@ class TestTable:
         [(AgentConfig, n, n) for n in ("gamma", "epsilon", "nn_learning_rate", "hidden_units",
                                        "minibatch", "replay_capacity", "train_interval_ttis",
                                        "target_copy_interval_ttis")]
-        + [(TrafficConfig, "load_bps", "load_bps"), (TrafficConfig, "packet_size_bytes", "packet_size_bytes"),
-           (ClusteringConfig, "max_iterations", "cluster_max_iterations"),
+        + [(ClusteringConfig, "max_iterations", "cluster_max_iterations"),
            (ClusteringConfig, "convergence_epsilon", "cluster_convergence_epsilon")],
     )
     def test_component_configs_share_the_range(self, cls, name, scenario_name):
@@ -214,14 +212,14 @@ class TestTable:
         assert ours.metadata["same_as"] == (cls, name)
 
     def test_component_constructors_reject_non_finite(self):
-        with pytest.raises(ConfigError, match="load_bps"):
-            TrafficConfig(load_bps=math.inf)
         with pytest.raises(ConfigError, match="tx_power_dbm"):
             AntennaConfig(tx_power_dbm=math.nan)
         with pytest.raises(ConfigError, match="nn_learning_rate"):
             AgentConfig(action_count=2, nn_learning_rate=math.inf)
 
     def test_validate_applies_the_ranges(self):
+        with pytest.raises(ConfigError, match="load_bps"):
+            ScenarioConfig(load_bps=math.inf).validate()
         with pytest.raises(ConfigError, match="gamma"):
             ScenarioConfig(gamma=math.nan).validate()
         with pytest.raises(ConfigError, match="qos_sinr_db"):

@@ -297,6 +297,16 @@ class TestRunScenario:
             assert Point2D(*run.believed_xy[u]) == Point2D(*run.true_xy[u])
             assert run.spreads[u] == 0.0
 
+    @pytest.mark.parametrize("informative", [False, True])
+    def test_exact_scenario_draws_no_report(self, informative):
+        # nothing reads an exact run's report, so its error stream stays as seeded
+        cfg = micro_cfg(scenario=Scenario.KMEANS_EXACT, informative_pdf=informative, tti_count=25)
+        run = make_run(cfg)
+        run.run()
+        seeded = make_rng(derive_seed(derive_seed(cfg.master_seed, 0), 2))
+        assert run.error_rng.bit_generator.state == seeded.bit_generator.state
+        assert make_run(micro_cfg()).error_rng.bit_generator.state != seeded.bit_generator.state
+
     def test_csv_schema(self, tmp_path):
         cfg = micro_cfg(runs=2, tti_count=5)
         rep = run_scenario(cfg)

@@ -61,7 +61,6 @@ class Mirror:
             cfg.n_beams,
             points=points,
             labels=result.labels,
-            ids=list(range(cfg.n_ues)),
         )
         cov = coverage_rate(beams, run.true_xy, cfg.cell_radius_m)
         sinr_db = {}

@@ -160,10 +160,8 @@ class TestArrivalsPerTti:
         assert capsys.readouterr().err.count("mean arrivals per UE and TTI") == 2
 
     def test_the_bound_itself_runs(self, tmp_path):
-        # 2.048e10 b/s * 125 us / 256 b = 10000.0 packets per TTI
-        cfg = ScenarioConfig(load_bps=2.048e10)
-        arrivals = cfg.load_bps * cfg.tti_duration_s / (8 * cfg.packet_size_bytes)
-        assert arrivals == MAX_ARRIVALS_PER_TTI
+        # 2.048e10 b/s / 256 b * 125 us = 10000.0 packets per TTI
+        assert ScenarioConfig(load_bps=2.048e10).arrivals_per_tti == MAX_ARRIVALS_PER_TTI
         path = tmp_path / "exp.cfg"
         path.write_text(TINY + "load_bps = 2.048e10\n")
         assert main(["validate", "--config", str(path)]) == 0

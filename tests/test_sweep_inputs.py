@@ -101,6 +101,18 @@ class TestTraceRows:
         with pytest.raises(ConfigError, match="line 2"):
             load_position_trace(path)
 
+    def test_negative_tti_rejected_with_line(self, tmp_path, capsys):
+        trace = _trace(tmp_path, ["-3,0,50.0,10.0", "0,1,10,10"])
+        with pytest.raises(ConfigError, match="line 2: tti must be >= 0"):
+            load_position_trace(trace)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"position_trace_csv = {trace}\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("line 2: tti must be >= 0") == 2
+        assert not out.exists()
+
     def test_near_origin_accepted(self, tmp_path):
         path = _trace(tmp_path, ["0,0,0.0,0.5"])
         assert 0 in load_position_trace(path)

@@ -188,8 +188,6 @@ class TestCrossFieldRules:
 def test_form_beams_skips_a_center_without_members():
     pts = [Point2D(100, 0), Point2D(100, 10), Point2D(0, 100), Point2D(10, 100)]
     centers = [Point2D(100, 5), Point2D(-50, -50), Point2D(5, 100)]
-    beams = form_beams(
-        centers, math.radians(20), 2, points=xy(pts), labels=[0, 0, 2, 2], ids=[4, 5, 6, 7]
-    )
-    assert [b.members for b in beams] == [(4, 5), (6, 7)]
+    beams = form_beams(centers, math.radians(20), 2, points=xy(pts), labels=[0, 0, 2, 2])
+    assert [b.members for b in beams] == [(0, 1), (2, 3)]
     assert [b.boresight for b in beams] == [math.atan2(5, 100), math.atan2(100, 5)]
