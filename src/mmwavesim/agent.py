@@ -37,7 +37,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from .errors import ConfigError
 from .fields import check_fields, ranged
@@ -62,6 +61,11 @@ __all__ = [
 ]
 
 _GATES = ("i", "f", "o", "g")
+
+# scipy.special.expit, bound when the first LstmNetwork is built: importing
+# scipy.special takes about 0.3 s and 18 MB, which a run without agents (a
+# coverage sweep) need not pay, and only the gates call it
+_sigmoid = None
 
 
 class UserClass(Enum):
@@ -138,6 +142,9 @@ class LstmNetwork:
     """
 
     def __init__(self, input_size: int, hidden_units: int, action_count: int, seed: int = 0):
+        global _sigmoid
+        if _sigmoid is None:
+            from scipy.special import expit as _sigmoid
         self.input_size = input_size
         self.hidden_units = hidden_units
         self.action_count = action_count

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -124,6 +125,8 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
                 f"cell failed: scenario={cfg.scenario.value} {spec.variable}={value}: {exc}",
                 file=sys.stderr,
             )
+            # a pool worker's exception carries the worker's traceback as its __cause__
+            print("".join(traceback.format_exception(exc)), end="", file=sys.stderr)
         return 2
     return 0
 

@@ -83,7 +83,8 @@ __all__ = [
 
 SUMMARY_METRICS = ("coverage_rate", "sum_rate_bps", "mean_delay_ttis")
 
-# the closest a trace may place a UE to the gNB (1 mm)
+# the closest a UE may be to the gNB (1 mm): a trace row closer is rejected,
+# a random placement closer is drawn again
 MIN_GNB_DISTANCE_M = 1e-3
 
 # the most packets a UE may expect per TTI; numpy's Poisson draw fails near 9.2e18
@@ -368,7 +369,7 @@ class ScenarioRun:
         self.classes = [UserClass.URLLC if u % 2 == 0 else UserClass.EMBB for u in range(cfg.n_ues)]
         self.queues = [PacketQueue(8 * cfg.packet_size_bytes) for _ in range(cfg.n_ues)]
         for u in range(cfg.n_ues):
-            self._place(u, uniform_disk_point(self.move_rng, cfg.cell_radius_m))
+            self._place(u, self._random_position())
 
         if coverage_only:
             self.agents = []
@@ -381,6 +382,15 @@ class ScenarioRun:
         self.prev_centers = None  # the warm start of the next clustering call
         self._fixed_point = False  # whether the last call returned its warm start
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
+
+    def _random_position(self) -> Point2D:
+        """An area-uniform point of the cell from `move_rng`, both of its
+        draws taken again while it is closer than MIN_GNB_DISTANCE_M to the
+        gNB (at the gNB the path loss is not finite)."""
+        while True:
+            pos = uniform_disk_point(self.move_rng, self.cfg.cell_radius_m)
+            if math.hypot(pos.x, pos.y) >= MIN_GNB_DISTANCE_M:
+                return pos
 
     def _place(self, u: int, pos: Point2D) -> None:
         """Move UE u to `pos` and, unless this scenario clusters the true
@@ -417,7 +427,7 @@ class ScenarioRun:
         if t == 0 or t % self.cfg.move_interval_ttis:
             return False
         for u in range(self.cfg.n_ues):
-            self._place(u, uniform_disk_point(self.move_rng, self.cfg.cell_radius_m))
+            self._place(u, self._random_position())
         return True
 
     def _geometry(self, moved: bool) -> _Geometry:

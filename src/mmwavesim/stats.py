@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import stdtrit
 
 
 def confidence_interval(samples):
@@ -20,6 +19,8 @@ def confidence_interval(samples):
     mean = float(xs.mean())
     if xs.size < 2:
         return mean, float("nan")
+    from scipy.special import stdtrit  # loaded only for a half-width: see README, Dependencies
+
     s = float(xs.std(ddof=1))
     tq = float(stdtrit(xs.size - 1, 0.975))  # the t quantile, as scipy.stats.t.ppf gives it
     return mean, tq * s / math.sqrt(xs.size)

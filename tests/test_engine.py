@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from mmwavesim import engine
 from mmwavesim.engine import (
     Scenario,
     ScenarioConfig,
@@ -63,6 +65,28 @@ class FirstBeamServed(ScenarioRun):
         for action in allocations[0]:  # in RBG order, as `_schedule` sums them
             budgets[action] = budgets.get(action, 0.0) + geo.links[0][action].bits
         return budgets, allocations, rewards
+
+
+class ZeroFirst:
+    """Draws like `rng`, except that its first `random()` returns 0.0: as the
+    radius draw of `uniform_disk_point`, that puts a UE on the gNB."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, False
+
+    def random(self):
+        if self.drawn:
+            return self.rng.random()
+        self.drawn = True
+        return 0.0
+
+
+def redrawn_positions(rng, cfg):
+    """The positions a placement of every UE gives after the zero draw: its
+    angle draw, the next from `rng`, is spent too, and the UE drawn again."""
+    rng.random()
+    points = [uniform_disk_point(rng, cfg.cell_radius_m) for _ in range(cfg.n_ues)]
+    return [[p.x, p.y] for p in points]
 
 
 class TestInjectError:
@@ -165,6 +189,29 @@ class TestPlacementAndMovement:
         run.step(5)
         assert Point2D(*run.true_xy[1]) == Point2D(-15.0, 25.0)
         assert Point2D(*run.true_xy[0]) == Point2D(10.0, 20.0)
+
+    def test_initial_placement_at_the_gnb_is_drawn_again(self, monkeypatch):
+        cfg = micro_cfg()
+        move_seed = derive_seed(derive_seed(cfg.master_seed, 0), 1)
+
+        def stubbed(seed):
+            return ZeroFirst(make_rng(seed)) if seed == move_seed else make_rng(seed)
+
+        monkeypatch.setattr(engine, "make_rng", stubbed)
+        run = make_run(cfg)
+        assert run.true_xy.tolist() == redrawn_positions(make_rng(move_seed), cfg)
+        for t in range(3):
+            run.step(t)
+
+    def test_moved_ue_at_the_gnb_is_drawn_again(self):
+        cfg = micro_cfg()
+        run = make_run(cfg)
+        for t in range(10):
+            run.step(t)
+        expected = redrawn_positions(copy.deepcopy(run.move_rng), cfg)
+        run.move_rng = ZeroFirst(run.move_rng)
+        run.step(10)
+        assert run.true_xy.tolist() == expected
 
     def test_trace_validation(self, tmp_path):
         bad_header = tmp_path / "bad1.csv"

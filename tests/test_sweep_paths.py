@@ -156,6 +156,33 @@ class TestFailedWrite:
         assert rows == [r for r in clean_rows if ",kmeans_exact," not in r]
 
 
+def _fail_in_named_helper(cfg):
+    raise RuntimeError(f"no result for {cfg.scenario.value}")
+
+
+class TestFailedCell:
+    def test_prints_the_traceback_under_its_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg, trace=None: _fail_in_named_helper(cfg))
+        assert run_sweep(parse_config_text(TINY), str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        line = "cell failed: scenario=kmeans_exact n_beams=1: no result for kmeans_exact\n"
+        assert line + "Traceback (most recent call last):\n" in err
+        assert ", in _fail_in_named_helper\n" in err
+        assert err.count("Traceback") == 3  # one per failed cell
+
+    def test_a_pool_worker_traceback_reaches_stderr(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        blocker = out / "report_kmeans_exact_n_beams_0.csv"  # a directory: the rename fails
+        blocker.mkdir(parents=True)
+        (blocker / "keep").write_text("")
+        assert run_sweep(parse_config_text(TINY), str(out), jobs=2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cell failed: scenario=kmeans_exact n_beams=1: ")
+        # raised in the worker: only the traceback it sent back names these frames
+        assert ", in _run_cell\n" in err
+        assert ", in _atomic_write\n" in err
+
+
 def test_mean_coverage_plays_the_configured_trace(tmp_path):
     trace = _trace(tmp_path, ["0,0,30,10", "0,1,-20,40", "0,2,5,-60", "4,1,90,90", "9,0,-100,5"])
     cfg = ScenarioConfig(n_ues=3, n_clusters=2, n_beams=2, tti_count=12, trace_csv=str(trace))
