@@ -79,8 +79,8 @@ class AgentConfig:
     gamma: float = ranged(0.9, lo=0.0, hi=1.0)
     epsilon: float = ranged(0.1, lo=0.0, hi=1.0)
     nn_learning_rate: float = ranged(0.01, lo=0.0, closed=False)
-    hidden_units: int = ranged(20, lo=1)
-    input_size: int = ranged(1, lo=1)
+    # the (H, 4H) gate matrix of each network takes 8 * 4 * H**2 bytes: 2 MB at 256
+    hidden_units: int = ranged(20, lo=1, hi=256)
     minibatch: int = ranged(20, lo=1)
     replay_capacity: int = ranged(60, lo=1)
     train_interval_ttis: int = ranged(60, lo=1)
@@ -101,61 +101,51 @@ class ExperienceTuple:
     next_state: float
     reward: float
     hidden_context: tuple  # (h, c) carry at decision time, each shape (H,)
-    action_mask: Optional[tuple] = None  # feasible actions at decision time
+    action_mask: tuple  # feasible actions at decision time
 
 
 def encode_state(cqi: int) -> float:
-    """CQI index normalized to [0, 1]."""
-    if not 0 <= cqi <= 15:
-        raise ConfigError(f"cqi must be in [0, 15], got {cqi}")
+    """CQI index (0..15, as `beams.sinr_to_cqi` gives it) normalized to [0, 1]."""
     return cqi / 15.0
 
 
-def reward(user_class: UserClass, sinr_ratio: float, delay_ratio: float = None) -> float:
-    """QoS reward in (0, 1).
+def reward(user_class: UserClass, sinr_ratio: float, delay_ratio: float) -> float:
+    """QoS reward in [1/2, 1].
 
     Rate-sensitive users score sigm(sinr_ratio); latency-sensitive users
-    score sigm(sinr_ratio * delay_ratio), where sinr_ratio is the linear
-    SINR over its QoS requirement and delay_ratio is the latency budget
-    over the (floored) head-of-line delay.
+    score sigm(sinr_ratio * delay_ratio), where sinr_ratio >= 0 is the
+    linear SINR over its QoS requirement and delay_ratio > 0 is the
+    latency budget over the (floored) head-of-line delay.
     """
-    if sinr_ratio <= 0:
-        raise ConfigError("sinr_ratio must be > 0")
-    if user_class is UserClass.URLLC:
-        if delay_ratio is None or delay_ratio <= 0:
-            raise ConfigError("URLLC reward needs delay_ratio > 0")
-        x = sinr_ratio * delay_ratio
-    else:
-        x = sinr_ratio
+    x = sinr_ratio * delay_ratio if user_class is UserClass.URLLC else sinr_ratio
     return 1.0 / (1.0 + math.exp(-x))
 
 
 class LstmNetwork:
     """Gate weights plus the linear Q-value head.
 
-    The gates are stored fused, in the column order i, f, o, g: `wx`
-    (D, 4H), `wh` (H, 4H) and `b` (4H,), beside `wq` (H, A) and `bq`
-    (A,). `params` maps wx_i, wh_i, b_i, ... (one triple per gate), wq
-    and bq to views of that storage, so an in-place update under either
-    name shows under both. Initialization is uniform on [-0.1, 0.1]
-    drawn in a fixed key order from the seed.
+    The input is one scalar state. The gates are stored fused, in the
+    column order i, f, o, g: `wx` (4H,), `wh` (H, 4H) and `b` (4H,),
+    beside `wq` (H, A) and `bq` (A,). `params` maps wx_i, wh_i, b_i, ...
+    (one triple per gate), wq and bq to views of that storage, so an
+    in-place update under either name shows under both. Initialization
+    is uniform on [-0.1, 0.1] drawn in a fixed key order from the seed.
     """
 
-    def __init__(self, input_size: int, hidden_units: int, action_count: int, seed: int = 0):
+    def __init__(self, hidden_units: int, action_count: int, seed: int = 0):
         global _sigmoid
         if _sigmoid is None:
             from scipy.special import expit as _sigmoid
-        self.input_size = input_size
         self.hidden_units = hidden_units
         self.action_count = action_count
         rng = make_rng(seed)
-        d, h, a = input_size, hidden_units, action_count
-        wx = np.empty((d, 4 * h))
+        h, a = hidden_units, action_count
+        wx = np.empty(4 * h)
         wh = np.empty((h, 4 * h))
         b = np.empty(4 * h)
         for k in range(len(_GATES)):
             cols = slice(k * h, (k + 1) * h)
-            wx[:, cols] = rng.uniform(-0.1, 0.1, size=(d, h))
+            wx[cols] = rng.uniform(-0.1, 0.1, size=(h,))
             wh[:, cols] = rng.uniform(-0.1, 0.1, size=(h, h))
             b[cols] = rng.uniform(-0.1, 0.1, size=(h,))
         wq = rng.uniform(-0.1, 0.1, size=(h, a))
@@ -169,7 +159,7 @@ class LstmNetwork:
         p = {}
         for k, gate in enumerate(_GATES):
             cols = slice(k * h, (k + 1) * h)
-            p[f"wx_{gate}"] = wx[:, cols]
+            p[f"wx_{gate}"] = wx[cols]
             p[f"wh_{gate}"] = wh[:, cols]
             p[f"b_{gate}"] = b[cols]
         p["wq"] = wq
@@ -182,25 +172,20 @@ class LstmNetwork:
 
     def clone(self) -> "LstmNetwork":
         other = LstmNetwork.__new__(LstmNetwork)
-        other.input_size = self.input_size
         other.hidden_units = self.hidden_units
         other.action_count = self.action_count
         other._bind(*(v.copy() for v in self.arrays()))
         return other
 
-    def zero_carry(self, batch: Optional[int] = None):
-        if batch is None:
-            return (np.zeros(self.hidden_units), np.zeros(self.hidden_units))
-        return (
-            np.zeros((batch, self.hidden_units)),
-            np.zeros((batch, self.hidden_units)),
-        )
+    def zero_carry(self, batch: int):
+        """(h, c) of `batch` sequences at their start, each (batch, H)."""
+        return (np.zeros((batch, self.hidden_units)), np.zeros((batch, self.hidden_units)))
 
 
 def _forward(net: LstmNetwork, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
     """Batched forward pass.
 
-    x has shape (T, B, D); h0/c0 have shape (B, H). Returns Q-values of
+    x has shape (T, B, 1); h0/c0 have shape (B, H). Returns Q-values of
     shape (T, B, A), the final carry and the step cache for backprop.
     """
     p = net.params
@@ -210,10 +195,10 @@ def _forward(net: LstmNetwork, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
     cache = []
     for t in range(steps):
         xt = x[t]
-        i = _sigmoid(xt @ p["wx_i"] + h @ p["wh_i"] + p["b_i"])
-        f = _sigmoid(xt @ p["wx_f"] + h @ p["wh_f"] + p["b_f"])
-        o = _sigmoid(xt @ p["wx_o"] + h @ p["wh_o"] + p["b_o"])
-        g = np.tanh(xt @ p["wx_g"] + h @ p["wh_g"] + p["b_g"])
+        i = _sigmoid(xt * p["wx_i"] + h @ p["wh_i"] + p["b_i"])
+        f = _sigmoid(xt * p["wx_f"] + h @ p["wh_f"] + p["b_f"])
+        o = _sigmoid(xt * p["wx_o"] + h @ p["wh_o"] + p["b_o"])
+        g = np.tanh(xt * p["wx_g"] + h @ p["wh_g"] + p["b_g"])
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h_new = o * tc
@@ -253,31 +238,20 @@ def _backward(net: LstmNetwork, cache, dqs: np.ndarray):
         d_ag = dg * (1.0 - g * g)
         dh_next = np.zeros((batch, hdim))
         for gate, da in zip(_GATES, (d_ai, d_af, d_ao, d_ag)):
-            grads[f"wx_{gate}"] += xt.T @ da
+            grads[f"wx_{gate}"] += xt[:, 0] @ da
             grads[f"wh_{gate}"] += h_prev.T @ da
             grads[f"b_{gate}"] += da.sum(axis=0)
             dh_next += da @ p[f"wh_{gate}"].T
     return grads
 
 
-def _as_sequence(states) -> np.ndarray:
-    x = np.asarray(states, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1, 1, 1)
-    elif x.ndim == 1:
-        x = x.reshape(-1, 1, 1)
-    elif x.ndim == 2:
-        x = x[:, None, :]
-    return x
-
-
 def lstm_forward(net: LstmNetwork, states, carry=None):
     """Q-value rows for a single state sequence.
 
-    `states` is (T,) of scalars or (T, D); `carry` is an optional (h, c)
-    pair of shape-(H,) arrays. Returns (q, carry) with q of shape (T, A).
+    `states` is (T,) of scalars; `carry` is an optional (h, c) pair of
+    shape-(H,) arrays. Returns (q, carry) with q of shape (T, A).
     """
-    x = _as_sequence(states)
+    x = np.asarray(states, dtype=float).reshape(-1, 1, 1)
     if carry is None:
         h0, c0 = net.zero_carry(batch=1)
     else:
@@ -306,8 +280,6 @@ def select_action(
         feasible = np.arange(net.action_count)
     else:
         feasible = np.flatnonzero(np.asarray(mask, dtype=bool))
-        if feasible.size == 0:
-            raise ConfigError("action mask excludes every action")
     return _epsilon_greedy(q[0], feasible, epsilon, rng), new_carry
 
 
@@ -330,8 +302,6 @@ def train_step(
     The loss is the mean squared TD error over the minibatch; the target
     network is left untouched.
     """
-    if len(batch) != cfg.minibatch:
-        raise ConfigError(f"minibatch size must be {cfg.minibatch}, got {len(batch)}")
     b = len(batch)
     h0 = np.stack([e.hidden_context[0] for e in batch])
     c0 = np.stack([e.hidden_context[1] for e in batch])
@@ -343,10 +313,7 @@ def train_step(
         [[e.state for e in batch], [e.next_state for e in batch]]
     ).reshape(2, b, 1)
     q_target, _, _ = _forward(target, x_target, h0, c0)
-    q_next = q_target[1].copy()
-    for row, e in enumerate(batch):
-        if e.action_mask is not None:
-            q_next[row, ~np.asarray(e.action_mask, dtype=bool)] = -np.inf
+    q_next = np.where([e.action_mask for e in batch], q_target[1], -np.inf)
     targets = rewards + cfg.gamma * q_next.max(axis=1)
 
     qs, _, cache = _forward(main, states, h0, c0)
@@ -373,8 +340,6 @@ class ReplayMemory:
     """Ring buffer of experiences with uniform sampling."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError("replay capacity must be >= 1")
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
 
@@ -401,9 +366,7 @@ class DqnAgent:
 
     def __init__(self, cfg: AgentConfig):
         self.cfg = cfg
-        self.main = LstmNetwork(
-            cfg.input_size, cfg.hidden_units, cfg.action_count, seed=derive_seed(cfg.seed, 0)
-        )
+        self.main = LstmNetwork(cfg.hidden_units, cfg.action_count, seed=derive_seed(cfg.seed, 0))
         self.target = self.main.clone()
         self.replay = ReplayMemory(cfg.replay_capacity)
         self.action_rng = make_rng(derive_seed(cfg.seed, 1))
@@ -432,7 +395,7 @@ class AgentStack:
 
     Each agent's `main` is rebound to views of its slice of the stack,
     so training through `train_step` updates the stack in place. The
-    agents must share input size, hidden units and action count.
+    agents must share hidden units and action count.
     """
 
     def __init__(self, agents: Sequence[DqnAgent]):
@@ -443,12 +406,11 @@ class AgentStack:
         )
         for k, net in enumerate(nets):
             net._bind(self.wx[k], self.wh[k], self.b[k], self.wq[k], self.bq[k])
-        n, d, h = len(nets), nets[0].input_size, nets[0].hidden_units
+        n, h = len(nets), nets[0].hidden_units
         # (agent, gate, row, column) views of the fused gate columns: one
         # BLAS product per gate, as in `_forward`. A single (H, 4H) product
         # rounds the last columns of a gate differently whenever H is not
         # a multiple of the BLAS kernel's block.
-        self._wx_gates = self.wx.reshape(n, d, 4, h).transpose(0, 2, 1, 3)
         self._wh_gates = self.wh.reshape(n, h, 4, h).transpose(0, 2, 1, 3)
 
     def zero_carry(self):
@@ -458,16 +420,13 @@ class AgentStack:
     def forward(self, x: np.ndarray, carry):
         """One LSTM step of every agent.
 
-        x is (N, D) and the carry (h, c) holds two (N, H) arrays. Returns
+        x is (N, 1) and the carry (h, c) holds two (N, H) arrays. Returns
         the Q-rows (N, A) and the new carry; row k equals, bit for bit,
         `lstm_forward` of agent k on (x[k], (h[k], c[k])).
         """
         h, c = carry
         n, hd = h.shape
-        z = (
-            np.matmul(x[:, None, None, :], self._wx_gates)
-            + np.matmul(h[:, None, None, :], self._wh_gates)
-        ).reshape(n, 4 * hd) + self.b
+        z = x * self.wx + np.matmul(h[:, None, None, :], self._wh_gates).reshape(n, 4 * hd) + self.b
         ifo = _sigmoid(z[:, : 3 * hd])
         i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
         g = np.tanh(z[:, 3 * hd :])

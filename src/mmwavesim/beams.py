@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
-from .errors import ConfigError
 from .fields import check_fields, ranged
 from .geometry import Point2D
 
@@ -56,14 +55,16 @@ _SPLIT_CLUSTERING = ClusteringConfig(k=2, seed=0, init_strategy=InitStrategy.FAR
 
 @dataclass(frozen=True)
 class AntennaConfig:
-    n_elements: int = ranged(1024, lo=1)
+    # four times the default array; the gain evaluates n_elements as a float
+    n_elements: int = ranged(1024, lo=1, hi=4096)
     element_spacing_over_wavelength: float = ranged(0.5, lo=0.0, closed=False)
     # 1 MHz to 1 THz: the free-space path loss stays finite from 1 mm to 1000 km
     carrier_frequency_hz: float = ranged(28e9, lo=1e6, hi=1e12)
     tx_power_dbm: float = ranged(30.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     noise_power_dbm: float = ranged(-94.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     subcarrier_spacing_hz: float = ranged(120e3, lo=0.0, closed=False)
-    rbs_per_rbg: int = ranged(2, lo=1)
+    # an NR carrier has at most 275 RBs; the bandwidth multiplies it as a float
+    rbs_per_rbg: int = ranged(2, lo=1, hi=275)
 
     def __post_init__(self):
         check_fields(self)
@@ -83,10 +84,6 @@ class Beam:
     boresight: float  # radians from the gNB
     width: float  # radians, full angular sector served
     members: tuple  # UE ids
-
-    def __post_init__(self):
-        if not 0.0 < self.width < math.pi:
-            raise ConfigError(f"beam width must be in (0, pi), got {self.width}")
 
 
 def _wrap_angle(a: float) -> float:
@@ -118,9 +115,7 @@ def _angle_from(p: Point2D) -> float:
 
 
 def _circular_range(angles) -> float:
-    """Smallest arc containing all angles (0 for a single angle)."""
-    if len(angles) < 2:
-        return 0.0
+    """Smallest arc containing all of two or more angles."""
     a = np.sort(np.asarray([_wrap_angle(x) for x in angles]))
     wrap_gap = 2.0 * math.pi - (a[-1] - a[0])
     return float(2.0 * math.pi - max(np.diff(a).max(), wrap_gap))
@@ -161,11 +156,6 @@ def form_beams(
     every remaining cluster is a single point, extra beams repeat
     existing boresights in index order.
     """
-    if n_beams < 1:
-        raise ConfigError("n_beams must be >= 1")
-    if not len(centers):
-        raise ConfigError("need at least one cluster center")
-
     clusters = _group(centers, labels, range(len(points)))
 
     unsplittable = set()
@@ -225,10 +215,6 @@ def coverage_rate(
 ) -> float:
     """Fraction of the UEs at the (N, 2) `true_positions` within
     `cell_radius` of the gNB and +/- width/2 of some beam."""
-    if cell_radius <= 0:
-        raise ConfigError("cell_radius must be > 0")
-    if not len(true_positions):
-        raise ConfigError("no positions to evaluate")
     covered = 0
     r2 = cell_radius * cell_radius
     for x, y in true_positions.tolist():
@@ -263,8 +249,6 @@ def compute_sinr(
     same site; intra-beam interference is zero by OFDMA orthogonality,
     so only other beams contribute.
     """
-    if ue_distance <= 0:
-        raise ConfigError("ue_distance must be > 0")
     ptx = _dbm_to_watts(cfg.tx_power_dbm)
     pl = _free_space_pathloss(ue_distance, cfg)
     signal = ptx * beam_gain(serving_beam.boresight, ue_angle, cfg) * pl

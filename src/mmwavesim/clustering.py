@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
 from .fields import check_fields, ranged
 from .geometry import Point2D
 from .seeding import make_rng
@@ -129,14 +128,7 @@ def run_clustering(
     """
     mus = np.asarray(points, dtype=float)
     n = len(mus)
-    if n == 0:
-        raise ConfigError("cannot cluster zero points")
-    if cfg.k > n:
-        raise ConfigError(f"k={cfg.k} exceeds the number of data points ({n})")
-
     if initial_centers is not None:
-        if len(initial_centers) != cfg.k:
-            raise ConfigError("initial_centers length must equal k")
         centers = np.array([(c.x, c.y) for c in initial_centers], dtype=float)
     else:
         centers = _init_centers(mus, cfg, make_rng(cfg.seed))

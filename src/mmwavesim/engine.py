@@ -103,9 +103,12 @@ class ScenarioConfig:
     here or, for a field shared with a component config, on that config."""
 
     scenario: Scenario = Scenario.KMEANS_ERROR
-    n_ues: int = ranged(6, lo=1)
+    # each UE holds a traffic generator and a queue and widens every agent's
+    # Q head, so memory and time grow with it; about 20 times the 48-UE large cell
+    n_ues: int = ranged(6, lo=1, hi=1000)
     n_clusters: int = ranged(3, lo=1)
-    n_beams: int = ranged(3, lo=1)
+    # one DQN agent per beam; an NR FR2 cell sweeps at most 64 SSB beams
+    n_beams: int = ranged(3, lo=1, hi=64)
     beam_width_deg: float = ranged(20.0, lo=0.0, hi=180.0, closed=False)
     cell_radius_m: float = ranged(160.0, lo=1.0, hi=1e6)
     error_rmse_m: float = ranged(8.0, lo=0.0, hi=1e6)
@@ -118,8 +121,10 @@ class ScenarioConfig:
     runs: int = ranged(5, lo=1)
     master_seed: int = ranged(12345, lo=0)
     load_bps: float = ranged(2e6, lo=0.0)  # offered load per UE
-    packet_size_bytes: int = ranged(32, lo=1)
-    rbg_count: int = ranged(24, lo=1)
+    # the largest IP datagram; the arrival rate divides by it as a float
+    packet_size_bytes: int = ranged(32, lo=1, hi=65535)
+    # one agent step per group and TTI; an NR carrier has at most 275 RBs
+    rbg_count: int = ranged(24, lo=1, hi=275)
     gamma: float = same_as(AgentConfig, "gamma")
     epsilon: float = same_as(AgentConfig, "epsilon")
     nn_learning_rate: float = same_as(AgentConfig, "nn_learning_rate")
@@ -240,8 +245,6 @@ def inject_error(
     Both modes consume the same number of random draws, so scenarios
     sharing a seed see identical movement regardless of the mode.
     """
-    if error_rmse_m < 0:
-        raise ConfigError("error_rmse_m must be >= 0")
     r_err = error_rmse_m * math.sqrt(2.0)
     if not informative:
         center = uniform_disk_point(rng, r_err, true_position)

@@ -13,7 +13,7 @@ spread E[r^2] = R^2 / 2, giving the closed form used here:
 
     E||x - c||^2 = ||mu - c||^2 + R^2 / 2.
 
-A Monte Carlo estimator of the same expectation is provided as an
+A Monte Carlo estimator of the disk's expectation is provided as an
 independent check of the closed form.
 """
 
@@ -39,19 +39,12 @@ __all__ = [
     "mc_expected_sq_distance",
 ]
 
-_WEIGHT_SUM_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class Point2D:
     """A point in the cell plane, coordinates in meters."""
 
     x: float
     y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
 def sq_distance(a: Point2D, b: Point2D) -> float:
@@ -68,10 +61,6 @@ class UniformDisk:
     center: Point2D
     radius: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError(f"disk radius must be finite and >= 0, got {self.radius}")
-
 
 @dataclass(frozen=True)
 class SampleBased:
@@ -79,25 +68,11 @@ class SampleBased:
 
     Expresses informative or asymmetric uncertainty that a symmetric
     disk cannot (e.g. a two-mode ghost/true localization hypothesis).
-    Weights must be nonnegative and sum to 1 within 1e-9.
+    The weights are nonnegative and sum to 1.
     """
 
     samples: tuple
     weights: tuple
-
-    def __post_init__(self):
-        samples = tuple(self.samples)
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "weights", weights)
-        if len(samples) < 1:
-            raise ValueError("SampleBased needs at least one sample")
-        if len(samples) != len(weights):
-            raise ValueError("samples and weights must have equal length")
-        if any(w < 0.0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {sum(weights)}, expected 1")
 
 
 UncertaintyPdf = Union[UniformDisk, SampleBased]
@@ -158,18 +133,11 @@ def uniform_disk_point(
 def mc_expected_sq_distance(
     p: UncertainPoint, c: Point2D, n_samples: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo estimate of E||x - c||^2; independent of the closed form."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    """Monte Carlo estimate of E||x - c||^2 under a `UniformDisk` PDF, from
+    `n_samples` >= 1 draws; independent of the closed form."""
     pdf = p.pdf
-    if isinstance(pdf, UniformDisk):
-        r = pdf.radius * np.sqrt(rng.random(n_samples))
-        theta = rng.random(n_samples) * (2.0 * math.pi)
-        xs = pdf.center.x + r * np.cos(theta)
-        ys = pdf.center.y + r * np.sin(theta)
-    else:
-        idx = rng.choice(len(pdf.samples), size=n_samples, p=np.asarray(pdf.weights))
-        pts = np.array([(s.x, s.y) for s in pdf.samples])
-        xs = pts[idx, 0]
-        ys = pts[idx, 1]
+    r = pdf.radius * np.sqrt(rng.random(n_samples))
+    theta = rng.random(n_samples) * (2.0 * math.pi)
+    xs = pdf.center.x + r * np.cos(theta)
+    ys = pdf.center.y + r * np.sin(theta)
     return float(np.mean((xs - c.x) ** 2 + (ys - c.y) ** 2))

@@ -14,8 +14,6 @@ def confidence_interval(samples):
     returned as nan.
     """
     xs = np.asarray(list(samples), dtype=float)
-    if xs.size == 0:
-        raise ValueError("confidence_interval needs at least one sample")
     mean = float(xs.mean())
     if xs.size < 2:
         return mean, float("nan")

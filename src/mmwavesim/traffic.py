@@ -10,8 +10,6 @@ from collections import deque
 
 import numpy as np
 
-from .errors import ConfigError
-
 __all__ = ["PacketQueue", "generate_arrivals"]
 
 
@@ -48,8 +46,6 @@ class PacketQueue:
     def serve(self, budget_bits: float, now: int) -> list:
         """Drain whole packets FIFO within the bit budget and return their
         delays in TTIs; leftover budget is discarded."""
-        if budget_bits < 0:
-            raise ConfigError("budget_bits must be >= 0")
         delays = []
         remaining = budget_bits
         while self._arrival_ttis and self.packet_bits <= remaining:

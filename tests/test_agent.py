@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmwavesim.agent import (
     AgentConfig,
@@ -19,12 +21,22 @@ from mmwavesim.agent import (
     sync_target,
     train_step,
 )
+from mmwavesim.beams import sinr_to_cqi
 from mmwavesim.errors import ConfigError
 from mmwavesim.seeding import derive_seed, make_rng
 
 
-def zero_net(d=1, h=4, a=2):
-    net = LstmNetwork(d, h, a, seed=0)
+# every action of a two-action agent is feasible
+ALL = (True, True)
+
+
+def zero_carry(agent):
+    """The (h, c) of one sequence at its start, each of shape (H,)."""
+    return tuple(np.zeros(agent.cfg.hidden_units) for _ in range(2))
+
+
+def zero_net(h=4, a=2):
+    net = LstmNetwork(h, a, seed=0)
     for k in net.params:
         net.params[k][:] = 0.0
     return net
@@ -36,14 +48,17 @@ class TestEncodeState:
         assert encode_state(15) == 1.0
         assert encode_state(6) == pytest.approx(0.4)
 
-    def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            encode_state(16)
+    @given(st.floats())
+    def test_every_sinr_gives_a_cqi_and_state_in_range(self, sinr_db):
+        # inf, -inf and nan included: the link's state needs no range check
+        cqi = sinr_to_cqi(sinr_db)
+        assert 0 <= cqi <= 15
+        assert 0.0 <= encode_state(cqi) <= 1.0
 
 
 class TestReward:
     def test_embb_unit_ratio(self):
-        assert reward(UserClass.EMBB, 1.0) == pytest.approx(1 / (1 + math.exp(-1)))
+        assert reward(UserClass.EMBB, 1.0, 1.0) == pytest.approx(1 / (1 + math.exp(-1)))
 
     def test_urllc_unit_ratios(self):
         assert reward(UserClass.URLLC, 1.0, 1.0) == pytest.approx(0.7310585786300049)
@@ -62,21 +77,28 @@ class TestReward:
             dr = float(np.exp(rng.uniform(math.log(1e-2), math.log(8.0))))
             r = reward(UserClass.URLLC, x / dr, dr)
             assert 0.0 < r < 1.0
-            r2 = reward(UserClass.EMBB, x)
+            r2 = reward(UserClass.EMBB, x, dr)
             assert 0.0 < r2 < 1.0
 
     def test_saturation_stays_bounded(self):
-        assert reward(UserClass.EMBB, 1e6) <= 1.0
+        assert reward(UserClass.EMBB, 1e6, 8.0) <= 1.0
         assert reward(UserClass.URLLC, 1e6, 8.0) <= 1.0
 
-    def test_embb_ignores_delay(self):
-        assert reward(UserClass.EMBB, 1.5, 0.01) == reward(UserClass.EMBB, 1.5)
+    @given(
+        st.sampled_from(UserClass),
+        st.floats(-4000.0, 3000.0),
+        st.integers(1, 10**6),
+        st.integers(1, 10**9),
+    )
+    def test_in_half_to_one_over_accepted_ratios(self, cls, sinr_over_qos_db, latency, hol):
+        # the engine's ratios: a linear SINR over the QoS requirement (0 once
+        # the dB difference underflows, finite within the dB bounds), and
+        # qos_latency_ttis over a head-of-line delay floored at 1 TTI
+        sinr_ratio = 10.0 ** (sinr_over_qos_db / 10.0)
+        assert 0.5 <= reward(cls, sinr_ratio, latency / hol) <= 1.0
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigError):
-            reward(UserClass.EMBB, 0.0)
-        with pytest.raises(ConfigError):
-            reward(UserClass.URLLC, 1.0)  # missing delay ratio
+    def test_embb_ignores_delay(self):
+        assert reward(UserClass.EMBB, 1.5, 0.01) == reward(UserClass.EMBB, 1.5, 8.0)
 
 
 class TestLstmForward:
@@ -89,7 +111,7 @@ class TestLstmForward:
     def test_hand_computed_single_unit(self):
         # 1-unit cell, every parameter 0.5, input 1.0: each gate
         # pre-activation is 0.5*1 + 0.5*0 + 0.5 = 1
-        net = LstmNetwork(1, 1, 1, seed=0)
+        net = LstmNetwork(1, 1, seed=0)
         for k in net.params:
             net.params[k][:] = 0.5
         q, _ = lstm_forward(net, [1.0])
@@ -100,7 +122,7 @@ class TestLstmForward:
         assert q[0, 0] == pytest.approx(0.5 * h + 0.5, abs=1e-15)
 
     def test_deterministic(self):
-        net = LstmNetwork(1, 5, 3, seed=9)
+        net = LstmNetwork(5, 3, seed=9)
         q1, c1 = lstm_forward(net, [0.1, 0.9, 0.4])
         q2, c2 = lstm_forward(net, [0.1, 0.9, 0.4])
         assert np.array_equal(q1, q2)
@@ -108,7 +130,7 @@ class TestLstmForward:
 
     def test_carry_threads_sequence(self):
         # feeding a sequence step by step with the carry equals one call
-        net = LstmNetwork(1, 4, 2, seed=3)
+        net = LstmNetwork(4, 2, seed=3)
         states = [0.2, 0.8, 0.5]
         q_all, _ = lstm_forward(net, states)
         carry = None
@@ -160,7 +182,7 @@ class TestTrainStep:
         main, target = zero_net(), zero_net()
         main.params["bq"][:] = [0.95, 0.0]
         target.params["bq"][:] = [1.0, 0.5]
-        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, (np.zeros(4), np.zeros(4)))
+        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, (np.zeros(4), np.zeros(4)), ALL)
         loss = train_step(main, target, [exp], cfg)
         assert loss == pytest.approx(0.45**2, abs=1e-12)
 
@@ -169,25 +191,18 @@ class TestTrainStep:
         main, target = zero_net(), zero_net()
         main.params["bq"][:] = [0.5, 0.5]
         before = {k: v.copy() for k, v in main.params.items()}
-        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, (np.zeros(4), np.zeros(4)))
+        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, (np.zeros(4), np.zeros(4)), ALL)
         loss = train_step(main, target, [exp], cfg)
         assert loss == 0.0
         for k in before:
             assert np.array_equal(main.params[k], before[k])
 
-    def test_wrong_batch_size_rejected(self):
-        cfg = AgentConfig(action_count=2, minibatch=2)
-        main, target = zero_net(), zero_net()
-        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, (np.zeros(4), np.zeros(4)))
-        with pytest.raises(ConfigError):
-            train_step(main, target, [exp], cfg)
-
     def test_target_untouched(self):
         cfg = AgentConfig(action_count=2, minibatch=1, nn_learning_rate=0.1)
-        main = LstmNetwork(1, 4, 2, seed=1)
-        target = LstmNetwork(1, 4, 2, seed=2)
+        main = LstmNetwork(4, 2, seed=1)
+        target = LstmNetwork(4, 2, seed=2)
         before = {k: v.copy() for k, v in target.params.items()}
-        exp = ExperienceTuple(0.3, 1, 0.7, 0.8, (np.zeros(4), np.zeros(4)))
+        exp = ExperienceTuple(0.3, 1, 0.7, 0.8, (np.zeros(4), np.zeros(4)), ALL)
         train_step(main, target, [exp], cfg)
         for k in before:
             assert np.array_equal(target.params[k], before[k])
@@ -201,7 +216,7 @@ class TestTrainStep:
 
 def _max_gradcheck_error(seed, steps=4, batch=2, hidden=3, actions=2):
     rng = make_rng(derive_seed(9000, seed))
-    net = LstmNetwork(1, hidden, actions, seed=seed)
+    net = LstmNetwork(hidden, actions, seed=seed)
     x = rng.normal(size=(steps, batch, 1))
     h0 = 0.5 * rng.normal(size=(batch, hidden))
     c0 = 0.5 * rng.normal(size=(batch, hidden))
@@ -236,8 +251,8 @@ def _max_gradcheck_error(seed, steps=4, batch=2, hidden=3, actions=2):
 
 class TestSyncAndReplay:
     def test_sync_copies_bitwise(self):
-        main = LstmNetwork(1, 4, 3, seed=1)
-        target = LstmNetwork(1, 4, 3, seed=2)
+        main = LstmNetwork(4, 3, seed=1)
+        target = LstmNetwork(4, 3, seed=2)
         sync_target(main, target)
         rng = make_rng(3)
         for _ in range(100):
@@ -260,7 +275,7 @@ class TestSyncAndReplay:
         cfg = AgentConfig(action_count=2, minibatch=1, seed=6)
         agent = DqnAgent(cfg)
         snap = {k: v.copy() for k, v in agent.target.params.items()}
-        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, agent.main.zero_carry())
+        exp = ExperienceTuple(0.3, 0, 0.7, 0.5, zero_carry(agent), ALL)
         for _ in range(5):
             train_step(agent.main, agent.target, [exp], cfg)
         for k in snap:
@@ -269,7 +284,7 @@ class TestSyncAndReplay:
     def test_replay_evicts_oldest(self):
         mem = ReplayMemory(capacity=60)
         for i in range(61):
-            mem.push(ExperienceTuple(float(i), 0, 0.0, 0.5, (np.zeros(1), np.zeros(1))))
+            mem.push(ExperienceTuple(float(i), 0, 0.0, 0.5, (np.zeros(1), np.zeros(1)), ALL))
         assert len(mem) == 60
         assert mem._buf[0].state == 1.0
 
@@ -277,7 +292,7 @@ class TestSyncAndReplay:
         mem = ReplayMemory(capacity=60)
         assert mem.sample(20, make_rng(0)) is None
         for i in range(60):
-            mem.push(ExperienceTuple(float(i), 0, 0.0, 0.5, (np.zeros(1), np.zeros(1))))
+            mem.push(ExperienceTuple(float(i), 0, 0.0, 0.5, (np.zeros(1), np.zeros(1)), ALL))
         batch = mem.sample(20, make_rng(1))
         states = [e.state for e in batch]
         assert len(set(states)) == 20
@@ -286,7 +301,7 @@ class TestSyncAndReplay:
         # 20-of-60 without replacement: every index included 1/3 of draws
         mem = ReplayMemory(capacity=60)
         for i in range(60):
-            mem.push(ExperienceTuple(float(i), 0, 0.0, 0.5, (np.zeros(1), np.zeros(1))))
+            mem.push(ExperienceTuple(float(i), 0, 0.0, 0.5, (np.zeros(1), np.zeros(1)), ALL))
         rng = make_rng(2)
         counts = np.zeros(60)
         trials = 100_000
@@ -314,17 +329,17 @@ def bandit_optimal_fraction(seed, train_steps=2000, eval_states=200):
     trained = 0
     while trained < train_steps:
         s = float(env_rng.random())
-        carry = agent.main.zero_carry()
+        carry = zero_carry(agent)
         a, _ = agent.act(s, carry)
         r = 0.9 if a == 0 else 0.1
         ns = float(env_rng.random())
-        agent.remember(ExperienceTuple(s, a, ns, r, carry))
+        agent.remember(ExperienceTuple(s, a, ns, r, carry, ALL))
         if agent.train() is not None:
             trained += 1
     hits = 0
     for _ in range(eval_states):
         s = float(env_rng.random())
-        a, _ = select_action(agent.main, s, agent.main.zero_carry(), 0.0, env_rng)
+        a, _ = select_action(agent.main, s, zero_carry(agent), 0.0, env_rng)
         hits += a == 0
     return hits / eval_states
 
@@ -338,9 +353,9 @@ class TestDeterminism:
             losses = []
             for _ in range(60):
                 s = float(env_rng.random())
-                carry = agent.main.zero_carry()
+                carry = zero_carry(agent)
                 a, _ = agent.act(s, carry)
-                agent.remember(ExperienceTuple(s, a, float(env_rng.random()), 0.5, carry))
+                agent.remember(ExperienceTuple(s, a, float(env_rng.random()), 0.5, carry, ALL))
                 loss = agent.train()
                 if loss is not None:
                     losses.append(loss)

@@ -26,17 +26,17 @@ def _assert_views_of(net, wx, wh, b, wq, bq):
 
 class TestFusedStorage:
     def test_init_draws_gates_in_key_order(self):
-        net = LstmNetwork(2, 3, 4, seed=11)
+        net = LstmNetwork(3, 4, seed=11)
         rng = make_rng(11)
         for gate in ("i", "f", "o", "g"):
-            assert np.array_equal(net.params[f"wx_{gate}"], rng.uniform(-0.1, 0.1, size=(2, 3)))
+            assert np.array_equal(net.params[f"wx_{gate}"], rng.uniform(-0.1, 0.1, size=(3,)))
             assert np.array_equal(net.params[f"wh_{gate}"], rng.uniform(-0.1, 0.1, size=(3, 3)))
             assert np.array_equal(net.params[f"b_{gate}"], rng.uniform(-0.1, 0.1, size=(3,)))
         assert np.array_equal(net.params["wq"], rng.uniform(-0.1, 0.1, size=(3, 4)))
         assert np.array_equal(net.params["bq"], rng.uniform(-0.1, 0.1, size=(4,)))
 
     def test_gate_views_write_through(self):
-        net = LstmNetwork(1, 3, 2, seed=1)
+        net = LstmNetwork(3, 2, seed=1)
         _assert_views_of(net, *net.arrays())
         net.params["wh_o"][:] = 7.0
         assert np.all(net.wh[:, 6:9] == 7.0)
@@ -45,7 +45,7 @@ class TestFusedStorage:
         assert np.all(net.params["b_f"] == -1.0)
 
     def test_clone_is_independent(self):
-        net = LstmNetwork(1, 3, 2, seed=1)
+        net = LstmNetwork(3, 2, seed=1)
         other = net.clone()
         _assert_views_of(other, *other.arrays())
         other.params["wx_i"][:] = 5.0
@@ -101,7 +101,7 @@ def test_stacked_step_matches_select_action(data):
 
     cqis = [0] * n
     for _ in range(ttis):
-        ref_carry = [agent.main.zero_carry() for agent in reference]
+        ref_carry = [(np.zeros(hidden), np.zeros(hidden)) for _ in reference]
         carry = stack.zero_carry()
         for _ in range(rbgs):
             states = [encode_state(c) for c in cqis]

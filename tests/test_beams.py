@@ -13,7 +13,6 @@ from mmwavesim.beams import (
     rbg_rate,
     sinr_to_cqi,
 )
-from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D
 from mmwavesim.seeding import make_rng
 from reference import array_response, xy
@@ -240,12 +239,6 @@ class TestSinr:
             ptx * gain(0.12) * pl / (noise + ptx * gain(-0.9) * pl)
         )
         assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_zero_distance_rejected(self):
-        cfg = AntennaConfig()
-        b = Beam(boresight=0.0, width=math.radians(20), members=(0,))
-        with pytest.raises(ConfigError):
-            compute_sinr(0.0, 0.0, b, [], cfg)
 
 
 class TestCqiAndRate:

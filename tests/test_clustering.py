@@ -237,10 +237,6 @@ class TestRunClustering:
         assert res.iterations == 1
         assert res.converged
 
-    def test_k_exceeding_points_is_config_error(self):
-        with pytest.raises(ConfigError):
-            run_clustering(xy([P(0, 0)]), ClusteringConfig(k=2, seed=0))
-
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             ClusteringConfig(k=0)

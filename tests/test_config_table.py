@@ -22,6 +22,9 @@ BY_NAME = {key.name: key for key in KEYS}
 FIELD_KEYS = [key for key in KEYS if key.path is not None]
 RANGED_KEYS = [key for key in FIELD_KEYS if key.range is not None]
 FLOAT_KEYS = [key for key in FIELD_KEYS if isinstance(key.default, float)]
+# the keys that size a run's arrays and loops
+SIZE_KEYS = ("n_ues", "n_beams", "rbg_count", "hidden_units", "n_antennas", "rbs_per_rbg",
+             "packet_size_bytes")
 
 EMPTY_CONFIG_TEXT = """\
 scenarios = kmeans_error,ukmeans_error,kmeans_exact
@@ -81,7 +84,7 @@ def in_range(key):
         return st.text(alphabet="abc/._-", max_size=12)
     if isinstance(default, int):
         lo = int(rng.lo) if rng.closed else int(rng.lo) + 1
-        return st.integers(min_value=lo, max_value=lo + 10**6)
+        return st.integers(min_value=lo, max_value=min(lo + 10**6, rng.hi))
     finite_lo, finite_hi = rng.lo > -math.inf, rng.hi < math.inf
     return st.floats(
         min_value=rng.lo if finite_lo else None,
@@ -108,6 +111,8 @@ def out_of_range(key):
     else:
         top = int(rng.lo) - 1 if rng.closed else int(rng.lo)
         options.append(st.integers(min_value=top - 10**6, max_value=top))
+        if rng.hi < math.inf:
+            options.append(st.integers(min_value=rng.hi + 1, max_value=rng.hi + 10**6))
     return st.one_of(options)
 
 
@@ -125,7 +130,7 @@ def config_values(draw):
     chosen = {key.name: draw(in_range(key)) for key in FIELD_KEYS if draw(st.booleans())}
     for small, big in (("n_clusters", "n_ues"), ("minibatch", "replay_capacity")):
         pair = [chosen.get(small, BY_NAME[small].default), chosen.get(big, BY_NAME[big].default)]
-        chosen[small], chosen[big] = min(pair), max(pair)
+        chosen[small], chosen[big] = min(pair), pair[1]
     load = chosen.get("load_bps", BY_NAME["load_bps"].default)
     chosen["load_bps"] = within_arrivals(load, chosen)
     if 1e-3 / chosen.get("tti_duration_s", 1.0) == math.inf:  # nothing to derive from
@@ -269,6 +274,23 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"{key} = {value}\n" for key in SIZE_KEYS
+         for value in (BY_NAME[key].range.hi + 1, 10**400)]
+        + [f"sweep_values = 2,{BY_NAME['n_beams'].range.hi + 1}\n"],
+        ids=lambda text: text.strip()[:24],
+    )
+    def test_oversized_key_exit_1_before_any_cell(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        key = text.split(" ")[0]
+        assert capsys.readouterr().err.count(f"line 1: {key}") == 2
 
     def test_seed_override_is_range_checked(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

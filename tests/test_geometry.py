@@ -121,22 +121,3 @@ class TestSamplePosition:
         for _ in range(20):
             assert sample_position(p, rng) == Point2D(1, 1)
 
-
-class TestValidation:
-    def test_non_finite_point_rejected(self):
-        with pytest.raises(ValueError):
-            Point2D(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            Point2D(0.0, float("inf"))
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            UniformDisk(Point2D(0, 0), -1.0)
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            SampleBased((Point2D(0, 0),), (0.5,))
-        with pytest.raises(ValueError):
-            SampleBased((Point2D(0, 0), Point2D(1, 1)), (1.2, -0.2))
-        with pytest.raises(ValueError):
-            SampleBased((), ())

@@ -38,11 +38,6 @@ def test_single_sample_not_applicable():
     assert math.isnan(hw)
 
 
-def test_empty_rejected():
-    with pytest.raises(ValueError):
-        confidence_interval([])
-
-
 def test_halfwidth_is_the_student_t_quantile_bit_for_bit():
     rng = np.random.default_rng(3)
     for n in range(2, 61):

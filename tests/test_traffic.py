@@ -65,11 +65,6 @@ class TestQueue:
         assert q.serve(250, 4) == [3, 2]  # the packets of TTIs 1 and 2
         assert q.head_of_line_delay(4) == 1  # the packet of TTI 3 is left
 
-    def test_negative_budget_rejected(self):
-        q = PacketQueue(256)
-        with pytest.raises(ConfigError):
-            q.serve(-1, 0)
-
 
 class TestHeadOfLineDelay:
     def test_empty_queue_floor(self):
