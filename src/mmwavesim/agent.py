@@ -50,6 +50,7 @@ __all__ = [
     "ReplayMemory",
     "DqnAgent",
     "AgentStack",
+    "DrawSource",
     "RolloutMemo",
     "ROLLOUT_MEMO_CAP",
     "encode_state",
@@ -395,7 +396,8 @@ class AgentStack:
 
     Each agent's `main` is rebound to views of its slice of the stack,
     so training through `train_step` updates the stack in place. The
-    agents must share hidden units and action count.
+    agents must share hidden units and action count. `draws[k]` is agent
+    k's `DrawSource` over its `action_rng`, which nothing else reads.
     """
 
     def __init__(self, agents: Sequence[DqnAgent]):
@@ -412,6 +414,7 @@ class AgentStack:
         # rounds the last columns of a gate differently whenever H is not
         # a multiple of the BLAS kernel's block.
         self._wh_gates = self.wh.reshape(n, h, 4, h).transpose(0, 2, 1, 3)
+        self.draws = [DrawSource(agent.action_rng.bit_generator) for agent in self.agents]
 
     def zero_carry(self):
         """(h, c) of every agent at the start of a TTI, each (N, H)."""
@@ -445,17 +448,55 @@ class AgentStack:
                 actions[k] = int(np.flatnonzero(mask[k])[0])
         return actions
 
-    def explore(self, greedy: list, feasible: Sequence[tuple]) -> list:
-        """`greedy` after exploration: agent k draws from its `action_rng` as in
-        `_epsilon_greedy` and, exploring, takes a uniform member of `feasible[k]`
-        (ascending). Returns `greedy` itself when no agent explores."""
-        actions = greedy
-        for k, agent in enumerate(self.agents):
-            epsilon, rng = agent.cfg.epsilon, agent.action_rng
-            if epsilon > 0.0 and rng.random() < epsilon:
-                pick = feasible[k][rng.integers(len(feasible[k]))]
-                actions = actions[:k] + [pick] + actions[k + 1 :]  # a copy: `greedy` is kept
-        return actions
+    def explorations(self, feasible: Sequence[tuple], rbgs: int) -> list:
+        """Per RBG of a TTI, {agent: action} of the agents that explore there: at
+        each of `rbgs` RBGs in turn, agent k draws as `_epsilon_greedy` does (no
+        draw at epsilon 0) and, exploring, takes a uniform member of `feasible[k]`."""
+        picks = [{} for _ in range(rbgs)]
+        for k, (agent, draws) in enumerate(zip(self.agents, self.draws)):
+            epsilon, members = agent.cfg.epsilon, feasible[k]
+            if epsilon == 0.0:
+                continue
+            random = draws.random  # bound once: 24 calls per TTI at the defaults
+            for row in picks:
+                if random() < epsilon:
+                    row[k] = members[draws.integers(len(members))]
+        return picks
+
+
+class DrawSource:
+    """The `random()` and `integers(n)`, 1 <= n < 2**32, of a `Generator` over
+    a fresh PCG64 bit generator, from raw draws read 128 at a time (the bit
+    generator's own state runs ahead). A double is the top 53 bits of a raw
+    draw; an integer is numpy's Lemire method (ACM TOMACS 2019) on 32-bit
+    halves, the high one kept for the next integer; n = 1 draws nothing."""
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self.bit_generator = bit_generator
+        self._half = None  # the unread high half of the last raw draw integers took
+        self._raws = []  # the raw draws not yet read, the next one last
+
+    def _refill(self) -> list:
+        self._raws = self.bit_generator.random_raw(128).tolist()[::-1]
+        return self._raws
+
+    def random(self) -> float:
+        return ((self._raws or self._refill()).pop() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        half, self._half = self._half, None
+        if half is None:
+            raw = (self._raws or self._refill()).pop()
+            half, self._half = raw & 0xFFFFFFFF, raw >> 32
+        return half
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        while m & 0xFFFFFFFF < (2**32 - n) % n:
+            m = self._uint32() * n  # Lemire's rejection: the low 32 bits fell short
+        return m >> 32
 
 
 # the most nodes one RolloutMemo keeps, each a 2NH-float carry and N actions and

@@ -89,6 +89,7 @@ MIN_GNB_DISTANCE_M = 1e-3
 
 # the most packets a UE may expect per TTI; numpy's Poisson draw fails near 9.2e18
 MAX_ARRIVALS_PER_TTI = 1e4
+ARRIVAL_BLOCK = 64  # the steps whose arrivals are drawn at once, per UE
 
 
 class Scenario(Enum):
@@ -336,8 +337,9 @@ class ScenarioRun:
     are identical to the full run under the same seed: random streams
     are stream-separated).
 
-    `step` is meant for the TTIs 0 .. tti_count - 1: experiences that no
-    training sample in that range can read are not pushed to replay.
+    `step` is meant for the TTIs 0 .. tti_count - 1: arrivals and exploration
+    are drawn per `step` call, in call order, and experiences that no training
+    sample in that range can read are not pushed to replay.
     """
 
     def __init__(
@@ -371,6 +373,7 @@ class ScenarioRun:
         self.spreads = [0.0] * cfg.n_ues
         self.classes = [UserClass.URLLC if u % 2 == 0 else UserClass.EMBB for u in range(cfg.n_ues)]
         self.queues = [PacketQueue(8 * cfg.packet_size_bytes) for _ in range(cfg.n_ues)]
+        self._arrival_rows = []  # per coming step, its arrivals per UE (see `_arrivals`)
         for u in range(cfg.n_ues):
             self._place(u, self._random_position())
 
@@ -413,9 +416,12 @@ class ScenarioRun:
             self.believed_xy[u] = center.x, center.y
 
     def _arrivals(self, t: int) -> None:
-        mean = self.cfg.arrivals_per_tti
-        for queue, rng in zip(self.queues, self.traffic_rngs):
-            for _ in range(generate_arrivals(mean, rng)):
+        if not self._arrival_rows:
+            mean = self.cfg.arrivals_per_tti
+            block = [generate_arrivals(mean, rng, ARRIVAL_BLOCK) for rng in self.traffic_rngs]
+            self._arrival_rows = np.array(block).T.tolist()[::-1]  # the next row last
+        for queue, count in zip(self.queues, self._arrival_rows.pop()):
+            for _ in range(count):
                 queue.push(t)
 
     def _mobility(self, t: int) -> bool:
@@ -513,15 +519,15 @@ class ScenarioRun:
 
         All agents advance together, one RBG per step of the geometry's
         `RolloutMemo` (which runs `AgentStack.forward` and `greedy` only for
-        states not seen since the weights last changed) and one
-        `AgentStack.explore`. The links are fixed by the geometry and the
-        head-of-line delay cannot change before service, so each (beam,
-        member)'s reward is computed once. Budgets, rewards and
-        experiences are then accumulated beam by beam, RBG by RBG, so
-        every float sum and replay order is that of scheduling one beam
-        after the other; only the experiences a replay sample can read
-        are built (see `_first_replayed`). Returns the per-UE bit budgets,
-        the per-beam allocations and the rewards in that order.
+        states not seen since the weights last changed), with every RBG's
+        explorers drawn at once by `AgentStack.explorations`. The links are
+        fixed by the geometry and the head-of-line delay cannot change
+        before service, so each (beam, member)'s reward is computed once.
+        Budgets, rewards and experiences are then accumulated beam by beam,
+        RBG by RBG, so every float sum and replay order is that of
+        scheduling one beam after the other; only the experiences a replay
+        sample can read are built (see `_first_replayed`). Returns the
+        per-UE bit budgets, the per-beam allocations and the rewards.
         """
         cfg = self.cfg
         rewards = []
@@ -535,11 +541,13 @@ class ScenarioRun:
         first_states = tuple(encode_state(agent.last_cqi) for agent in self.agents)
         states, node = first_states, geo.memo.root
         steps = []  # per RBG: the actions and the carry they were picked in
-        for _ in range(cfg.rbg_count):
+        for picks in self.stack.explorations(geo.feasible, cfg.rbg_count):
             child = geo.memo.step(node, states)
-            actions = self.stack.explore(child.greedy, geo.feasible)
+            actions, states = child.greedy, child.greedy_states
+            if picks:  # a new list: the node keeps its greedy one
+                actions = [picks.get(k, a) for k, a in enumerate(actions)]
+                states = geo.memo.states(actions)
             steps.append((actions, node.carry))
-            states = child.greedy_states if actions is child.greedy else geo.memo.states(actions)
             node = child
 
         budgets = {}

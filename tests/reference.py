@@ -2,8 +2,9 @@
 against: the explicit ULA response vector behind the closed-form beam
 gain, per-point PDF sampling and rigid translation, the point-list forms
 of the k-means and UK-means assign/update steps, and the composed
-epsilon-greedy decision of an `AgentStack`. `xy` turns a `Point2D` list
-into the (N, 2) array that clustering, beam forming and coverage take."""
+epsilon-greedy decision of an `AgentStack` at one RBG. `xy` turns a
+`Point2D` list into the (N, 2) array that clustering, beam forming and
+coverage take, and `next_draws` compares two places in a random stream."""
 
 from __future__ import annotations
 
@@ -86,6 +87,14 @@ def ukmeans_update(upoints: Sequence[UncertainPoint], labels, k: int):
 
 
 def decide(stack: AgentStack, q: np.ndarray, mask: np.ndarray) -> list:
-    """Every agent's epsilon-greedy action, as `select_action` draws it."""
+    """Every agent's epsilon-greedy action at one RBG, as `select_action` draws it."""
     feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
-    return stack.explore(stack.greedy(q, mask), feasible)
+    (picks,) = stack.explorations(feasible, 1)
+    return [picks.get(k, a) for k, a in enumerate(stack.greedy(q, mask))]
+
+
+def next_draws(source) -> list:
+    """The next 64 `random()` and then 64 `integers(7)` of a `DrawSource` or a
+    `Generator`: two sources at the same place in one stream give equal lists,
+    and one draw more or less on either side makes them differ."""
+    return [source.random() for _ in range(64)] + [int(source.integers(7)) for _ in range(64)]

@@ -15,7 +15,7 @@ from mmwavesim.agent import (
     select_action,
 )
 from mmwavesim.seeding import derive_seed, make_rng
-from reference import decide
+from reference import next_draws
 
 
 def _assert_views_of(net, wx, wh, b, wq, bq):
@@ -79,9 +79,10 @@ def _config(actions, hidden, epsilon, seed):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_stacked_step_matches_select_action(data):
-    # one engine-shaped episode: per TTI the carry restarts, every agent
-    # picks once per RBG under its mask, the next state comes from a CQI
-    # table indexed by the action, and each agent trains between TTIs
+    # one engine-shaped episode: per TTI the carry restarts, the exploration
+    # of all its RBGs is drawn at once, every agent picks once per RBG under
+    # its mask, the next state comes from a CQI table indexed by the action,
+    # and each agent trains between TTIs
     n = data.draw(st.integers(1, 4), label="agents")
     hidden = data.draw(st.integers(1, 24), label="hidden")
     actions = data.draw(st.integers(1, 8), label="ues")
@@ -98,15 +99,16 @@ def test_stacked_step_matches_select_action(data):
     agents = [DqnAgent(_config(actions, hidden, epsilon, derive_seed(seed, k))) for k in range(n)]
     stack = AgentStack(agents)
     mask = np.array(masks, dtype=bool)
+    feasible = [tuple(np.flatnonzero(row).tolist()) for row in masks]
 
     cqis = [0] * n
     for _ in range(ttis):
         ref_carry = [(np.zeros(hidden), np.zeros(hidden)) for _ in reference]
         carry = stack.zero_carry()
-        for _ in range(rbgs):
+        for picks in stack.explorations(feasible, rbgs):
             states = [encode_state(c) for c in cqis]
             q, new_carry = stack.forward(np.asarray(states, dtype=float).reshape(n, 1), carry)
-            picked = decide(stack, q, mask)
+            picked = [picks.get(k, a) for k, a in enumerate(stack.greedy(q, mask))]
             for k, agent in enumerate(reference):
                 q_ref, _ = lstm_forward(agent.main, [states[k]], ref_carry[k])
                 a_ref, ref_next = select_action(
@@ -137,7 +139,7 @@ def test_stacked_step_matches_select_action(data):
         for agent, mine in zip(reference, agents):
             assert agent.train() == mine.train()
 
-    for agent, mine in zip(reference, agents):
-        assert agent.action_rng.bit_generator.state == mine.action_rng.bit_generator.state
+    for agent, draws, mine in zip(reference, stack.draws, agents):
+        assert next_draws(agent.action_rng) == next_draws(draws)
         for key in agent.main.params:
             assert np.array_equal(agent.main.params[key], mine.main.params[key])

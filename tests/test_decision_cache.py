@@ -1,7 +1,7 @@
 """The scheduling stage's decision split: `AgentStack.greedy`, computed once
-per rollout-memo node, and `AgentStack.explore`, drawn at every RBG, against
-`decide` and `_epsilon_greedy`; and the per-TTI mean delay, an int sum over
-its count, against `np.mean`."""
+per rollout-memo node, and `AgentStack.explorations`, drawn once per TTI for
+all its RBGs, against `decide` and `_epsilon_greedy`; and the per-TTI mean
+delay, an int sum over its count, against `np.mean`."""
 
 import math
 
@@ -14,7 +14,7 @@ from mmwavesim import agent as agent_module
 from mmwavesim.agent import AgentConfig, AgentStack, DqnAgent, _epsilon_greedy
 from mmwavesim.engine import ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
-from reference import decide
+from reference import decide, next_draws
 
 # Q entries that give ties, NaN and both infinities
 Q_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats(-2.0, 2.0)
@@ -32,15 +32,17 @@ def mask_rows(draw, actions):
 
 @st.composite
 def decisions(draw):
+    """Agents, their epsilons and TTIs, each a mask and the Q-rows of its RBGs."""
     n = draw(st.integers(1, 4))
     actions = draw(st.integers(1, 8))
     epsilons = [draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])) for _ in range(n)]
-    rounds = []
-    for _ in range(draw(st.integers(1, 5))):
-        q = [draw(st.lists(Q_ENTRIES, min_size=actions, max_size=actions)) for _ in range(n)]
-        mask = [draw(mask_rows(actions)) for _ in range(n)]
-        rounds.append((np.array(q), np.array(mask)))
-    return actions, epsilons, rounds, draw(st.integers(0, 2**32 - 1))
+    ttis = []
+    for _ in range(draw(st.integers(1, 3))):
+        mask = np.array([draw(mask_rows(actions)) for _ in range(n)])
+        rows = st.lists(Q_ENTRIES, min_size=actions, max_size=actions)
+        qs = [np.array([draw(rows) for _ in range(n)]) for _ in range(draw(st.integers(1, 5)))]
+        ttis.append((mask, qs))
+    return actions, epsilons, ttis, draw(st.integers(0, 2**32 - 1))
 
 
 def _agents(actions, epsilons, seed):
@@ -54,34 +56,59 @@ class TestGreedyThenExplore:
     @settings(max_examples=300, deadline=None)
     @given(case=decisions())
     def test_equals_decide_and_epsilon_greedy(self, case):
-        actions, epsilons, rounds, seed = case
+        actions, epsilons, ttis, seed = case
         split = AgentStack(_agents(actions, epsilons, seed))
         whole = AgentStack(_agents(actions, epsilons, seed))
         by_row = _agents(actions, epsilons, seed)
-        for q, mask in rounds:
+        for mask, qs in ttis:
             feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
-            greedy = split.greedy(q, mask)
-            picked = split.explore(greedy, feasible)
-            assert picked == decide(whole, q, mask)
-            for k, eps in enumerate(epsilons):
-                ref = _epsilon_greedy(q[k], np.flatnonzero(mask[k]), eps, by_row[k].action_rng)
-                assert picked[k] == ref
-                assert greedy[k] == _epsilon_greedy(q[k], np.flatnonzero(mask[k]), 0.0, None)
-                assert type(picked[k]) is int and mask[k, picked[k]]
-            if not any(epsilons):
-                assert picked is greedy
-            elif 1.0 in epsilons:
-                assert picked is not greedy
-        for a, b, c in zip(split.agents, whole.agents, by_row):
-            state = a.action_rng.bit_generator.state
-            assert state == b.action_rng.bit_generator.state == c.action_rng.bit_generator.state
+            explored = split.explorations(feasible, len(qs))
+            assert len(explored) == len(qs)
+            for q, picks in zip(qs, explored):
+                greedy = split.greedy(q, mask)
+                picked = [picks.get(k, a) for k, a in enumerate(greedy)]
+                assert picked == decide(whole, q, mask)
+                for k, eps in enumerate(epsilons):
+                    ref = _epsilon_greedy(q[k], np.flatnonzero(mask[k]), eps, by_row[k].action_rng)
+                    assert picked[k] == ref
+                    assert greedy[k] == _epsilon_greedy(q[k], np.flatnonzero(mask[k]), 0.0, None)
+                    assert type(picked[k]) is int and mask[k, picked[k]]
+                # every agent at epsilon 1 explores, and none at epsilon 0
+                assert {k for k, eps in enumerate(epsilons) if eps == 1.0} <= picks.keys()
+                assert not any(epsilons[k] == 0.0 for k in picks)
+        for a, b, c in zip(split.draws, whole.draws, by_row):
+            assert next_draws(a) == next_draws(b) == next_draws(c.action_rng)
 
     def test_exploring_leaves_the_greedy_list_alone(self):
-        stack = AgentStack(_agents(3, [1.0, 1.0], seed=7))
-        greedy = [0, 1]
-        picked = stack.explore(greedy, [(0, 1, 2), (1, 2)])
-        assert greedy == [0, 1]
-        assert picked is not greedy
+        # every agent explores at every RBG, yet each memo node still holds the
+        # greedy actions of its own Q-rows and the states they lead to
+        cfg = ScenarioConfig(
+            n_ues=6,
+            n_clusters=2,
+            n_beams=2,
+            rbg_count=4,
+            hidden_units=4,
+            epsilon=1.0,
+            tti_count=12,
+            move_interval_ttis=100,
+            train_interval_ttis=100,
+            runs=1,
+        )
+        run = ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0))
+        for t in range(cfg.tti_count):
+            run.step(t)
+        memo, stack = run.geometry.memo, run.stack
+        assert max(map(len, run.geometry.feasible)) > 1
+        nodes, checked = [memo.root], 0
+        while nodes:
+            node = nodes.pop()
+            for key, child in node.children.items():
+                q, _ = stack.forward(np.asarray(key, dtype=float).reshape(-1, 1), node.carry)
+                assert child.greedy == stack.greedy(q, memo.mask)
+                assert child.greedy_states == memo.states(child.greedy)
+                nodes.append(child)
+                checked += 1
+        assert checked > cfg.rbg_count
 
 
 def test_default_run_decides_greedily_once_per_forward(monkeypatch):

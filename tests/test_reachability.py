@@ -79,6 +79,12 @@ ALLOWED = {
         "actions[k] = int(np.flatnonzero(mask[k])[0])",
     ),
     **_allow(
+        "agent.DrawSource.integers",
+        "Lemire's rejection runs with probability below n / 2**32 per draw, and n <= "
+        "n_ues <= 1000; tests/test_draw_source.py runs it at n >= 2**31",
+        "m = self._uint32() * n  # Lemire's rejection: the low 32 bits fell short",
+    ),
+    **_allow(
         "agent.ReplayMemory.__len__",
         "tests read the replay length (eviction)",
         "return len(self._buf)",
@@ -181,9 +187,11 @@ CHILD = textwrap.dedent(
           "cluster_init = random_points\\nscenarios = kmeans_error\\n"
           f"sweep_variable = load_bps\\nsweep_values = 1e6,4e6\\nposition_trace_csv = {trace}\\n"),
           "--out", outdir("trace"), "--jobs", "1"], 0),
-        # one run, no traffic, and a replay memory still short of a minibatch when training starts
-        (["run", "--config", write("idle.cfg", "runs = 1\\nload_bps = 0\\nn_ues = 4\\n"
-          "hidden_units = 4\\nrbg_count = 2\\ntrain_interval_ttis = 5\\ntti_count = 12\\n"),
+        # one run, no traffic, no exploration, and a replay memory still short of a
+        # minibatch when training starts
+        (["run", "--config", write("idle.cfg", "runs = 1\\nload_bps = 0\\nepsilon = 0\\n"
+          "n_ues = 4\\nhidden_units = 4\\nrbg_count = 2\\ntrain_interval_ttis = 5\\n"
+          "tti_count = 12\\n"),
           "--out", outdir("idle"), "--jobs", "1", "--seed", "3"], 0),
         (["run", "--config", write("pool.cfg", TINY + "scenarios = kmeans_error,kmeans_exact\\n"),
           "--out", blocked("pool"), "--jobs", "2"], 2),

@@ -23,7 +23,7 @@ from mmwavesim.agent import (
 )
 from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
-from reference import decide
+from reference import decide, next_draws
 
 
 class Recorded(ScenarioRun):
@@ -310,9 +310,8 @@ class TestDecide:
                 )
                 assert picked[k] == a
                 assert mask[k, picked[k]]
-        for agent, a, b in zip(mine, by_row, by_select):
-            state = agent.action_rng.bit_generator.state
-            assert state == a.action_rng.bit_generator.state == b.action_rng.bit_generator.state
+        for draws, a, b in zip(stack.draws, by_row, by_select):
+            assert next_draws(draws) == next_draws(a.action_rng) == next_draws(b.action_rng)
 
     @pytest.mark.parametrize(
         "row, mask, want",

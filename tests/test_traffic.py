@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmwavesim.engine import ScenarioConfig
+from mmwavesim.engine import ARRIVAL_BLOCK, ScenarioConfig, ScenarioRun
 from mmwavesim.errors import ConfigError
-from mmwavesim.seeding import make_rng
+from mmwavesim.seeding import derive_seed, make_rng
 from mmwavesim.traffic import PacketQueue, generate_arrivals
 
 
@@ -17,23 +19,66 @@ class TestArrivals:
         rng = make_rng(0)
         state = rng.bit_generator.state
         assert ScenarioConfig(load_bps=0.0).arrivals_per_tti == 0.0
-        assert all(generate_arrivals(0.0, rng) == 0 for _ in range(1000))
+        assert generate_arrivals(0.0, rng, 1000).tolist() == [0] * 1000
         assert rng.bit_generator.state == state  # no draw at zero load
 
     def test_empirical_mean_matches_rate(self):
         mean = ScenarioConfig(load_bps=4e6).arrivals_per_tti
         rng = make_rng(7)
         n = 1_000_000
-        total = sum(generate_arrivals(mean, rng) for _ in range(n))
+        total = int(generate_arrivals(mean, rng, n).sum())
         assert abs(total / n - mean) / mean < 0.01
 
     def test_determinism_under_seed(self):
         mean = ScenarioConfig(load_bps=2e6).arrivals_per_tti
         rng1 = make_rng(42)
-        seq1 = [generate_arrivals(mean, rng1) for _ in range(200)]
+        seq1 = [generate_arrivals(mean, rng1, 50).tolist() for _ in range(4)]
         rng2 = make_rng(42)
-        seq2 = [generate_arrivals(mean, rng2) for _ in range(200)]
+        seq2 = [generate_arrivals(mean, rng2, 50).tolist() for _ in range(4)]
         assert seq1 == seq2
+
+
+# either side of numpy's switch from multiplication to PTRS at mean 10
+MEANS = [0.0, 1e-3, 1.953125, 9.99, 10.0, 1e4]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mean=st.sampled_from(MEANS),
+    counts=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_block_equals_scalar_draws(mean, counts, seed):
+    """Consecutive blocks give the scalar `poisson(mean)` draws in turn, and
+    leave the generator where those draws leave it; mean 0 draws nothing."""
+    block_rng, scalar_rng = make_rng(seed), make_rng(seed)
+    state = block_rng.bit_generator.state
+    for count in counts:
+        got = generate_arrivals(mean, block_rng, count)
+        want = [int(scalar_rng.poisson(mean)) for _ in range(count)]
+        assert got.tolist() == want
+    assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+    if mean == 0.0:
+        assert block_rng.bit_generator.state == state
+
+
+def test_run_takes_one_row_per_step_in_call_order():
+    """Each `_arrivals` call queues the next scalar draw of every UE's traffic
+    generator, stamped with the TTI it is given, across block boundaries and
+    whatever that TTI is."""
+    cfg = ScenarioConfig(n_ues=3, load_bps=8e6, runs=1)
+    seed = derive_seed(cfg.master_seed, 0)
+    run = ScenarioRun(cfg, run_seed=seed)
+    rngs = [make_rng(derive_seed(seed, 100 + u)) for u in range(cfg.n_ues)]
+    ttis = [7] * 3 + list(range(2 * ARRIVAL_BLOCK + 5, 0, -1))
+    for t in ttis:
+        before = [q.arrivals_total for q in run.queues]
+        run._arrivals(t)
+        for u, queue in enumerate(run.queues):
+            count = int(rngs[u].poisson(cfg.arrivals_per_tti))
+            assert queue.arrivals_total - before[u] == count
+            assert list(queue._arrival_ttis)[len(queue) - count :] == [t] * count
+    assert sum(q.arrivals_total for q in run.queues) > len(ttis)
 
 
 class TestQueue:
@@ -86,8 +131,8 @@ def test_conservation_over_random_run():
     rng = make_rng(5)
     serve_rng = make_rng(6)
     q = PacketQueue(8 * cfg.packet_size_bytes)
-    for t in range(2000):
-        for _ in range(generate_arrivals(cfg.arrivals_per_tti, rng)):
+    for t, count in enumerate(generate_arrivals(cfg.arrivals_per_tti, rng, 2000)):
+        for _ in range(count):
             q.push(t)
         q.serve(float(serve_rng.integers(0, 2000)), t)
         assert q.arrivals_total == q.delivered_packets + len(q)
