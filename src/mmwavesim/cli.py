@@ -32,7 +32,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .fields import fmt
-from .geometry import Point2D, UncertainPoint, UniformDisk, expected_sq_distance, mc_expected_sq_distance
+from .geometry import Point2D, UniformDisk, expected_sq_distance, mc_expected_sq_distance
 from .seeding import make_rng
 
 # the Monte Carlo oracle holds about 48 bytes per sample at its peak
@@ -154,12 +154,10 @@ def _cmd_oracle_mc_distance(args) -> int:
         raise ConfigError("--center and --point must be finite")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    point = UncertainPoint(
-        pdf=UniformDisk(Point2D(args.center[0], args.center[1]), args.radius)
-    )
+    disk = UniformDisk(Point2D(args.center[0], args.center[1]), args.radius)
     target = Point2D(args.point[0], args.point[1])
-    closed = expected_sq_distance(point, target)
-    estimate = mc_expected_sq_distance(point, target, args.samples, make_rng(args.seed))
+    closed = expected_sq_distance(disk, target)
+    estimate = mc_expected_sq_distance(disk, target, args.samples, make_rng(args.seed))
     rel = abs(closed - estimate) / closed if closed else abs(estimate)
     print(f"closed_form = {closed!r}")
     print(f"monte_carlo = {estimate!r}  (n={args.samples}, seed={args.seed})")

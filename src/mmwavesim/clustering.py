@@ -6,10 +6,11 @@ its members, repeat until the centers stop moving.
 
 Because E||x - c||^2 = ||mu - c||^2 + spread with a spread term that
 does not depend on the candidate center, the uncertain (expected-distance)
-variant is the exact loop run on the PDF means, `geometry.moments`, with
-the total spread added to the objective. In particular, points whose
-PDFs are symmetric disks centered on the reported location produce
-exactly the same label sequence as exact clustering of those centers.
+variant is the exact loop run on the PDF means with the total spread
+added to the objective (`engine.inject_error` draws each report as its
+position, mean and spread). In particular, points whose PDFs are
+symmetric disks centered on the reported location produce exactly the
+same label sequence as exact clustering of those centers.
 """
 
 from __future__ import annotations
@@ -120,11 +121,11 @@ def run_clustering(
     """Alternate assign/update until centers move less than epsilon.
 
     `points` is an (N, 2) array: exact positions, or the PDF means of
-    uncertain ones with their total `spread` (both from
-    `geometry.moments`). The result is fully determined by (points, cfg,
-    initial_centers, spread). The reported objective is the sum over
-    points of the (expected) squared distance to the assigned center and
-    is non-increasing across iterations.
+    uncertain ones with their total `spread` (the sum of the spreads
+    `engine.inject_error` returns). The result is fully determined by
+    (points, cfg, initial_centers, spread). The reported objective is the
+    sum over points of the (expected) squared distance to the assigned
+    center and is non-increasing across iterations.
     """
     mus = np.asarray(points, dtype=float)
     n = len(mus)

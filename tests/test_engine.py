@@ -9,17 +9,18 @@ from mmwavesim.engine import (
     Scenario,
     ScenarioConfig,
     ScenarioRun,
-    inject_error,
     load_position_trace,
     mean_coverage,
-    reported_center,
     run_scenario,
     write_per_tti_csv,
     write_summary_csv,
 )
 from mmwavesim.errors import ConfigError
-from mmwavesim.geometry import Point2D, SampleBased, UniformDisk, expected_position, uniform_disk_point
+from mmwavesim.geometry import Point2D, UniformDisk, uniform_disk_point
 from mmwavesim.seeding import derive_seed, make_rng
+from reference import SampleBased, expected_position, reported_center
+from reference import report_pdf as inject_error
+from test_schedule_stage import Recorded
 
 
 def micro_cfg(**overrides):
@@ -47,24 +48,26 @@ def make_run(cfg, **kwargs):
     return ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0), run_index=0, **kwargs)
 
 
-class Scheduled(ScenarioRun):
-    """Keeps the scheduling stage's output of the last TTI: the per-UE bit
-    budgets, the per-beam allocations and the rewards."""
+class Scheduled(Recorded):
+    """Keeps the scheduling stage's output of the last TTI as attributes: the
+    per-UE bit budgets, the per-beam allocations and the rewards."""
 
     def _schedule(self, t, geo):
-        self.budgets, self.allocations, self.rewards = super()._schedule(t, geo)
-        return self.budgets, self.allocations, self.rewards
+        scheduled = super()._schedule(t, geo)
+        self.budgets, self.allocations, self.rewards = self.scheduled
+        return scheduled
 
 
 class FirstBeamServed(ScenarioRun):
     """Serves only beam 0's RBGs; every beam still schedules and learns."""
 
     def _schedule(self, t, geo):
-        _, allocations, rewards = super()._schedule(t, geo)
+        _, actions = super()._schedule(t, geo)
         budgets = {}
-        for action in allocations[0]:  # in RBG order, as `_schedule` sums them
+        for rbg_actions in actions:  # in RBG order, as `_schedule` sums them
+            action = rbg_actions[0]
             budgets[action] = budgets.get(action, 0.0) + geo.links[0][action].bits
-        return budgets, allocations, rewards
+        return budgets, actions
 
 
 class ZeroFirst:

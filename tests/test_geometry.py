@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from mmwavesim.geometry import (
-    Point2D,
+from mmwavesim.geometry import Point2D, UniformDisk, sq_distance
+from mmwavesim.seeding import make_rng
+from reference import (
     SampleBased,
     UncertainPoint,
-    UniformDisk,
     expected_position,
     expected_sq_distance,
     mc_expected_sq_distance,
-    sq_distance,
+    sample_position,
+    translate,
 )
-from mmwavesim.seeding import make_rng
-from reference import sample_position, translate
 
 
 def disk(x, y, r):

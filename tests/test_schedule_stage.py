@@ -28,11 +28,19 @@ from reference import decide, next_draws
 
 class Recorded(ScenarioRun):
     """Keeps the scheduling stage's output of the last TTI: the per-UE bit
-    budgets, the per-beam allocations and the rewards."""
+    budgets, the per-beam allocations (the per-RBG actions transposed) and
+    the rewards of the allocated RBGs, beam by beam."""
+
+    def _rewards(self, t, geo):
+        self.reward_table = super()._rewards(t, geo)
+        return self.reward_table
 
     def _schedule(self, t, geo):
-        self.scheduled = super()._schedule(t, geo)
-        return self.scheduled
+        budgets, actions = super()._schedule(t, geo)
+        allocations = [list(alloc) for alloc in zip(*actions)]
+        seen = [self.reward_table[b][a] for b, alloc in enumerate(allocations) for a in alloc]
+        self.scheduled = budgets, allocations, seen
+        return budgets, actions
 
 
 class Mirror(ScenarioRun):
@@ -40,7 +48,7 @@ class Mirror(ScenarioRun):
     `AgentStack.forward` and `decide` per RBG from a zero carry, every
     experience pushed."""
 
-    def _schedule(self, t, geo):
+    def _rewards(self, t, geo):
         cfg = self.cfg
         rewards = []
         for table in geo.links:
@@ -49,6 +57,11 @@ class Mirror(ScenarioRun):
                 delay_ratio = cfg.qos_latency_ttis / self.queues[uid].head_of_line_delay(t)
                 row[uid] = reward(self.classes[uid], link.sinr_ratio, delay_ratio)
             rewards.append(row)
+        return rewards
+
+    def _schedule(self, t, geo):
+        cfg = self.cfg
+        rewards = self._rewards(t, geo)
         first_states = [encode_state(agent.last_cqi) for agent in self.agents]
         states, carry = first_states, self.stack.zero_carry()
         steps = []
@@ -59,10 +72,9 @@ class Mirror(ScenarioRun):
             steps.append((actions, carry))
             states = [geo.links[b][a].next_state for b, a in enumerate(actions)]
             carry = next_carry
-        budgets, allocations, rewards_seen = {}, [], []
+        budgets = {}
         for b, agent in enumerate(self.agents):
             state = first_states[b]
-            beam_alloc = []
             for actions, (h, c) in steps:
                 action = actions[b]
                 link, r = geo.links[b][action], rewards[b][action]
@@ -70,12 +82,9 @@ class Mirror(ScenarioRun):
                 agent.remember(
                     ExperienceTuple(state, action, link.next_state, r, (h[b], c[b]), geo.masks[b])
                 )
-                rewards_seen.append(r)
-                beam_alloc.append(action)
                 state = link.next_state
             agent.last_cqi = link.cqi
-            allocations.append(beam_alloc)
-        return budgets, allocations, rewards_seen
+        return budgets, [actions for actions, _ in steps]
 
 
 class RecordedMirror(Recorded, Mirror):
