@@ -21,10 +21,10 @@ builds only the replay experiences that a training sample can read.
 
 Scenarios differ only in the (N, 2) array the clustering step consumes:
 the true positions, the distorted reported positions, or the means of
-the reported uncertainty PDFs, whose spread (expected-distance
-clustering) shifts only the objective. A report is three floats, drawn
-by `inject_error`: the reported position, the PDF mean and its spread;
-no PDF object is built.
+the reported uncertainty PDFs (expected-distance clustering is the same
+loop on the means; see `clustering`). A report is two points, drawn by
+`inject_error`: the reported position and the PDF mean; no PDF object
+is built.
 """
 
 from __future__ import annotations
@@ -234,13 +234,13 @@ def inject_error(
     informative: bool = False,
 ) -> tuple:
     """Distort a true position into a report: returns the reported
-    position, the mean of the report's uncertainty PDF and its spread
-    E||x - mean||^2, as ((x, y), (x, y), spread) floats.
+    position and the mean of the report's uncertainty PDF, as
+    ((x, y), (x, y)) floats.
 
     Disk mode: the reported center is the true position plus an offset
     drawn uniformly in a disk of radius R = rmse * sqrt(2), so the
     expected squared offset is R^2/2 = rmse^2; the PDF is that disk
-    around the reported center, with mean the center and spread R^2/2.
+    around the reported center, with mean the center.
 
     Informative mode (two-mode fixture): a ghost displacement g of
     magnitude rmse * sqrt(2) and uniform direction is drawn; with
@@ -249,8 +249,8 @@ def inject_error(
     position is one of the two modes, and the empirical RMSE of the
     report is again rmse. Exact clustering of the report ignores the
     ghost mode; expected-distance clustering of the mean exploits it.
-    The mean and spread are the weighted sums over the two hypotheses,
-    summed from 0 in that order (so a mean of two -0.0 terms is 0.0).
+    The mean is the weighted sum over the two hypotheses, summed from 0
+    in that order (so a mean of two -0.0 terms is 0.0).
 
     Both modes consume the same number of random draws, so scenarios
     sharing a seed see identical movement regardless of the mode.
@@ -258,7 +258,7 @@ def inject_error(
     r_err = error_rmse_m * math.sqrt(2.0)
     if not informative:
         c = uniform_disk_point(rng, r_err, pos)
-        return (c.x, c.y), (c.x, c.y), 0.5 * r_err * r_err
+        return (c.x, c.y), (c.x, c.y)
     ghosted = rng.random() < 0.5
     theta = rng.random() * 2.0 * math.pi
     gx = r_err * math.cos(theta)
@@ -267,9 +267,7 @@ def inject_error(
     ax, ay = rx - gx, ry - gy
     mx = 0.0 + 0.5 * rx + 0.5 * ax
     my = 0.0 + 0.5 * ry + 0.5 * ay
-    drx, dry, dax, day = rx - mx, ry - my, ax - mx, ay - my
-    spread = 0.5 * (drx * drx + dry * dry) + 0.5 * (dax * dax + day * day)
-    return (rx, ry), (mx, my), spread
+    return (rx, ry), (mx, my)
 
 
 def load_position_trace(path):
@@ -365,11 +363,10 @@ class ScenarioRun:
         self.traffic_rngs = [make_rng(derive_seed(run_seed, 100 + u)) for u in range(cfg.n_ues)]
 
         # per UE, by id: the true position, the position this scenario
-        # clusters and its spread (see `_place`), the class and the queue
+        # clusters (see `_place`), the class and the queue
         self.true_xy = np.empty((cfg.n_ues, 2))
         exact = cfg.scenario is Scenario.KMEANS_EXACT
         self.believed_xy = self.true_xy if exact else np.empty((cfg.n_ues, 2))
-        self.spreads = [0.0] * cfg.n_ues
         self.classes = [UserClass.URLLC if u % 2 == 0 else UserClass.EMBB for u in range(cfg.n_ues)]
         self.queues = [PacketQueue(8 * cfg.packet_size_bytes) for _ in range(cfg.n_ues)]
         self._arrival_rows = []  # per coming step, its arrivals per UE (see `_arrivals`)
@@ -400,20 +397,15 @@ class ScenarioRun:
     def _place(self, u: int, pos: Point2D) -> None:
         """Move UE u to `pos` and, unless this scenario clusters the true
         position (`believed_xy` is `true_xy`), draw its report. The row
-        then clustered is the reported position, or the PDF mean with the
-        PDF's spread."""
+        then clustered is the reported position, or the PDF mean."""
         self.true_xy[u] = pos.x, pos.y
         if self.believed_xy is self.true_xy:
             return
         cfg = self.cfg
-        reported, mean, spread = inject_error(
+        reported, mean = inject_error(
             pos, cfg.error_rmse_m, self.error_rng, informative=cfg.informative_pdf
         )
-        if cfg.scenario is Scenario.UKMEANS_ERROR:
-            self.believed_xy[u] = mean
-            self.spreads[u] = spread
-        else:
-            self.believed_xy[u] = reported
+        self.believed_xy[u] = mean if cfg.scenario is Scenario.UKMEANS_ERROR else reported
 
     def _arrivals(self, t: int) -> None:
         if not self._arrival_rows:
@@ -452,9 +444,7 @@ class ScenarioRun:
         if self._fixed_point and not moved:
             return self.geometry
         cfg = self.cfg
-        result = run_clustering(
-            self.believed_xy, self.clustering, self.prev_centers, spread=sum(self.spreads)
-        )
+        result = run_clustering(self.believed_xy, self.clustering, self.prev_centers)
         self._fixed_point = result.centers == self.prev_centers
         self.prev_centers = result.centers
         beams = form_beams(

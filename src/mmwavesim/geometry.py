@@ -1,14 +1,14 @@
 """Planar positions and the uniform-disk localization uncertainty.
 
 A reported position is known only through a probability density over
-the plane. The clustering math only ever needs two things of it: the
-mean position and the expected squared distance to an arbitrary point.
-For any density with mean mu the latter decomposes as
+the plane. The clustering math needs only its mean: for any density
+with mean mu, the expected squared distance to a point c decomposes as
 
     E||x - c||^2 = ||mu - c||^2 + E||x - mu||^2
 
-where the second term (the spread) does not depend on c, so a report
-is three floats: the reported position, the mean and the spread
+where the second term (the spread) does not depend on c. So clustering
+by expected distance picks the same centers as clustering the means,
+and a report is two points: the reported position and the mean
 (`engine.inject_error`). A disk of radius R with uniform area density
 f(r, theta) = r / (pi R^2) has spread E[r^2] = R^2 / 2, giving the
 closed form used here:

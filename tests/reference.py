@@ -4,24 +4,32 @@ gain; the general uncertainty-PDF model (a uniform disk or weighted
 samples, wrapped in an `UncertainPoint`) with its mean, expected squared
 distance, `moments`, per-point sampling and rigid translation, and
 `report_pdf`, the report drawn as such a PDF, which `engine.inject_error`
-must match bit for bit as three floats; the point-list forms of the
-k-means and UK-means assign/update steps; and the composed epsilon-greedy
-decision of an `AgentStack` at one RBG. `xy` turns a `Point2D` list into
-the (N, 2) array that clustering, beam forming and coverage take, and
-`next_draws` compares two places in a random stream."""
+must match bit for bit as two points; the point-list forms of the
+k-means and UK-means assign/update steps; the clustering objective and
+per-iteration history that `run_clustering` does not keep; and the
+composed epsilon-greedy decision of an `AgentStack` at one RBG. `xy`
+turns a `Point2D` list into the (N, 2) array that clustering, beam
+forming and coverage take, and `next_draws` compares two places in a
+random stream."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from mmwavesim import geometry
 from mmwavesim.agent import AgentStack
 from mmwavesim.beams import AntennaConfig
-from mmwavesim.clustering import _assign, _update
+from mmwavesim.clustering import (
+    ClusteringConfig,
+    ClusteringResult,
+    _assign,
+    _update,
+    run_clustering,
+)
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D, UniformDisk, sq_distance, uniform_disk_point
 
@@ -181,6 +189,32 @@ def ukmeans_assign(upoints: Sequence[UncertainPoint], centers: Sequence[Point2D]
 def ukmeans_update(upoints: Sequence[UncertainPoint], labels, k: int):
     """Per-cluster means of the expected positions."""
     return kmeans_update([expected_position(p) for p in upoints], labels, k)
+
+
+def objective(points: np.ndarray, result: ClusteringResult) -> float:
+    """The sum over points of the squared distance to the assigned center
+    of `result`. Of PDF means, adding the `moments` spread gives the sum
+    of expected squared distances."""
+    mus = np.asarray(points, dtype=float)
+    centers = xy(result.centers)
+    return float(((mus - centers[np.asarray(result.labels, dtype=int)]) ** 2).sum())
+
+
+def history(
+    points: np.ndarray,
+    cfg: ClusteringConfig,
+    initial_centers: Optional[Sequence[Point2D]] = None,
+) -> list:
+    """The (labels, objective) pair after every (assign, update) round of
+    `run_clustering(points, cfg, initial_centers)`, from reruns that stop
+    after 1, 2, ... of its rounds (a rerun follows the same path, and
+    stops by the rule only where the full call does)."""
+    rounds = run_clustering(points, cfg, initial_centers).iterations
+    out = []
+    for m in range(1, rounds + 1):
+        res = run_clustering(points, replace(cfg, max_iterations=m), initial_centers)
+        out.append((res.labels, objective(points, res)))
+    return out
 
 
 def decide(stack: AgentStack, q: np.ndarray, mask: np.ndarray) -> list:

@@ -20,7 +20,7 @@ from mmwavesim.cli import run_sweep
 from mmwavesim.geometry import Point2D, UniformDisk, expected_sq_distance, mc_expected_sq_distance
 from mmwavesim.seeding import make_rng
 from mmwavesim.stats import confidence_interval
-from reference import SampleBased, UncertainPoint, moments, xy
+from reference import SampleBased, UncertainPoint, history, moments, xy
 
 from test_agent import _max_gradcheck_error, bandit_optimal_fraction
 
@@ -79,11 +79,12 @@ def test_criterion_2_ukmeans_degeneracy():
                 for (x, y), r in zip(pts, radii)
             ]
             cfg = ClusteringConfig(k=3, seed=int(rng.integers(1 << 31)))
-            means, spread = moments(upoints)
-            uncertain = run_clustering(means, cfg, spread=spread)
-            exact = run_clustering(xy([p.pdf.center for p in upoints]), cfg)
-            assert uncertain.label_history == exact.label_history
-            assert uncertain.labels == exact.labels
+            means, _ = moments(upoints)
+            centers = xy([p.pdf.center for p in upoints])
+            uncertain = [labels for labels, _ in history(means, cfg)]
+            exact = [labels for labels, _ in history(centers, cfg)]
+            assert uncertain == exact
+            assert run_clustering(means, cfg).labels == run_clustering(centers, cfg).labels
 
 
 def test_criterion_3_lloyd_monotonicity():
@@ -114,10 +115,8 @@ def test_criterion_3_lloyd_monotonicity():
                     )
                     for x, y in pts
                 ])
-            res = run_clustering(
-                points, ClusteringConfig(k=k, seed=int(rng.integers(1 << 31))), spread=spread
-            )
-            hist = res.objective_history
+            cfg = ClusteringConfig(k=k, seed=int(rng.integers(1 << 31)))
+            hist = [obj + spread for _, obj in history(points, cfg)]
             assert all(later <= earlier + 1e-9 for earlier, later in zip(hist, hist[1:]))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwavesim.clustering import (
     ClusteringConfig,
@@ -13,9 +15,11 @@ from reference import (
     SampleBased,
     UncertainPoint,
     expected_sq_distance,
+    history,
     kmeans_assign,
     kmeans_update,
     moments,
+    objective,
     sample_position,
     ukmeans_assign,
     ukmeans_update,
@@ -149,12 +153,13 @@ class TestRunClustering:
         rng = make_rng(41)
         pts = random_points(rng, 5)
         res = run_clustering(xy(pts), ClusteringConfig(k=5, seed=2))
-        assert res.objective == pytest.approx(0.0, abs=1e-18)
+        assert objective(xy(pts), res) == pytest.approx(0.0, abs=1e-18)
 
     def test_better_than_random_labelings(self):
         rng = make_rng(43)
         pts = random_points(rng, 50)
         res = run_clustering(xy(pts), ClusteringConfig(k=2, seed=3))
+        found = objective(xy(pts), res)
         arr = np.array([(p.x, p.y) for p in pts])
         for _ in range(1000):
             labels = rng.integers(0, 2, size=50)
@@ -165,26 +170,24 @@ class TestRunClustering:
                 members = arr[labels == j]
                 if len(members):
                     obj += ((members - members.mean(axis=0)) ** 2).sum()
-            assert res.objective <= obj + 1e-9
+            assert found <= obj + 1e-9
 
     def test_objective_matches_recomputation(self):
         rng = make_rng(47)
         ups = random_disks(rng, 30)
         means, spread = moments(ups)
-        res = run_clustering(means, ClusteringConfig(k=3, seed=4), spread=spread)
+        res = run_clustering(means, ClusteringConfig(k=3, seed=4))
         recomputed = sum(
             expected_sq_distance(p, res.centers[l]) for p, l in zip(ups, res.labels)
         )
-        assert res.objective == pytest.approx(recomputed, rel=1e-9)
+        assert objective(means, res) + spread == pytest.approx(recomputed, rel=1e-9)
 
     def test_monotone_objective(self):
         rng = make_rng(53)
         for _ in range(100):
             pts = random_points(rng, 40)
-            res = run_clustering(
-                xy(pts), ClusteringConfig(k=4, seed=int(rng.integers(1 << 31)))
-            )
-            hist = res.objective_history
+            cfg = ClusteringConfig(k=4, seed=int(rng.integers(1 << 31)))
+            hist = [obj for _, obj in history(xy(pts), cfg)]
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_determinism(self):
@@ -201,10 +204,10 @@ class TestRunClustering:
         for _ in range(10):
             ups = random_disks(rng, 20, rmax=30.0)
             cfg = ClusteringConfig(k=3, seed=int(rng.integers(1 << 31)))
-            means, spread = moments(ups)
-            ru = run_clustering(means, cfg, spread=spread)
-            rk = run_clustering(xy([p.pdf.center for p in ups]), cfg)
-            assert ru.label_history == rk.label_history
+            means, _ = moments(ups)
+            ru = history(means, cfg)
+            rk = history(xy([p.pdf.center for p in ups]), cfg)
+            assert [labels for labels, _ in ru] == [labels for labels, _ in rk]
 
     def test_permutation_equivariance_on_separated_blobs(self):
         # well-separated blobs converge to the same partition under any
@@ -220,7 +223,9 @@ class TestRunClustering:
         assert sorted(np.bincount(base.labels, minlength=3)) == sorted(
             np.bincount(permuted.labels, minlength=3)
         )
-        assert permuted.objective == pytest.approx(base.objective, rel=1e-9)
+        assert objective(xy([blobs[i] for i in perm]), permuted) == pytest.approx(
+            objective(xy(blobs), base), rel=1e-9
+        )
 
     def test_random_points_init(self):
         rng = make_rng(71)
@@ -246,3 +251,28 @@ class TestRunClustering:
             ClusteringConfig(k=0)
         with pytest.raises(ConfigError):
             ClusteringConfig(k=1, max_iterations=0)
+
+
+# small integers make ties and coincident points; floats make the rest
+COORD = st.integers(-8, 8).map(float) | st.floats(-160.0, 160.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_history_ends_at_the_full_call(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(1, min(n, 6)), label="k")
+    pts = np.array(data.draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+    cfg = ClusteringConfig(
+        k=k,
+        max_iterations=data.draw(st.integers(1, 12), label="max_iterations"),
+        convergence_epsilon=data.draw(st.sampled_from([0.0, 1e-6, 1.0]), label="epsilon"),
+        init_strategy=data.draw(st.sampled_from(InitStrategy), label="init"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+    warm = data.draw(st.none() | st.lists(st.tuples(COORD, COORD), min_size=k, max_size=k))
+    initial = None if warm is None else [P(x, y) for x, y in warm]
+    full = run_clustering(pts, cfg, initial)
+    hist = history(pts, cfg, initial)
+    assert len(hist) == full.iterations
+    assert hist[-1] == (full.labels, objective(pts, full))

@@ -345,7 +345,6 @@ class TestRunScenario:
         run = make_run(cfg)
         for u in range(cfg.n_ues):
             assert Point2D(*run.believed_xy[u]) == Point2D(*run.true_xy[u])
-            assert run.spreads[u] == 0.0
 
     @pytest.mark.parametrize("informative", [False, True])
     def test_exact_scenario_draws_no_report(self, informative):
@@ -422,10 +421,13 @@ class TestScenarioDifferences:
 
     def test_disk_pdf_scenarios_cluster_identically(self):
         # symmetric disk uncertainty: expected-distance clustering of the
-        # PDFs equals plain clustering of the reported centers
-        cfg_k = micro_cfg(scenario=Scenario.KMEANS_ERROR)
-        cfg_u = micro_cfg(scenario=Scenario.UKMEANS_ERROR)
-        rk = make_run(cfg_k, coverage_only=True)
-        ru = make_run(cfg_u, coverage_only=True)
-        for t in range(25):
-            assert rk.step(t).coverage_rate == ru.step(t).coverage_rate
+        # PDFs equals plain clustering of the reported centers, so whole
+        # runs (scheduling and learning included) agree; repr tells -0.0
+        # from 0.0 and lets a nan delay equal itself
+        rk, ru = [
+            run_scenario(micro_cfg(scenario=s, runs=2, tti_count=45, informative_pdf=False))
+            for s in (Scenario.KMEANS_ERROR, Scenario.UKMEANS_ERROR)
+        ]
+        assert repr(rk.records) == repr(ru.records)
+        assert repr(rk.summaries) == repr(ru.summaries)
+        assert repr(rk.aggregate) == repr(ru.aggregate)

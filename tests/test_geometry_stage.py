@@ -51,9 +51,7 @@ class Mirror:
     def step(self):
         run, cfg = self.run, self.run.cfg
         points = run.believed_xy
-        result = run_clustering(
-            points, run.clustering, initial_centers=self.centers, spread=sum(run.spreads)
-        )
+        result = run_clustering(points, run.clustering, initial_centers=self.centers)
         self.centers = result.centers
         beams = form_beams(
             list(result.centers),
@@ -204,8 +202,8 @@ class TestRecomputedOnlyAtMovement:
         fixed = []
         wrapped = engine.run_clustering
 
-        def logged(data, cfg, initial_centers=None, spread=0.0):
-            result = wrapped(data, cfg, initial_centers=initial_centers, spread=spread)
+        def logged(data, cfg, initial_centers=None):
+            result = wrapped(data, cfg, initial_centers=initial_centers)
             fixed.append(result.centers == initial_centers)
             return result
 

@@ -1,6 +1,6 @@
-"""A UE report is three floats: `engine.inject_error`'s reported position,
-PDF mean and spread equal, bit for bit, the `reference.report_pdf` object
-read through `reported_center` and `moments`, from the same draws; and the
+"""A UE report is two points: `engine.inject_error`'s reported position
+and PDF mean equal, bit for bit, the `reference.report_pdf` object read
+through `reported_center` and `moments`, from the same draws; and the
 rows a run clusters equal that oracle's."""
 
 import struct
@@ -37,14 +37,13 @@ def bits(*values) -> list:
 def test_inject_error_equals_the_pdf_oracle(x, y, rmse, informative, seed, reports):
     rng, ref_rng = make_rng(seed), make_rng(seed)
     for _ in range(reports):
-        reported, mean, spread = inject_error(Point2D(x, y), rmse, rng, informative)
+        reported, mean = inject_error(Point2D(x, y), rmse, rng, informative)
         pdf = report_pdf(Point2D(x, y), rmse, ref_rng, informative)
         center = reported_center(pdf)
-        means, ref_spread = moments([pdf])
-        assert all(type(v) is float for v in (*reported, *mean, spread))
+        means, _ = moments([pdf])
+        assert all(type(v) is float for v in (*reported, *mean))
         assert bits(*reported) == bits(center.x, center.y)
         assert bits(*mean) == bits(*means[0])
-        assert bits(spread) == bits(ref_spread)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -65,7 +64,7 @@ def test_run_rows_equal_the_oracle(scenario, informative):
     error_rng = make_rng(derive_seed(seed, 2))
 
     def check_rows():
-        rows, spreads = run.true_xy.tolist(), [0.0] * cfg.n_ues
+        rows = run.true_xy.tolist()
         if scenario is not Scenario.KMEANS_EXACT:
             for u, (x, y) in enumerate(rows):
                 pdf = report_pdf(Point2D(x, y), cfg.error_rmse_m, error_rng, informative)
@@ -73,11 +72,10 @@ def test_run_rows_equal_the_oracle(scenario, informative):
                     center = reported_center(pdf)
                     rows[u] = [center.x, center.y]
                 else:
-                    means, spreads[u] = moments([pdf])
+                    means, _ = moments([pdf])
                     rows[u] = means[0].tolist()
         for got, want in zip(run.believed_xy.tolist(), rows, strict=True):
             assert bits(*got) == bits(*want)
-        assert bits(*run.spreads) == bits(*spreads)
 
     check_rows()
     for t in range(cfg.tti_count):
