@@ -63,10 +63,15 @@ __all__ = [
 
 _GATES = ("i", "f", "o", "g")
 
-# scipy.special.expit, bound when the first LstmNetwork is built: importing
-# scipy.special takes about 0.3 s and 18 MB, which a run without agents (a
-# coverage sweep) need not pay, and only the gates call it
-_sigmoid = None
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-z)) of the gates, in a new array: the
+    formula of scipy.special.expit. Where exp(-z) overflows the result is 0,
+    with a RuntimeWarning that `ScenarioRun.run` silences."""
+    out = np.negative(z)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 class UserClass(Enum):
@@ -134,9 +139,6 @@ class LstmNetwork:
     """
 
     def __init__(self, hidden_units: int, action_count: int, seed: int = 0):
-        global _sigmoid
-        if _sigmoid is None:
-            from scipy.special import expit as _sigmoid
         self.hidden_units = hidden_units
         self.action_count = action_count
         rng = make_rng(seed)

@@ -508,7 +508,7 @@ class ScenarioRun:
         """Per beam, {member id: the reward of scheduling an RBG to it}. The
         links are fixed by the geometry and the head-of-line delay cannot
         change before service, so each (beam, member)'s reward is computed
-        once per TTI."""
+        once per TTI, and only in a TTI that pushes an experience."""
         cfg = self.cfg
         rewards = []
         for table in geo.links:
@@ -533,7 +533,9 @@ class ScenarioRun:
         action of every beam's agent.
         """
         cfg = self.cfg
-        rewards = self._rewards(t, geo)
+        first_replayed = self._first_replayed(t)
+        if first_replayed < cfg.rbg_count:
+            rewards = self._rewards(t, geo)
         first_states = tuple(encode_state(agent.last_cqi) for agent in self.agents)
         states, node = first_states, geo.memo.root
         steps = []  # per RBG: the actions and the carry they were picked in
@@ -547,7 +549,6 @@ class ScenarioRun:
             node = child
 
         budgets = {}
-        first_replayed = self._first_replayed(t)
         for b, agent in enumerate(self.agents):
             state = first_states[b]
             for j, (actions, (h, c)) in enumerate(steps):
@@ -603,7 +604,9 @@ class ScenarioRun:
         return TtiRecord(self.run_index, t, geo.coverage, delivered_bits, mean_delay)
 
     def run(self):
-        records = [self.step(t) for t in range(self.cfg.tti_count)]
+        # a gate's exp(-z) may overflow once training diverges; the logistic is then 0
+        with np.errstate(over="ignore"):
+            records = [self.step(t) for t in range(self.cfg.tti_count)]
         return records, self.summary(records)
 
     def summary(self, records) -> RunSummary:

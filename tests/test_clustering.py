@@ -20,7 +20,6 @@ from reference import (
     kmeans_update,
     moments,
     objective,
-    sample_position,
     ukmeans_assign,
     ukmeans_update,
     xy,
@@ -134,8 +133,10 @@ class TestUkmeansOps:
         n = 300_000
         est = np.zeros(2)
         for p in ups:
-            draws = np.array([(s.x, s.y) for s in (sample_position(p, draw_rng) for _ in range(n))])
-            est += draws.mean(axis=0)
+            # n draws of `sample_position` at once: the same weights and uniforms
+            samples = np.array([(s.x, s.y) for s in p.pdf.samples])
+            idx = np.searchsorted(np.cumsum(p.pdf.weights), draw_rng.random(n), side="right")
+            est += samples[np.minimum(idx, len(samples) - 1)].mean(axis=0)
         est /= len(ups)
         assert abs(center.x - est[0]) < 0.01 * max(1.0, abs(center.x))
         assert abs(center.y - est[1]) < 0.01 * max(1.0, abs(center.y))

@@ -1,7 +1,7 @@
-"""What only a fresh interpreter shows: where scipy is loaded, and that
-worker processes write the bytes of an inline sweep. The pytest process
-has long loaded scipy and built networks, so each check runs in a child
-process started from `src/`."""
+"""What only a fresh interpreter shows: that no entry point loads scipy,
+and that worker processes write the bytes of an inline sweep. The pytest
+process has long loaded scipy and built networks, so each check runs in a
+child process started from `src/`."""
 
 import json
 import os
@@ -13,11 +13,10 @@ import mmwavesim
 SRC = os.path.dirname(os.path.dirname(mmwavesim.__file__))
 ENV = {**os.environ, "PYTHONPATH": SRC}
 
-# Every entry point the child reaches before it builds a full run, in order;
-# after each, the scipy modules then loaded. Then whether `scipy.special`
-# is loaded once a ScenarioRun with agents is built, before its first step.
+# Every entry point the child reaches, in order, up to a full sweep whose
+# cells take a confidence half-width; after each, the scipy modules then loaded.
 CHILD = r"""
-import contextlib, io, json, os, sys
+import contextlib, csv, io, json, math, os, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -34,7 +33,7 @@ from mmwavesim.seeding import derive_seed
 
 good, bad = os.path.join(tmp, "good.cfg"), os.path.join(tmp, "bad.cfg")
 with open(good, "w") as fh:
-    fh.write("tti_count = 12\nn_ues = 6\nscenarios = kmeans_error,ukmeans_error\n")
+    fh.write("tti_count = 12\nn_ues = 6\nruns = 2\nscenarios = kmeans_error,ukmeans_error\n")
 with open(bad, "w") as fh:
     fh.write("n_ues = 0\n")
 
@@ -53,29 +52,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 seen["oracle mc-distance"] = scipy_modules()
 
 with contextlib.redirect_stderr(io.StringIO()):
-    assert main(["run", "--config", bad, "--out", os.path.join(tmp, "out")]) == 1
+    assert main(["run", "--config", bad, "--out", os.path.join(tmp, "bad")]) == 1
 seen["run exiting 1"] = scipy_modules()
 
 cfg = spec.base[0]
 ScenarioRun(cfg, derive_seed(cfg.master_seed, 0))
-seen["built"] = "scipy.special" in sys.modules
+seen["built"] = scipy_modules()
+
+out = os.path.join(tmp, "out")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", "--config", good, "--out", out, "--jobs", "1"]) == 0
+with open(os.path.join(out, "sweep_summary.csv")) as fh:
+    assert any(not math.isnan(float(row["ci95_halfwidth"])) for row in csv.DictReader(fh))
+seen["run with runs = 2"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_with_the_first_agent_network_only(tmp_path):
+def test_no_entry_point_loads_scipy(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", CHILD, str(tmp_path)], env=ENV, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen.pop("built") is True
     assert seen == {
         "import": [],
         "mean_coverage": [],
         "validate": [],
         "oracle mc-distance": [],
         "run exiting 1": [],
+        "built": [],
+        "run with runs = 2": [],
     }
 
 

@@ -31,14 +31,11 @@ class Recorded(ScenarioRun):
     budgets, the per-beam allocations (the per-RBG actions transposed) and
     the rewards of the allocated RBGs, beam by beam."""
 
-    def _rewards(self, t, geo):
-        self.reward_table = super()._rewards(t, geo)
-        return self.reward_table
-
     def _schedule(self, t, geo):
+        reward_table = self._rewards(t, geo)
         budgets, actions = super()._schedule(t, geo)
         allocations = [list(alloc) for alloc in zip(*actions)]
-        seen = [self.reward_table[b][a] for b, alloc in enumerate(allocations) for a in alloc]
+        seen = [reward_table[b][a] for b, alloc in enumerate(allocations) for a in alloc]
         self.scheduled = budgets, allocations, seen
         return budgets, actions
 

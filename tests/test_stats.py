@@ -5,10 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 from scipy.stats import t
 
 import mmwavesim
-from mmwavesim.stats import confidence_interval
+from mmwavesim.stats import _T975, confidence_interval
 
 
 def test_five_point_fixture():
@@ -38,19 +39,28 @@ def test_single_sample_not_applicable():
     assert math.isnan(hw)
 
 
+def test_table_is_stdtrit():
+    assert _T975 == tuple(float(stdtrit(df, 0.975)) for df in range(1, 100))
+
+
 def test_halfwidth_is_the_student_t_quantile_bit_for_bit():
     rng = np.random.default_rng(3)
-    for n in range(2, 61):
+    for n in range(2, 101):  # every sample count `runs` allows
         xs = rng.normal(10.0, 3.0, n)
         s = float(np.std(xs, ddof=1))
         _, hw = confidence_interval(xs)
         assert hw == float(t.ppf(0.975, n - 1)) * s / math.sqrt(n)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_and_halfwidth_leave_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(mmwavesim.__file__))
-    code = "import sys, mmwavesim, mmwavesim.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, mmwavesim, mmwavesim.cli\n"
+        "from mmwavesim.stats import confidence_interval\n"
+        "assert confidence_interval(range(100))[1] > 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
