@@ -31,6 +31,7 @@ decision, so a repeated sequence of input states is not computed again.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +53,7 @@ __all__ = [
     "AgentStack",
     "DrawSource",
     "RolloutMemo",
-    "ROLLOUT_MEMO_CAP",
+    "ROLLOUT_MEMO_BYTES",
     "encode_state",
     "reward",
     "lstm_forward",
@@ -87,8 +88,11 @@ class AgentConfig:
     nn_learning_rate: float = ranged(0.01, lo=0.0, closed=False)
     # the (H, 4H) gate matrix of each network takes 8 * 4 * H**2 bytes: 2 MB at 256
     hidden_units: int = ranged(20, lo=1, hi=256)
-    minibatch: int = ranged(20, lo=1)
-    replay_capacity: int = ranged(60, lo=1)
+    # a train step's arrays peak at about 47 MB at 1,000 and 256 hidden units
+    minibatch: int = ranged(20, lo=1, hi=1000)
+    # each agent keeps this many experiences, about 440 + 16 * hidden_units bytes
+    # each with its share of the carries they view: 45 MB at 256 hidden units
+    replay_capacity: int = ranged(60, lo=1, hi=10_000)
     train_interval_ttis: int = ranged(60, lo=1)
     target_copy_interval_ttis: int = ranged(120, lo=1)
     seed: int = 0
@@ -374,7 +378,6 @@ class DqnAgent:
         self.replay = ReplayMemory(cfg.replay_capacity)
         self.action_rng = make_rng(derive_seed(cfg.seed, 1))
         self.sample_rng = make_rng(derive_seed(cfg.seed, 2))
-        self.last_cqi = 0
 
     def act(self, state: float, carry, mask=None):
         return select_action(self.main, state, carry, self.cfg.epsilon, self.action_rng, mask)
@@ -416,7 +419,9 @@ class AgentStack:
         # rounds the last columns of a gate differently whenever H is not
         # a multiple of the BLAS kernel's block.
         self._wh_gates = self.wh.reshape(n, h, 4, h).transpose(0, 2, 1, 3)
-        self.draws = [DrawSource(agent.action_rng.bit_generator) for agent in self.agents]
+        self.draws = [
+            DrawSource(agent.action_rng.bit_generator, agent.cfg.epsilon) for agent in self.agents
+        ]
 
     def zero_carry(self):
         """(h, c) of every agent at the start of a TTI, each (N, H)."""
@@ -440,70 +445,97 @@ class AgentStack:
         q = np.matmul(h_new[:, None, :], self.wq)[:, 0] + self.bq
         return q, (h_new, c_new)
 
-    def greedy(self, q: np.ndarray, mask: np.ndarray) -> list:
-        """Every agent's feasible argmax of q[k] under `mask` (N, A), as in
-        `_epsilon_greedy`: the lowest index on ties, the first NaN if there
-        is one, and the lowest feasible index if every feasible entry is -inf."""
+    def greedy(self, q: np.ndarray, mask: np.ndarray, rows: Sequence[tuple]) -> list:
+        """Every agent's feasible argmax of q[k] under `mask` (N, A), whose rows
+        as tuples of bools are `rows`, as in `_epsilon_greedy`: the lowest index
+        on ties, the first NaN if there is one, and the lowest feasible index if
+        every feasible entry is -inf."""
         actions = np.where(mask, q, -np.inf).argmax(axis=1).tolist()
         for k, a in enumerate(actions):
-            if not mask[k, a]:  # every feasible entry is -inf: argmax gave 0
-                actions[k] = int(np.flatnonzero(mask[k])[0])
+            if not rows[k][a]:  # every feasible entry is -inf: argmax gave 0
+                actions[k] = rows[k].index(True)
         return actions
 
     def explorations(self, feasible: Sequence[tuple], rbgs: int) -> list:
-        """Per RBG of a TTI, {agent: action} of the agents that explore there: at
-        each of `rbgs` RBGs in turn, agent k draws as `_epsilon_greedy` does (no
-        draw at epsilon 0) and, exploring, takes a uniform member of `feasible[k]`."""
-        picks = [{} for _ in range(rbgs)]
+        """Per RBG of a TTI, the (agent, action) pairs of the agents that explore
+        there, or None where none does: at each of `rbgs` RBGs in turn, agent k
+        draws as `_epsilon_greedy` does (no draw at epsilon 0) and, exploring,
+        takes a uniform member of `feasible[k]`. An agent with one member is
+        not listed: its one action is also its greedy one."""
+        picks = [None] * rbgs
         for k, (agent, draws) in enumerate(zip(self.agents, self.draws)):
-            epsilon, members = agent.cfg.epsilon, feasible[k]
-            if epsilon == 0.0:
-                continue
-            random = draws.random  # bound once: 24 calls per TTI at the defaults
-            for row in picks:
-                if random() < epsilon:
-                    row[k] = members[draws.integers(len(members))]
+            if agent.cfg.epsilon > 0.0:
+                for r, action in draws.explore(rbgs, feasible[k]):
+                    picks[r] = (picks[r] or ()) + ((k, action),)
         return picks
 
 
+BLOCK = 128  # the raw draws a DrawSource reads from its bit generator at a time
+
+
 class DrawSource:
-    """The `random()` and `integers(n)`, 1 <= n < 2**32, of a `Generator` over
-    a fresh PCG64 bit generator, from raw draws read 128 at a time (the bit
-    generator's own state runs ahead). A double is the top 53 bits of a raw
-    draw; an integer is numpy's Lemire method (ACM TOMACS 2019) on 32-bit
-    halves, the high one kept for the next integer; n = 1 draws nothing."""
+    """One agent's exploration draws: the `random() < epsilon` tests and the
+    `integers(n)`, 2 <= n < 2**32, of a `Generator` over a fresh PCG64 bit
+    generator, from raw draws read BLOCK at a time (the bit generator's own
+    state runs ahead). A double is the top 53 bits of a raw draw times 2**-53,
+    so it is below epsilon exactly when the raw draw is at most `top`,
+    ceil(epsilon * 2**53) * 2**11 - 1; a block's such draws are found when it
+    is read. An integer is numpy's Lemire method (ACM TOMACS 2019) on 32-bit
+    halves, the high one kept for the next integer."""
 
-    def __init__(self, bit_generator: np.random.BitGenerator):
+    def __init__(self, bit_generator: np.random.BitGenerator, epsilon: float):
         self.bit_generator = bit_generator
+        self.top = math.ceil(epsilon * 2**53) * 2**11 - 1
         self._half = None  # the unread high half of the last raw draw integers took
-        self._raws = []  # the raw draws not yet read, the next one last
+        self._block = None  # the raw draws of the block being read
+        self._pos = BLOCK  # the index in it of the next unread one
+        self._below = []  # the indices of its draws at most `top`, ascending
 
-    def _refill(self) -> list:
-        self._raws = self.bit_generator.random_raw(128).tolist()[::-1]
-        return self._raws
+    def _refill(self) -> None:
+        self._block = self.bit_generator.random_raw(BLOCK)
+        self._pos = 0
+        self._below = (self._block <= self.top).nonzero()[0].tolist()
 
-    def random(self) -> float:
-        return ((self._raws or self._refill()).pop() >> 11) * 2.0**-53
-
-    def _uint32(self) -> int:
-        half, self._half = self._half, None
-        if half is None:
-            raw = (self._raws or self._refill()).pop()
-            half, self._half = raw & 0xFFFFFFFF, raw >> 32
-        return half
+    def explore(self, count: int, members: tuple) -> list:
+        """(i, member) of each of `count` epsilon-greedy draws that explores, in
+        order: draw i explores when `random()` < epsilon, and then takes
+        `members[integers(len(members))]`. One member is every draw's action
+        (and `Generator.integers(1)` draws nothing), so then none is listed."""
+        picks, i, n = [], 0, len(members)
+        while i < count:
+            if self._pos == BLOCK:
+                self._refill()
+            pos, below = self._pos, self._below
+            j = bisect_left(below, pos) if n > 1 else len(below)
+            hit = below[j] if j < len(below) else BLOCK  # the next draw that explores
+            if hit - pos >= count - i:  # none of the rest of the `count` draws
+                self._pos = pos + count - i
+                break
+            i += hit - pos
+            self._pos = hit
+            if hit < BLOCK:
+                self._pos += 1
+                picks.append((i, members[self.integers(n)]))
+                i += 1
+        return picks
 
     def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        m = self._uint32() * n
-        while m & 0xFFFFFFFF < (2**32 - n) % n:
-            m = self._uint32() * n  # Lemire's rejection: the low 32 bits fell short
-        return m >> 32
+        while True:
+            half, self._half = self._half, None
+            if half is None:
+                if self._pos == BLOCK:
+                    self._refill()
+                raw = int(self._block[self._pos])
+                self._pos += 1
+                half, self._half = raw & 0xFFFFFFFF, raw >> 32
+            m = half * n
+            if m & 0xFFFFFFFF >= (2**32 - n) % n:  # else Lemire's rejection: draw again
+                return m >> 32
 
 
-# the most nodes one RolloutMemo keeps, each a 2NH-float carry and N actions and
-# states; it bounds the memory of a run whose geometry and weights never change
-ROLLOUT_MEMO_CAP = 4096
+# the bytes of carries one RolloutMemo keeps: 4,096 nodes at 8 beams and 20 hidden
+# units (10 MiB); it bounds the memory of a run whose geometry and weights never change
+ROLLOUT_MEMO_BYTES = 4096 * 2 * 8 * 20 * 8
 
 
 class _Node:
@@ -522,33 +554,39 @@ class RolloutMemo:
     The carry restarts at zero every TTI, so the Q-rows and the carry
     after RBG r are a function of the main weights and of every agent's
     (scalar) input state at RBGs 0..r. A prefix tree holds them, one
-    edge per RBG keyed by the tuple of states, and `forward` runs only
-    for an edge not yet in the tree. A node keeps the carry, the greedy
-    actions under the geometry's `mask` and the states they lead to
-    (`next_states[b][action]`). Call `clear` whenever the weights change.
+    edge per RBG keyed by the tuple of states: a walk follows
+    `node.children.get(states)` and calls `expand` only for an edge not
+    yet in the tree. A node keeps the carry, the greedy actions under the
+    geometry's `mask` (whose rows as tuples are `masks`) and the states
+    they lead to (`next_states[b][action]`). It keeps at most `cap`
+    nodes, the ones whose carries fit in ROLLOUT_MEMO_BYTES. Call `clear`
+    whenever the weights change.
     """
 
-    def __init__(self, stack: AgentStack, mask: np.ndarray, next_states: Sequence[dict]):
+    def __init__(
+        self, stack: AgentStack, mask: np.ndarray, masks: Sequence[tuple], next_states: Sequence[dict]
+    ):
         self.stack = stack
         self.mask = mask
+        self.masks = masks
         self.next_states = next_states
         self.clear()
+        self.cap = ROLLOUT_MEMO_BYTES // sum(part.nbytes for part in self.root.carry)
 
     def clear(self) -> None:
         self.root = _Node(self.stack.zero_carry())
         self.size = 0  # nodes below the root
 
     def states(self, actions: Sequence[int]) -> tuple:
-        return tuple(self.next_states[b][a] for b, a in enumerate(actions))
+        return tuple(map(dict.__getitem__, self.next_states, actions))
 
-    def step(self, node: _Node, key: tuple) -> _Node:
-        """The node one RBG after `node` with the input states `key`."""
-        child = node.children.get(key)
-        if child is None:
-            q, carry = self.stack.forward(np.asarray(key, dtype=float).reshape(-1, 1), node.carry)
-            greedy = self.stack.greedy(q, self.mask)
-            child = _Node(carry, greedy, self.states(greedy))
-            if self.size < ROLLOUT_MEMO_CAP:
-                node.children[key] = child
-                self.size += 1
+    def expand(self, node: _Node, key: tuple) -> _Node:
+        """The node one RBG after `node` with the input states `key`, which is
+        not among its children: one `forward` and `greedy`, kept if it fits."""
+        q, carry = self.stack.forward(np.array(key)[:, None], node.carry)
+        greedy = self.stack.greedy(q, self.mask, self.masks)
+        child = _Node(carry, greedy, self.states(greedy))
+        if self.size < self.cap:
+            node.children[key] = child
+            self.size += 1
         return child

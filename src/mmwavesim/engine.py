@@ -33,6 +33,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -325,6 +326,24 @@ def check_trace_ids(trace: dict, cfg: ScenarioConfig) -> None:
         )
 
 
+def _budgets(rows: list, links: list) -> dict:
+    """Per UE id, the bits of the RBGs it was given: `rows` holds every RBG's
+    actions, one per beam, and `links[b][uid].bits` is an RBG's bits. Each UE's
+    sum runs from 0.0 beam by beam, RBG by RBG. A beam adds the same bits for
+    each of its RBGs that one member holds, so those RBGs are counted and the
+    bits added that many times in a row: the same float sum."""
+    budgets = {}
+    for table, column in zip(links, zip(*rows)):
+        for uid, link in table.items():
+            count = column.count(uid)
+            if count:
+                total = budgets.get(uid, 0.0)
+                for bits in repeat(link.bits, count):
+                    total += bits
+                budgets[uid] = total
+    return budgets
+
+
 class ScenarioRun:
     """One seeded run of one scenario; `step` advances a single TTI.
 
@@ -381,6 +400,9 @@ class ScenarioRun:
                 for b in range(cfg.n_beams)
             ]
             self.stack = AgentStack(self.agents)
+            # every agent's input state at the next TTI's first RBG: the next
+            # state of its last action, or that of CQI 0 before the first TTI
+            self.first_states = (encode_state(0),) * cfg.n_beams
         self.prev_centers = None  # the warm start of the next clustering call
         self._fixed_point = False  # whether the last call returned its warm start
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
@@ -457,7 +479,7 @@ class ScenarioRun:
             mask, masks, feasible, links = self._links(beams)
             states = [{uid: link.next_state for uid, link in table.items()} for table in links]
             # a fresh memo: its nodes are keyed by states this geometry's links give
-            memo = RolloutMemo(self.stack, mask, states)
+            memo = RolloutMemo(self.stack, mask, masks, states)
             self.geometry = _Geometry(beams, cov, mask, masks, feasible, links, memo)
         return self.geometry
 
@@ -522,53 +544,58 @@ class ScenarioRun:
     def _schedule(self, t: int, geo: _Geometry):
         """Every beam's agent picks one member UE per RBG.
 
-        All agents advance together, one RBG per step of the geometry's
+        All agents advance together, one RBG per edge of the geometry's
         `RolloutMemo` (which runs `AgentStack.forward` and `greedy` only for
         states not seen since the weights last changed), with every RBG's
-        explorers drawn at once by `AgentStack.explorations`. Budgets and
-        experiences are then accumulated beam by beam, RBG by RBG, so every
-        float sum and replay order is that of scheduling one beam after the
-        other; only the experiences a replay sample can read are built (see
-        `_first_replayed`). Returns the per-UE bit budgets and, per RBG, the
-        action of every beam's agent.
+        explorers drawn at once by `AgentStack.explorations`. Then the budgets
+        are summed (`_budgets`) and, in a TTI that pushes, the experiences a
+        replay sample can read are built (see `_first_replayed`), beam by beam
+        and RBG by RBG. Returns the per-UE bit budgets and, per RBG, the action
+        of every beam's agent.
         """
-        cfg = self.cfg
-        first_replayed = self._first_replayed(t)
-        if first_replayed < cfg.rbg_count:
-            rewards = self._rewards(t, geo)
-        first_states = tuple(encode_state(agent.last_cqi) for agent in self.agents)
-        states, node = first_states, geo.memo.root
-        steps = []  # per RBG: the actions and the carry they were picked in
+        cfg, memo = self.cfg, geo.memo
+        states, node = self.first_states, memo.root
+        rows, carries = [], []  # per RBG: the actions and the carry they were picked in
         for picks in self.stack.explorations(geo.feasible, cfg.rbg_count):
-            child = geo.memo.step(node, states)
+            child = node.children.get(states)
+            if child is None:
+                child = memo.expand(node, states)
             actions, states = child.greedy, child.greedy_states
             if picks:  # a new list: the node keeps its greedy one
-                actions = [picks.get(k, a) for k, a in enumerate(actions)]
-                states = geo.memo.states(actions)
-            steps.append((actions, node.carry))
+                actions = actions.copy()
+                for k, a in picks:
+                    actions[k] = a
+                states = memo.states(actions)
+            rows.append(actions)
+            carries.append(node.carry)
             node = child
+        first_replayed = self._first_replayed(t)
+        if first_replayed < cfg.rbg_count:
+            self._remember(t, geo, rows, carries, first_replayed)
+        self.first_states = states
+        return _budgets(rows, geo.links), rows
 
-        budgets = {}
+    def _remember(self, t, geo, rows, carries, first_replayed) -> None:
+        """Push each agent's experiences of RBGs first_replayed .. rbg_count - 1,
+        in RBG order, before `first_states` moves on to the next TTI: the state
+        of RBG 0 is its first state, that of RBG j > 0 the next state of RBG j - 1."""
+        rewards = self._rewards(t, geo)
         for b, agent in enumerate(self.agents):
-            state = first_states[b]
-            for j, (actions, (h, c)) in enumerate(steps):
-                action = actions[b]
-                link = geo.links[b][action]
-                budgets[action] = budgets.get(action, 0.0) + link.bits
-                if j >= first_replayed:
-                    agent.remember(
-                        ExperienceTuple(
-                            state=state,
-                            action=action,
-                            next_state=link.next_state,
-                            reward=rewards[b][action],
-                            hidden_context=(h[b], c[b]),
-                            action_mask=geo.masks[b],
-                        )
+            links, mask = geo.links[b], geo.masks[b]
+            for j in range(first_replayed, len(rows)):
+                action = rows[j][b]
+                state = links[rows[j - 1][b]].next_state if j else self.first_states[b]
+                h, c = carries[j]
+                agent.remember(
+                    ExperienceTuple(
+                        state=state,
+                        action=action,
+                        next_state=links[action].next_state,
+                        reward=rewards[b][action],
+                        hidden_context=(h[b], c[b]),
+                        action_mask=mask,
                     )
-                state = link.next_state
-            agent.last_cqi = link.cqi
-        return budgets, [actions for actions, _ in steps]
+                )
 
     def _serve(self, t: int, budgets: dict):
         """Drain each scheduled UE's queue with its bit budget, in UE order.

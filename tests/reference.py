@@ -6,11 +6,13 @@ distance, `moments`, per-point sampling and rigid translation, and
 `report_pdf`, the report drawn as such a PDF, which `engine.inject_error`
 must match bit for bit as two points; the point-list forms of the
 k-means and UK-means assign/update steps; the clustering objective and
-per-iteration history that `run_clustering` does not keep; and the
-composed epsilon-greedy decision of an `AgentStack` at one RBG. `xy`
-turns a `Point2D` list into the (N, 2) array that clustering, beam
-forming and coverage take, and `next_draws` compares two places in a
-random stream."""
+per-iteration history that `run_clustering` does not keep; the
+composed epsilon-greedy decision of an `AgentStack` at one RBG, with
+`ScalarDrawSource`, the draws it makes one at a time, and `RawStub`, a
+stream of chosen raw draws; and `budgets`, the scheduling stage's bit
+budgets summed one RBG at a time. `xy` turns a `Point2D` list into the
+(N, 2) array that clustering, beam forming and coverage take, and
+`next_draws` compares two places in a random stream."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from mmwavesim import geometry
-from mmwavesim.agent import AgentStack
+from mmwavesim.agent import BLOCK, AgentStack
 from mmwavesim.beams import AntennaConfig
 from mmwavesim.clustering import (
     ClusteringConfig,
@@ -217,15 +219,87 @@ def history(
     return out
 
 
+def with_picks(actions: Sequence[int], picks) -> list:
+    """`actions` with the (agent, action) pairs of one RBG of
+    `AgentStack.explorations` put in."""
+    explored = dict(picks or ())
+    return [explored.get(k, a) for k, a in enumerate(actions)]
+
+
 def decide(stack: AgentStack, q: np.ndarray, mask: np.ndarray) -> list:
     """Every agent's epsilon-greedy action at one RBG, as `select_action` draws it."""
+    rows = [tuple(row) for row in mask.tolist()]
     feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
     (picks,) = stack.explorations(feasible, 1)
-    return [picks.get(k, a) for k, a in enumerate(stack.greedy(q, mask))]
+    return with_picks(stack.greedy(q, mask, rows), picks)
 
 
 def next_draws(source) -> list:
-    """The next 64 `random()` and then 64 `integers(7)` of a `DrawSource` or a
-    `Generator`: two sources at the same place in one stream give equal lists,
-    and one draw more or less on either side makes them differ."""
-    return [source.random() for _ in range(64)] + [int(source.integers(7)) for _ in range(64)]
+    """The next 128 `integers(1000)` of a `DrawSource` or a `Generator`: two
+    sources at the same place in one stream (and its unread half) give equal
+    lists, and one draw more or less on either side makes them differ."""
+    return [int(source.integers(1000)) for _ in range(128)]
+
+
+class ScalarDrawSource:
+    """`Generator.random()` and `integers(n)`, 1 <= n < 2**32, one raw draw of a
+    bit generator at a time, read in blocks of `agent.BLOCK`: a double is the
+    top 53 bits of a raw draw times 2**-53, an integer numpy's Lemire method on
+    32-bit halves, the high one kept for the next integer. The oracle of
+    `DrawSource.explore`, with `_epsilon_greedy`."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+        self._half = None
+        self._raws = []  # the raw draws not yet read, the next one last
+
+    def _raw(self) -> int:
+        if not self._raws:
+            self._raws = self.bit_generator.random_raw(BLOCK).tolist()[::-1]
+        return self._raws.pop()
+
+    def random(self) -> float:
+        return (self._raw() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        half, self._half = self._half, None
+        if half is None:
+            raw = self._raw()
+            half, self._half = raw & 0xFFFFFFFF, raw >> 32
+        return half
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        while m & 0xFFFFFFFF < (2**32 - n) % n:
+            m = self._uint32() * n
+        return m >> 32
+
+
+class RawStub:
+    """A stand-in bit generator whose raw draws are `values` in order, then
+    those of PCG64(0): a stream that can hold the values at an exploration
+    bound."""
+
+    def __init__(self, values: Sequence[int]):
+        self.values = list(values)
+        self.read = 0
+        self.rest = np.random.PCG64(0)
+
+    def random_raw(self, size: int) -> np.ndarray:
+        out = self.values[self.read : self.read + size]
+        self.read += size
+        rest = self.rest.random_raw(size - len(out)).tolist()
+        return np.array(out + rest, dtype=np.uint64)
+
+
+def budgets(rows: Sequence[Sequence[int]], links: Sequence[dict]) -> dict:
+    """Per UE id, the bits of its RBGs: for each beam b in turn and each RBG's
+    actions in turn, add `links[b][action].bits` to the action's sum from 0.0."""
+    out = {}
+    for b, table in enumerate(links):
+        for actions in rows:
+            action = actions[b]
+            out[action] = out.get(action, 0.0) + table[action].bits
+    return out

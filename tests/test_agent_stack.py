@@ -15,7 +15,7 @@ from mmwavesim.agent import (
     select_action,
 )
 from mmwavesim.seeding import derive_seed, make_rng
-from reference import next_draws
+from reference import next_draws, with_picks
 
 
 def _assert_views_of(net, wx, wh, b, wq, bq):
@@ -99,6 +99,7 @@ def test_stacked_step_matches_select_action(data):
     agents = [DqnAgent(_config(actions, hidden, epsilon, derive_seed(seed, k))) for k in range(n)]
     stack = AgentStack(agents)
     mask = np.array(masks, dtype=bool)
+    rows = [tuple(row) for row in masks]
     feasible = [tuple(np.flatnonzero(row).tolist()) for row in masks]
 
     cqis = [0] * n
@@ -108,7 +109,7 @@ def test_stacked_step_matches_select_action(data):
         for picks in stack.explorations(feasible, rbgs):
             states = [encode_state(c) for c in cqis]
             q, new_carry = stack.forward(np.asarray(states, dtype=float).reshape(n, 1), carry)
-            picked = [picks.get(k, a) for k, a in enumerate(stack.greedy(q, mask))]
+            picked = with_picks(stack.greedy(q, mask, rows), picks)
             for k, agent in enumerate(reference):
                 q_ref, _ = lstm_forward(agent.main, [states[k]], ref_carry[k])
                 a_ref, ref_next = select_action(

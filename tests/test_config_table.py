@@ -24,7 +24,8 @@ RANGED_KEYS = [key for key in FIELD_KEYS if key.range is not None]
 FLOAT_KEYS = [key for key in FIELD_KEYS if isinstance(key.default, float)]
 # the keys that size a run's arrays and loops
 SIZE_KEYS = ("n_ues", "n_beams", "rbg_count", "hidden_units", "n_antennas", "rbs_per_rbg",
-             "packet_size_bytes", "tti_count", "runs", "cluster_max_iterations")
+             "packet_size_bytes", "tti_count", "runs", "cluster_max_iterations", "minibatch",
+             "replay_capacity")
 
 EMPTY_CONFIG_TEXT = """\
 scenarios = kmeans_error,ukmeans_error,kmeans_exact

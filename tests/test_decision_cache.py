@@ -11,10 +11,19 @@ from hypothesis import strategies as st
 from test_schedule_stage import run_pair, step_and_compare
 
 from mmwavesim import agent as agent_module
-from mmwavesim.agent import AgentConfig, AgentStack, DqnAgent, _epsilon_greedy
+from mmwavesim.agent import (
+    ROLLOUT_MEMO_BYTES,
+    AgentConfig,
+    AgentStack,
+    DqnAgent,
+    DrawSource,
+    ReplayMemory,
+    RolloutMemo,
+    _epsilon_greedy,
+)
 from mmwavesim.engine import ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
-from reference import decide, next_draws
+from reference import RawStub, ScalarDrawSource, decide, next_draws, with_picks
 
 # Q entries that give ties, NaN and both infinities
 Q_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats(-2.0, 2.0)
@@ -61,21 +70,26 @@ class TestGreedyThenExplore:
         whole = AgentStack(_agents(actions, epsilons, seed))
         by_row = _agents(actions, epsilons, seed)
         for mask, qs in ttis:
+            rows = [tuple(row) for row in mask.tolist()]
             feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
             explored = split.explorations(feasible, len(qs))
             assert len(explored) == len(qs)
             for q, picks in zip(qs, explored):
-                greedy = split.greedy(q, mask)
-                picked = [picks.get(k, a) for k, a in enumerate(greedy)]
+                greedy = split.greedy(q, mask, rows)
+                picked = with_picks(greedy, picks)
                 assert picked == decide(whole, q, mask)
                 for k, eps in enumerate(epsilons):
                     ref = _epsilon_greedy(q[k], np.flatnonzero(mask[k]), eps, by_row[k].action_rng)
                     assert picked[k] == ref
                     assert greedy[k] == _epsilon_greedy(q[k], np.flatnonzero(mask[k]), 0.0, None)
                     assert type(picked[k]) is int and mask[k, picked[k]]
-                # every agent at epsilon 1 explores, and none at epsilon 0
-                assert {k for k, eps in enumerate(epsilons) if eps == 1.0} <= picks.keys()
-                assert not any(epsilons[k] == 0.0 for k in picks)
+                # every agent at epsilon 1 with a choice explores, none at
+                # epsilon 0, and none with one member is listed
+                listed = [k for k, _ in picks or ()]
+                assert listed == sorted(set(listed))
+                choosers = {k for k, row in enumerate(feasible) if len(row) > 1}
+                assert {k for k, eps in enumerate(epsilons) if eps == 1.0} & choosers <= set(listed)
+                assert set(listed) <= {k for k, eps in enumerate(epsilons) if eps > 0.0} & choosers
         for a, b, c in zip(split.draws, whole.draws, by_row):
             assert next_draws(a) == next_draws(b) == next_draws(c.action_rng)
 
@@ -104,36 +118,89 @@ class TestGreedyThenExplore:
             node = nodes.pop()
             for key, child in node.children.items():
                 q, _ = stack.forward(np.asarray(key, dtype=float).reshape(-1, 1), node.carry)
-                assert child.greedy == stack.greedy(q, memo.mask)
+                assert child.greedy == stack.greedy(q, memo.mask, memo.masks)
                 assert child.greedy_states == memo.states(child.greedy)
                 nodes.append(child)
                 checked += 1
         assert checked > cfg.rbg_count
 
 
+# epsilon 0 (no draw), the smallest and largest positive doubles below 1 and 1
+EXPLORATION_EPSILONS = (0.0, 5e-324, 0.1, 1 - 2**-53, 1.0)
+
+
+def _raws_near_bounds():
+    """Raw draws at and next to the bound of each epsilon, 2**11 * ceil(epsilon
+    * 2**53), below which `random()` < epsilon; and the stream's extremes."""
+    values = {0, 1, 2**64 - 1}
+    for eps in EXPLORATION_EPSILONS:
+        bound = math.ceil(eps * 2**53) * 2**11
+        values.update(bound + d for d in (-(2**11), -1, 0, 1, 2**11 - 1))
+    return sorted(v for v in values if 0 <= v < 2**64)
+
+
+NEAR_BOUNDS = _raws_near_bounds()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_explorations_equal_epsilon_greedy_across_refills(data):
+    # each agent's raw stream is half values at an exploration bound, so a
+    # scan that is off by one draw or one bound value picks differently
+    n = data.draw(st.integers(1, 4), label="agents")
+    epsilons = [data.draw(st.sampled_from(EXPLORATION_EPSILONS)) for _ in range(n)]
+    feasible = [tuple(range(1, 1 + data.draw(st.integers(1, 5)))) for _ in range(n)]
+    rbgs, ttis = data.draw(st.integers(26, 40), label="rbgs"), data.draw(st.integers(5, 7))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def raw():
+        if rng.random() < 0.5:
+            return NEAR_BOUNDS[rng.integers(len(NEAR_BOUNDS))]
+        return int(rng.integers(2**64, dtype=np.uint64))
+
+    streams = [[raw() for _ in range(2 * rbgs * ttis)] for _ in range(n)]
+    stack = AgentStack(_agents(6, epsilons, 0))
+    stack.draws = [DrawSource(RawStub(raws), eps) for raws, eps in zip(streams, epsilons)]
+    oracles = [ScalarDrawSource(RawStub(raws)) for raws in streams]
+    q = np.arange(6.0)  # the greedy action is the last member
+    for _ in range(ttis):  # rbgs * ttis > 128: the scans cross a refill
+        for picks in stack.explorations(feasible, rbgs):
+            picked = with_picks([members[-1] for members in feasible], picks)
+            for k, (members, eps, oracle) in enumerate(zip(feasible, epsilons, oracles)):
+                assert picked[k] == _epsilon_greedy(q, np.array(members), eps, oracle)
+    for draws, oracle in zip(stack.draws, oracles):
+        assert [draws.integers(1000) for _ in range(64)] == [oracle.integers(1000) for _ in range(64)]
+
+
 def test_default_run_decides_greedily_once_per_forward(monkeypatch):
-    calls = {"forward": 0, "greedy": 0}
+    calls = {"forward": 0, "greedy": 0, "push": 0}
 
-    def counted(name):
-        method = getattr(AgentStack, name)
-
+    def counted(name, method):
         def wrapper(self, *args):
             calls[name] += 1
             return method(self, *args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(AgentStack, name, counted(name))
+    for name in ("forward", "greedy"):
+        monkeypatch.setattr(AgentStack, name, counted(name, getattr(AgentStack, name)))
+    monkeypatch.setattr(ReplayMemory, "push", counted("push", ReplayMemory.push))
     cfg = ScenarioConfig(tti_count=200, runs=1)
-    ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0)).run()
-    # the memo hits (most of the 200 * 24 RBG steps after the first of a
+    run = ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0))
+    run.run()
+    # the work of one default cell; a faster scheduling stage does the same.
+    # The memo hits (most of the 200 * 24 RBG steps after the first of a
     # geometry) neither step the network nor decide greedily again
-    assert 0 < calls["greedy"] == calls["forward"] < cfg.tti_count * cfg.rbg_count
+    assert calls == {"forward": 3266, "greedy": 3266, "push": 540}
+    assert run.geometry.memo.size == 164
+
+
+def _node_bytes(cfg):
+    """The bytes of one rollout-memo node's carry: h and c, (n_beams, H) float64."""
+    return 2 * cfg.n_beams * cfg.hidden_units * 8
 
 
 def test_memo_past_a_small_cap_equals_the_mirror(monkeypatch):
-    monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_CAP", 3)
     cfg = ScenarioConfig(
         n_ues=5,
         n_clusters=2,
@@ -149,9 +216,26 @@ def test_memo_past_a_small_cap_equals_the_mirror(monkeypatch):
         minibatch=4,
         runs=1,
     )
+    # room for 3 nodes and most of a fourth
+    monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_BYTES", 4 * _node_bytes(cfg) - 1)
     run, mirror = run_pair(cfg)
     step_and_compare(run, mirror)
-    assert run.geometry.memo.size == 3
+    assert run.geometry.memo.size == run.geometry.memo.cap == 3
+
+
+def test_memo_cap_is_the_byte_budget_over_a_node():
+    # 4,096 nodes at 8 beams and 20 hidden units; more at the default shape,
+    # 40 (10 MiB) at 64 beams and 256 hidden units
+    for n_beams, hidden, cap in ((8, 20, 4096), (3, 20, 10922), (64, 256, 40)):
+        agents = [
+            DqnAgent(AgentConfig(action_count=2, hidden_units=hidden, seed=k))
+            for k in range(n_beams)
+        ]
+        mask = np.ones((n_beams, 2), dtype=bool)
+        rows = [(True, True)] * n_beams
+        memo = RolloutMemo(AgentStack(agents), mask, rows, [{0: 0.0, 1: 1.0}] * n_beams)
+        assert memo.cap == cap
+        assert memo.cap * sum(part.nbytes for part in memo.root.carry) <= ROLLOUT_MEMO_BYTES
 
 
 @settings(max_examples=300, deadline=None)

@@ -76,13 +76,7 @@ ALLOWED = {
         "agent.AgentStack.greedy",
         "every feasible Q-value is -inf only after training diverges, which an "
         "unbounded nn_learning_rate allows",
-        "actions[k] = int(np.flatnonzero(mask[k])[0])",
-    ),
-    **_allow(
-        "agent.DrawSource.integers",
-        "Lemire's rejection runs with probability below n / 2**32 per draw, and n <= "
-        "n_ues <= 1000; tests/test_draw_source.py runs it at n >= 2**31",
-        "m = self._uint32() * n  # Lemire's rejection: the low 32 bits fell short",
+        "actions[k] = rows[k].index(True)",
     ),
     **_allow(
         "agent.ReplayMemory.__len__",

@@ -3,6 +3,7 @@ and the replay pushes, against a stage that steps every RBG through the
 network and pushes every experience."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ from mmwavesim.agent import (
     ExperienceTuple,
     ReplayMemory,
     _epsilon_greedy,
-    encode_state,
     reward,
     select_action,
 )
-from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
+from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun, _budgets
 from mmwavesim.seeding import derive_seed
+import reference
 from reference import decide, next_draws
 
 
@@ -59,8 +60,7 @@ class Mirror(ScenarioRun):
     def _schedule(self, t, geo):
         cfg = self.cfg
         rewards = self._rewards(t, geo)
-        first_states = [encode_state(agent.last_cqi) for agent in self.agents]
-        states, carry = first_states, self.stack.zero_carry()
+        states, carry = list(self.first_states), self.stack.zero_carry()
         steps = []
         for _ in range(cfg.rbg_count):
             x = np.asarray(states, dtype=float).reshape(len(self.agents), 1)
@@ -71,7 +71,7 @@ class Mirror(ScenarioRun):
             carry = next_carry
         budgets = {}
         for b, agent in enumerate(self.agents):
-            state = first_states[b]
+            state = self.first_states[b]
             for actions, (h, c) in steps:
                 action = actions[b]
                 link, r = geo.links[b][action], rewards[b][action]
@@ -80,7 +80,7 @@ class Mirror(ScenarioRun):
                     ExperienceTuple(state, action, link.next_state, r, (h[b], c[b]), geo.masks[b])
                 )
                 state = link.next_state
-            agent.last_cqi = link.cqi
+        self.first_states = tuple(states)
         return budgets, [actions for actions, _ in steps]
 
 
@@ -214,7 +214,6 @@ class TestEqualsEveryRbgForward:
         step_and_compare(*run_pair(cfg))
 
     def test_no_move_no_train_run_past_the_node_cap(self, monkeypatch):
-        monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_CAP", 5)
         cfg = ScenarioConfig(
             n_ues=4,
             n_clusters=2,
@@ -227,6 +226,8 @@ class TestEqualsEveryRbgForward:
             train_interval_ttis=100,
             runs=1,
         )
+        node_bytes = 2 * cfg.n_beams * cfg.hidden_units * 8  # a node's carry
+        monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_BYTES", 5 * node_bytes)
         run, mirror = run_pair(cfg)
         step_and_compare(run, mirror)
         assert run.geometry.memo.size == 5
@@ -264,6 +265,43 @@ def test_default_run_pushes_what_a_sample_can_read(monkeypatch):
     # per agent and train TTI (60, 120, 180), the 60 experiences its
     # sample can read: half of TTI T - 2 and all of T - 1 and T
     assert len(pushes) == cfg.n_beams * 3 * 60
+
+
+@st.composite
+def allocations(draw):
+    """Per RBG, every beam's action over tables of RBG bits; beams may share
+    a UE, as a repeat beam does, and bits have full mantissas so that the
+    order of the adds shows in the sums."""
+    n_ues = draw(st.integers(1, 5))
+    links = []
+    for _ in range(draw(st.integers(1, 6))):
+        members = draw(st.lists(st.integers(0, n_ues - 1), min_size=1, unique=True))
+        bits = st.floats(0.0, 1e6) | st.sampled_from([0.1, 1 / 3, 2.0**-30])
+        links.append({uid: SimpleNamespace(bits=draw(bits)) for uid in members})
+    rbg = st.tuples(*(st.sampled_from(sorted(table)) for table in links))
+    return draw(st.lists(rbg, min_size=1, max_size=40)), links
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=allocations())
+def test_budgets_equal_the_rbg_by_rbg_sum(case):
+    rows, links = case
+    assert _budgets([list(row) for row in rows], links) == reference.budgets(rows, links)
+
+
+def test_budgets_of_a_run_with_repeat_beams():
+    # 5 beams over 3 UEs: the repeat beams serve UEs that another beam serves
+    cfg = ScenarioConfig(n_ues=3, n_clusters=2, n_beams=5, epsilon=0.3, tti_count=30, runs=1)
+    run = Recorded(cfg, run_seed=derive_seed(cfg.master_seed, 0))
+    shared = 0
+    for t in range(cfg.tti_count):
+        run.step(t)
+        budgets, per_beam, _ = run.scheduled
+        rows = list(zip(*per_beam))
+        assert budgets == reference.budgets(rows, run.geometry.links)
+        owners = [uid for beam in run.geometry.beams for uid in set(beam.members)]
+        shared += len(owners) > len(set(owners))
+    assert shared == cfg.tti_count
 
 
 # Q entries that exercise ties, NaN and the infinities
