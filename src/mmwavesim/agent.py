@@ -445,15 +445,14 @@ class AgentStack:
         q = np.matmul(h_new[:, None, :], self.wq)[:, 0] + self.bq
         return q, (h_new, c_new)
 
-    def greedy(self, q: np.ndarray, mask: np.ndarray, rows: Sequence[tuple]) -> list:
-        """Every agent's feasible argmax of q[k] under `mask` (N, A), whose rows
-        as tuples of bools are `rows`, as in `_epsilon_greedy`: the lowest index
-        on ties, the first NaN if there is one, and the lowest feasible index if
-        every feasible entry is -inf."""
+    def greedy(self, q: np.ndarray, mask: np.ndarray) -> list:
+        """Every agent's feasible argmax of q[k] under `mask` (N, A), as in
+        `_epsilon_greedy`: the lowest index on ties, the first NaN if there
+        is one, and the lowest feasible index if every feasible entry is -inf."""
         actions = np.where(mask, q, -np.inf).argmax(axis=1).tolist()
         for k, a in enumerate(actions):
-            if not rows[k][a]:  # every feasible entry is -inf: argmax gave 0
-                actions[k] = rows[k].index(True)
+            if not mask[k, a]:  # every feasible entry is -inf: argmax gave 0
+                actions[k] = int(np.flatnonzero(mask[k])[0])
         return actions
 
     def explorations(self, feasible: Sequence[tuple], rbgs: int) -> list:
@@ -533,9 +532,14 @@ class DrawSource:
                 return m >> 32
 
 
-# the bytes of carries one RolloutMemo keeps: 4,096 nodes at 8 beams and 20 hidden
-# units (10 MiB); it bounds the memory of a run whose geometry and weights never change
-ROLLOUT_MEMO_BYTES = 4096 * 2 * 8 * 20 * 8
+# a RolloutMemo node's bytes besides its carry's 2NH floats, rounded up from
+# tracemalloc: NODE_BYTES for the node, its children dict, the carry tuple and the
+# carry's two array headers, and BEAM_BYTES per beam for its action, its state and
+# its key's entry
+NODE_BYTES, BEAM_BYTES = 768, 64
+# the bytes one RolloutMemo keeps, 4,096 nodes at 8 beams and 20 hidden units
+# (15 MiB); it bounds the memory of a run whose geometry and weights never change
+ROLLOUT_MEMO_BYTES = 4096 * (NODE_BYTES + 8 * BEAM_BYTES + 2 * 8 * 20 * 8)
 
 
 class _Node:
@@ -557,21 +561,19 @@ class RolloutMemo:
     edge per RBG keyed by the tuple of states: a walk follows
     `node.children.get(states)` and calls `expand` only for an edge not
     yet in the tree. A node keeps the carry, the greedy actions under the
-    geometry's `mask` (whose rows as tuples are `masks`) and the states
-    they lead to (`next_states[b][action]`). It keeps at most `cap`
-    nodes, the ones whose carries fit in ROLLOUT_MEMO_BYTES. Call `clear`
-    whenever the weights change.
+    geometry's `mask` and the states they lead to (`next_states[b][action]`).
+    It keeps at most `cap` nodes, as many as fit in ROLLOUT_MEMO_BYTES at
+    NODE_BYTES and BEAM_BYTES besides each carry. Call `clear` whenever
+    the weights change.
     """
 
-    def __init__(
-        self, stack: AgentStack, mask: np.ndarray, masks: Sequence[tuple], next_states: Sequence[dict]
-    ):
+    def __init__(self, stack: AgentStack, mask: np.ndarray, next_states: Sequence[dict]):
         self.stack = stack
         self.mask = mask
-        self.masks = masks
         self.next_states = next_states
         self.clear()
-        self.cap = ROLLOUT_MEMO_BYTES // sum(part.nbytes for part in self.root.carry)
+        carry = sum(part.nbytes for part in self.root.carry)
+        self.cap = ROLLOUT_MEMO_BYTES // (NODE_BYTES + len(next_states) * BEAM_BYTES + carry)
 
     def clear(self) -> None:
         self.root = _Node(self.stack.zero_carry())
@@ -584,7 +586,7 @@ class RolloutMemo:
         """The node one RBG after `node` with the input states `key`, which is
         not among its children: one `forward` and `greedy`, kept if it fits."""
         q, carry = self.stack.forward(np.array(key)[:, None], node.carry)
-        greedy = self.stack.greedy(q, self.mask, self.masks)
+        greedy = self.stack.greedy(q, self.mask)
         child = _Node(carry, greedy, self.states(greedy))
         if self.size < self.cap:
             node.children[key] = child

@@ -33,7 +33,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -329,18 +328,12 @@ def check_trace_ids(trace: dict, cfg: ScenarioConfig) -> None:
 def _budgets(rows: list, links: list) -> dict:
     """Per UE id, the bits of the RBGs it was given: `rows` holds every RBG's
     actions, one per beam, and `links[b][uid].bits` is an RBG's bits. Each UE's
-    sum runs from 0.0 beam by beam, RBG by RBG. A beam adds the same bits for
-    each of its RBGs that one member holds, so those RBGs are counted and the
-    bits added that many times in a row: the same float sum."""
+    sum runs from 0.0 beam by beam, RBG by RBG."""
     budgets = {}
-    for table, column in zip(links, zip(*rows)):
-        for uid, link in table.items():
-            count = column.count(uid)
-            if count:
-                total = budgets.get(uid, 0.0)
-                for bits in repeat(link.bits, count):
-                    total += bits
-                budgets[uid] = total
+    for b, table in enumerate(links):
+        for actions in rows:
+            uid = actions[b]
+            budgets[uid] = budgets.get(uid, 0.0) + table[uid].bits
     return budgets
 
 
@@ -479,7 +472,7 @@ class ScenarioRun:
             mask, masks, feasible, links = self._links(beams)
             states = [{uid: link.next_state for uid, link in table.items()} for table in links]
             # a fresh memo: its nodes are keyed by states this geometry's links give
-            memo = RolloutMemo(self.stack, mask, masks, states)
+            memo = RolloutMemo(self.stack, mask, states)
             self.geometry = _Geometry(beams, cov, mask, masks, feasible, links, memo)
         return self.geometry
 

@@ -10,7 +10,7 @@ per-iteration history that `run_clustering` does not keep; the
 composed epsilon-greedy decision of an `AgentStack` at one RBG, with
 `ScalarDrawSource`, the draws it makes one at a time, and `RawStub`, a
 stream of chosen raw draws; and `budgets`, the scheduling stage's bit
-budgets summed one RBG at a time. `xy` turns a `Point2D` list into the
+budgets summed one UE at a time. `xy` turns a `Point2D` list into the
 (N, 2) array that clustering, beam forming and coverage take, and
 `next_draws` compares two places in a random stream."""
 
@@ -228,10 +228,9 @@ def with_picks(actions: Sequence[int], picks) -> list:
 
 def decide(stack: AgentStack, q: np.ndarray, mask: np.ndarray) -> list:
     """Every agent's epsilon-greedy action at one RBG, as `select_action` draws it."""
-    rows = [tuple(row) for row in mask.tolist()]
     feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
     (picks,) = stack.explorations(feasible, 1)
-    return with_picks(stack.greedy(q, mask, rows), picks)
+    return with_picks(stack.greedy(q, mask), picks)
 
 
 def next_draws(source) -> list:
@@ -295,11 +294,15 @@ class RawStub:
 
 
 def budgets(rows: Sequence[Sequence[int]], links: Sequence[dict]) -> dict:
-    """Per UE id, the bits of its RBGs: for each beam b in turn and each RBG's
-    actions in turn, add `links[b][action].bits` to the action's sum from 0.0."""
+    """Per UE id, the bits of its RBGs, one UE at a time: from 0.0, for each
+    beam b in turn and each RBG in turn whose beam-b action is the UE, add
+    `links[b][uid].bits`."""
     out = {}
-    for b, table in enumerate(links):
-        for actions in rows:
-            action = actions[b]
-            out[action] = out.get(action, 0.0) + table[action].bits
+    for uid in {action for actions in rows for action in actions}:
+        total = 0.0
+        for b, table in enumerate(links):
+            for actions in rows:
+                if actions[b] == uid:
+                    total += table[uid].bits
+        out[uid] = total
     return out

@@ -99,7 +99,6 @@ def test_stacked_step_matches_select_action(data):
     agents = [DqnAgent(_config(actions, hidden, epsilon, derive_seed(seed, k))) for k in range(n)]
     stack = AgentStack(agents)
     mask = np.array(masks, dtype=bool)
-    rows = [tuple(row) for row in masks]
     feasible = [tuple(np.flatnonzero(row).tolist()) for row in masks]
 
     cqis = [0] * n
@@ -109,7 +108,7 @@ def test_stacked_step_matches_select_action(data):
         for picks in stack.explorations(feasible, rbgs):
             states = [encode_state(c) for c in cqis]
             q, new_carry = stack.forward(np.asarray(states, dtype=float).reshape(n, 1), carry)
-            picked = with_picks(stack.greedy(q, mask, rows), picks)
+            picked = with_picks(stack.greedy(q, mask), picks)
             for k, agent in enumerate(reference):
                 q_ref, _ = lstm_forward(agent.main, [states[k]], ref_carry[k])
                 a_ref, ref_next = select_action(

@@ -4,6 +4,7 @@ all its RBGs, against `decide` and `_epsilon_greedy`; and the per-TTI mean
 delay, an int sum over its count, against `np.mean`."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from test_schedule_stage import run_pair, step_and_compare
 
 from mmwavesim import agent as agent_module
 from mmwavesim.agent import (
+    BEAM_BYTES,
+    NODE_BYTES,
     ROLLOUT_MEMO_BYTES,
     AgentConfig,
     AgentStack,
@@ -70,12 +73,11 @@ class TestGreedyThenExplore:
         whole = AgentStack(_agents(actions, epsilons, seed))
         by_row = _agents(actions, epsilons, seed)
         for mask, qs in ttis:
-            rows = [tuple(row) for row in mask.tolist()]
             feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
             explored = split.explorations(feasible, len(qs))
             assert len(explored) == len(qs)
             for q, picks in zip(qs, explored):
-                greedy = split.greedy(q, mask, rows)
+                greedy = split.greedy(q, mask)
                 picked = with_picks(greedy, picks)
                 assert picked == decide(whole, q, mask)
                 for k, eps in enumerate(epsilons):
@@ -118,7 +120,7 @@ class TestGreedyThenExplore:
             node = nodes.pop()
             for key, child in node.children.items():
                 q, _ = stack.forward(np.asarray(key, dtype=float).reshape(-1, 1), node.carry)
-                assert child.greedy == stack.greedy(q, memo.mask, memo.masks)
+                assert child.greedy == stack.greedy(q, memo.mask)
                 assert child.greedy_states == memo.states(child.greedy)
                 nodes.append(child)
                 checked += 1
@@ -195,9 +197,10 @@ def test_default_run_decides_greedily_once_per_forward(monkeypatch):
     assert run.geometry.memo.size == 164
 
 
-def _node_bytes(cfg):
-    """The bytes of one rollout-memo node's carry: h and c, (n_beams, H) float64."""
-    return 2 * cfg.n_beams * cfg.hidden_units * 8
+def _node_bytes(n_beams, hidden):
+    """The bytes a rollout memo counts for one node: its carry, h and c, each
+    (n_beams, H) float64, and the rest at NODE_BYTES and BEAM_BYTES per beam."""
+    return NODE_BYTES + n_beams * BEAM_BYTES + 2 * n_beams * hidden * 8
 
 
 def test_memo_past_a_small_cap_equals_the_mirror(monkeypatch):
@@ -217,25 +220,53 @@ def test_memo_past_a_small_cap_equals_the_mirror(monkeypatch):
         runs=1,
     )
     # room for 3 nodes and most of a fourth
-    monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_BYTES", 4 * _node_bytes(cfg) - 1)
+    monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_BYTES", 4 * _node_bytes(cfg.n_beams, cfg.hidden_units) - 1)
     run, mirror = run_pair(cfg)
     step_and_compare(run, mirror)
     assert run.geometry.memo.size == run.geometry.memo.cap == 3
 
 
+def _memo(n_beams, hidden):
+    """A rollout memo of `n_beams` agents whose one feasible action, 999, is an
+    int Python does not cache, so each node's greedy list holds its own."""
+    agents = [
+        DqnAgent(AgentConfig(action_count=1000, hidden_units=hidden, seed=k))
+        for k in range(n_beams)
+    ]
+    mask = np.zeros((n_beams, 1000), dtype=bool)
+    mask[:, 999] = True
+    return RolloutMemo(AgentStack(agents), mask, [{999: 0.5}] * n_beams)
+
+
 def test_memo_cap_is_the_byte_budget_over_a_node():
-    # 4,096 nodes at 8 beams and 20 hidden units; more at the default shape,
-    # 40 (10 MiB) at 64 beams and 256 hidden units
-    for n_beams, hidden, cap in ((8, 20, 4096), (3, 20, 10922), (64, 256, 40)):
-        agents = [
-            DqnAgent(AgentConfig(action_count=2, hidden_units=hidden, seed=k))
-            for k in range(n_beams)
-        ]
-        mask = np.ones((n_beams, 2), dtype=bool)
-        rows = [(True, True)] * n_beams
-        memo = RolloutMemo(AgentStack(agents), mask, rows, [{0: 0.0, 1: 1.0}] * n_beams)
+    # 4,096 nodes at 8 beams and 20 hidden units, more at the default shape and
+    # at 1 beam and 1 hidden unit, 58 (15 MiB) at 64 beams and 256 hidden units
+    for n_beams, hidden, cap in ((8, 20, 4096), (3, 20, 8192), (1, 1, 18547), (64, 256, 58)):
+        memo = _memo(n_beams, hidden)
         assert memo.cap == cap
-        assert memo.cap * sum(part.nbytes for part in memo.root.carry) <= ROLLOUT_MEMO_BYTES
+        assert memo.cap * _node_bytes(n_beams, hidden) <= ROLLOUT_MEMO_BYTES
+
+
+def test_memo_bytes_stay_within_the_budget():
+    # tracemalloc's count of what a memo holds after `nodes` misses along one
+    # path, each with a new key: filled to its cap at 1 beam and 1 hidden unit,
+    # where a node's overhead outweighs its carry most, and in part elsewhere
+    for n_beams, hidden, nodes in ((1, 1, None), (8, 20, 1000), (64, 8, 200)):
+        memo = _memo(n_beams, hidden)
+        assert memo.cap * _node_bytes(n_beams, hidden) <= ROLLOUT_MEMO_BYTES
+        nodes = memo.cap if nodes is None else nodes
+        node = memo.root
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1, nodes + 1):
+                node = memo.expand(node, ((i - 1) / nodes,) * n_beams)
+                if i % 1000 == 0 or i == nodes:  # stop early if nodes run over
+                    held = tracemalloc.get_traced_memory()[0] - before
+                    assert held <= i * _node_bytes(n_beams, hidden)
+        finally:
+            tracemalloc.stop()
+        assert memo.size == nodes
 
 
 @settings(max_examples=300, deadline=None)

@@ -76,7 +76,7 @@ ALLOWED = {
         "agent.AgentStack.greedy",
         "every feasible Q-value is -inf only after training diverges, which an "
         "unbounded nn_learning_rate allows",
-        "actions[k] = rows[k].index(True)",
+        "actions[k] = int(np.flatnonzero(mask[k])[0])",
     ),
     **_allow(
         "agent.ReplayMemory.__len__",

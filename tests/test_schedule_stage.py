@@ -226,7 +226,8 @@ class TestEqualsEveryRbgForward:
             train_interval_ttis=100,
             runs=1,
         )
-        node_bytes = 2 * cfg.n_beams * cfg.hidden_units * 8  # a node's carry
+        carry = 2 * cfg.n_beams * cfg.hidden_units * 8
+        node_bytes = agent_module.NODE_BYTES + cfg.n_beams * agent_module.BEAM_BYTES + carry
         monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_BYTES", 5 * node_bytes)
         run, mirror = run_pair(cfg)
         step_and_compare(run, mirror)
