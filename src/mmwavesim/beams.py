@@ -57,7 +57,9 @@ _SPLIT_CLUSTERING = ClusteringConfig(k=2, seed=0, init_strategy=InitStrategy.FAR
 class AntennaConfig:
     # four times the default array; the gain evaluates n_elements as a float
     n_elements: int = ranged(1024, lo=1, hi=4096)
-    element_spacing_over_wavelength: float = ranged(0.5, lo=0.0, closed=False)
+    # far past any array (about 0.5); the gain's phase, up to n_elements * 2 pi
+    # times this, must stay finite for math.sin, which it does up to about 7e303
+    element_spacing_over_wavelength: float = ranged(0.5, lo=0.0, hi=1e6, closed=False)
     # 1 MHz to 1 THz: the free-space path loss stays finite from 1 mm to 1000 km
     carrier_frequency_hz: float = ranged(28e9, lo=1e6, hi=1e12)
     tx_power_dbm: float = ranged(30.0, lo=-DB_LIMIT, hi=DB_LIMIT)

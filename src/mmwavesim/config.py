@@ -16,7 +16,6 @@ default and range (see `fields.ranged`), so parsing, `emit_config` and
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
@@ -63,7 +62,8 @@ class Key(NamedTuple):
 # config names that differ from the field name
 _RENAMED = {"antenna.n_elements": "n_antennas", "trace_csv": "position_trace_csv"}
 # file-only default and range: qos_latency_ttis = 0 derives 1 ms / tti_duration_s
-_PARSE_TIME = {"qos_latency_ttis": (0, Range(0))}
+_LATENCY = ScenarioConfig.__dataclass_fields__["qos_latency_ttis"].metadata["range"]
+_PARSE_TIME = {"qos_latency_ttis": (0, Range(0, _LATENCY.hi))}
 
 
 def _field_keys(cls, prefix=""):
@@ -179,10 +179,10 @@ def parse_config_text(text: str) -> SweepSpec:
     }
     if values["qos_latency_ttis"] == 0:
         ttis_per_ms = 1e-3 / values["tti_duration_s"]
-        if ttis_per_ms == math.inf:
+        if not ttis_per_ms <= _LATENCY.hi:
             raise ConfigError(
                 f"{_where(raw, 'tti_duration_s')}tti_duration_s is too small to derive "
-                "qos_latency_ttis = 1 ms / tti_duration_s; set qos_latency_ttis"
+                f"qos_latency_ttis = 1 ms / tti_duration_s {_LATENCY}; set qos_latency_ttis"
             )
         values["qos_latency_ttis"] = max(1, round(ttis_per_ms))
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -115,14 +116,16 @@ class ScenarioConfig:
     cell_radius_m: float = ranged(160.0, lo=1.0, hi=1e6)
     error_rmse_m: float = ranged(8.0, lo=0.0, hi=1e6)
     informative_pdf: bool = False
-    # a run keeps one TtiRecord (about 230 bytes) per TTI until its cell's CSVs
-    # are written; 1e5 TTIs are 12.5 s at the default TTI, 70 times the default
+    # a run keeps three numbers (24 bytes) per TTI until its cell's CSVs are
+    # written; 1e5 TTIs are 12.5 s at the default TTI, 70 times the default
     tti_count: int = ranged(1400, lo=1, hi=100_000)
     tti_duration_s: float = ranged(1.25e-4, lo=0.0, closed=False)
     move_interval_ttis: int = ranged(10, lo=1)
-    qos_latency_ttis: int = ranged(8, lo=1)  # 1 ms at the default TTI duration
+    # 1 ms at the default TTI duration; no packet waits longer than the longest
+    # run, and the reward divides this by an int delay, which fails past 1.8e308
+    qos_latency_ttis: int = ranged(8, lo=1, hi=100_000)
     qos_sinr_db: float = ranged(15.0, lo=-DB_LIMIT, hi=DB_LIMIT)
-    # a cell holds the records of all its runs at once, up to 2.3 GB at both
+    # a cell holds the columns of all its runs at once, up to 240 MB at both
     # bounds; at 100 runs the 95% Student-t quantile of the CI half-width is
     # within 1.3% of the normal one, so more runs add time, not precision
     runs: int = ranged(5, lo=1, hi=100)
@@ -194,9 +197,8 @@ class _Geometry(NamedTuple):
     memo: Optional[RolloutMemo] = None  # the schedule's LSTM rollouts
 
 
-@dataclass
+@dataclass(slots=True)
 class TtiRecord:
-    run: int
     tti: int
     coverage_rate: float
     delivered_bits: int
@@ -214,7 +216,7 @@ class RunSummary:
 @dataclass
 class RunReport:
     config: ScenarioConfig
-    records: list  # one list of TtiRecord per run
+    records: list  # per run: its coverage_rate, delivered_bits and mean_delay_ttis columns
     summaries: list  # one RunSummary per run
     aggregate: dict  # metric -> (mean, ci95_halfwidth)
 
@@ -355,7 +357,6 @@ class ScenarioRun:
         self,
         cfg: ScenarioConfig,
         run_seed: int,
-        run_index: int = 0,
         trace: Optional[dict] = None,
         coverage_only: bool = False,
     ):
@@ -363,7 +364,6 @@ class ScenarioRun:
         if trace is not None:
             check_trace_ids(trace, cfg)
         self.cfg = cfg
-        self.run_index = run_index
         self.trace = trace
         self.coverage_only = coverage_only
         self.width_rad = math.radians(cfg.beam_width_deg)
@@ -613,7 +613,7 @@ class ScenarioRun:
     def step(self, t: int) -> TtiRecord:
         if self.coverage_only:
             geo = self._geometry(self._mobility(t))
-            return TtiRecord(self.run_index, t, geo.coverage, 0, float("nan"))
+            return TtiRecord(t, geo.coverage, 0, float("nan"))
         self._arrivals(t)
         geo = self._geometry(self._mobility(t))
         budgets, _ = self._schedule(t, geo)
@@ -621,21 +621,30 @@ class ScenarioRun:
         self._learn(t, geo)
         # the delays are ints, so this equals float(np.mean(delays)) bit for bit
         mean_delay = sum(delays) / len(delays) if delays else float("nan")
-        return TtiRecord(self.run_index, t, geo.coverage, delivered_bits, mean_delay)
+        return TtiRecord(t, geo.coverage, delivered_bits, mean_delay)
 
     def run(self):
+        """Step every TTI; returns the run's coverage_rate, delivered_bits and
+        mean_delay_ttis columns, whose index is the TTI, and its summary."""
+        # int64 holds delivered_bits: at the key bounds (1e5 TTIs, 1000 UEs, 1e4
+        # packets of 65535 bytes per UE and TTI) a run delivers about 5.2e17, below 2**63
+        columns = coverage, bits, delay = array("d"), array("q"), array("d")
         # a gate's exp(-z) may overflow once training diverges; the logistic is then 0
         with np.errstate(over="ignore"):
-            records = [self.step(t) for t in range(self.cfg.tti_count)]
-        return records, self.summary(records)
+            for t in range(self.cfg.tti_count):
+                record = self.step(t)
+                coverage.append(record.coverage_rate)
+                bits.append(record.delivered_bits)
+                delay.append(record.mean_delay_ttis)
+        return columns, self.summary(coverage, bits)
 
-    def summary(self, records) -> RunSummary:
+    def summary(self, coverage, bits) -> RunSummary:
         cfg = self.cfg
-        delivered = sum(r.delivered_bits for r in records)
+        delivered = sum(bits)
         delay_sum = sum(q.delivered_delay_sum for q in self.queues)
         delay_n = sum(q.delivered_packets for q in self.queues)
         return RunSummary(
-            coverage_rate=float(np.mean([r.coverage_rate for r in records])),
+            coverage_rate=float(np.mean(coverage)),
             sum_rate_bps=delivered / (cfg.tti_count * cfg.tti_duration_s),
             mean_delay_ttis=(delay_sum / delay_n) if delay_n else float("nan"),
             delivered_bits=delivered,
@@ -650,9 +659,7 @@ def _scenario_runs(cfg: ScenarioConfig, count: int, trace=None, coverage_only=Fa
     if trace is None and cfg.trace_csv:
         trace = load_position_trace(cfg.trace_csv)
     for i in range(count):
-        yield ScenarioRun(
-            cfg, derive_seed(cfg.master_seed, i), i, trace=trace, coverage_only=coverage_only
-        )
+        yield ScenarioRun(cfg, derive_seed(cfg.master_seed, i), trace, coverage_only)
 
 
 def run_scenario(cfg: ScenarioConfig, trace: Optional[dict] = None) -> RunReport:
@@ -663,12 +670,9 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[dict] = None) -> RunReport
     95% Student-t half-width (nan for a single run). `trace` is the
     already loaded `cfg.trace_csv`; when None the file is loaded here.
     """
-    records = []
-    summaries = []
-    for run in _scenario_runs(cfg, cfg.runs, trace):
-        recs, summ = run.run()
-        records.append(recs)
-        summaries.append(summ)
+    results = [run.run() for run in _scenario_runs(cfg, cfg.runs, trace)]
+    records = [columns for columns, _ in results]
+    summaries = [summary for _, summary in results]
     aggregate = {}
     for metric in SUMMARY_METRICS:
         values = [getattr(s, metric) for s in summaries]
@@ -686,12 +690,9 @@ def write_per_tti_csv(report: RunReport, path) -> None:
     """One row per (run, tti): run,tti,coverage_rate,delivered_bits,mean_delay_ttis."""
     with open(path, "w", newline="") as fh:
         fh.write("run,tti,coverage_rate,delivered_bits,mean_delay_ttis\n")
-        for recs in report.records:
-            for r in recs:
-                fh.write(
-                    f"{r.run},{r.tti},{fmt(r.coverage_rate)},"
-                    f"{r.delivered_bits},{fmt(r.mean_delay_ttis)}\n"
-                )
+        for run, columns in enumerate(report.records):
+            for tti, (coverage, bits, delay) in enumerate(zip(*columns)):
+                fh.write(f"{run},{tti},{fmt(coverage)},{bits},{fmt(delay)}\n")
 
 
 def write_summary_csv(report: RunReport, path) -> None:

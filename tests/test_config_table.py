@@ -134,7 +134,8 @@ def config_values(draw):
         chosen[small], chosen[big] = min(pair), pair[1]
     load = chosen.get("load_bps", BY_NAME["load_bps"].default)
     chosen["load_bps"] = within_arrivals(load, chosen)
-    if 1e-3 / chosen.get("tti_duration_s", 1.0) == math.inf:  # nothing to derive from
+    if 1e-3 / chosen.get("tti_duration_s", 1.0) > BY_NAME["qos_latency_ttis"].range.hi:
+        # too short a TTI to derive the latency from
         chosen["qos_latency_ttis"] = draw(in_range(BY_NAME["qos_latency_ttis"]).filter(bool))
     return chosen
 

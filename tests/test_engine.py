@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def micro_cfg(**overrides):
 
 
 def make_run(cfg, **kwargs):
-    return ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0), run_index=0, **kwargs)
+    return ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0), **kwargs)
 
 
 class Scheduled(Recorded):
@@ -373,6 +375,25 @@ class TestRunScenario:
             "sum_rate_bps",
             "mean_delay_ttis",
         ]
+
+    @staticmethod
+    def kept_bytes(tti_count):
+        """The traced bytes a coverage-only run allocates and still holds
+        while its return value is alive."""
+        run = make_run(micro_cfg(tti_count=tti_count), coverage_only=True)
+        tracemalloc.start()
+        try:
+            kept = run.run()  # noqa: F841 - held while the bytes are read
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def test_kept_results_grow_by_at_most_32_bytes_per_tti(self):
+        # a TTI's results are three numbers, 24 bytes, plus the columns' spare
+        # capacity; a record object per TTI kept about 180 here
+        per_tti = (self.kept_bytes(20_000) - self.kept_bytes(2_000)) / 18_000
+        assert per_tti <= 32
 
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(ConfigError):
