@@ -68,7 +68,6 @@ from .traffic import PacketQueue, generate_arrivals
 __all__ = [
     "Scenario",
     "ScenarioConfig",
-    "TtiRecord",
     "RunSummary",
     "RunReport",
     "inject_error",
@@ -195,14 +194,6 @@ class _Geometry(NamedTuple):
     feasible: Optional[list] = None  # per beam: its members' ids in ascending order
     links: Optional[list] = None  # per beam: {member id: _Link}
     memo: Optional[RolloutMemo] = None  # the schedule's LSTM rollouts
-
-
-@dataclass(slots=True)
-class TtiRecord:
-    tti: int
-    coverage_rate: float
-    delivered_bits: int
-    mean_delay_ttis: float  # nan when nothing was delivered this TTI
 
 
 @dataclass
@@ -610,18 +601,19 @@ class ScenarioRun:
             for agent in self.agents:
                 agent.sync()
 
-    def step(self, t: int) -> TtiRecord:
+    def step(self, t: int) -> tuple:
+        """Advance TTI t; returns its (coverage_rate, delivered_bits,
+        mean_delay_ttis), the run's columns in order. The mean delay is nan
+        when nothing was delivered, and the bits are 0 on a coverage-only run."""
         if self.coverage_only:
-            geo = self._geometry(self._mobility(t))
-            return TtiRecord(t, geo.coverage, 0, float("nan"))
+            return self._geometry(self._mobility(t)).coverage, 0, math.nan
         self._arrivals(t)
         geo = self._geometry(self._mobility(t))
         budgets, _ = self._schedule(t, geo)
         delivered_bits, delays = self._serve(t, budgets)
         self._learn(t, geo)
         # the delays are ints, so this equals float(np.mean(delays)) bit for bit
-        mean_delay = sum(delays) / len(delays) if delays else float("nan")
-        return TtiRecord(t, geo.coverage, delivered_bits, mean_delay)
+        return geo.coverage, delivered_bits, sum(delays) / len(delays) if delays else math.nan
 
     def run(self):
         """Step every TTI; returns the run's coverage_rate, delivered_bits and
@@ -632,10 +624,10 @@ class ScenarioRun:
         # a gate's exp(-z) may overflow once training diverges; the logistic is then 0
         with np.errstate(over="ignore"):
             for t in range(self.cfg.tti_count):
-                record = self.step(t)
-                coverage.append(record.coverage_rate)
-                bits.append(record.delivered_bits)
-                delay.append(record.mean_delay_ttis)
+                cov, delivered, mean_delay = self.step(t)
+                coverage.append(cov)
+                bits.append(delivered)
+                delay.append(mean_delay)
         return columns, self.summary(coverage, bits)
 
     def summary(self, coverage, bits) -> RunSummary:
@@ -646,7 +638,7 @@ class ScenarioRun:
         return RunSummary(
             coverage_rate=float(np.mean(coverage)),
             sum_rate_bps=delivered / (cfg.tti_count * cfg.tti_duration_s),
-            mean_delay_ttis=(delay_sum / delay_n) if delay_n else float("nan"),
+            mean_delay_ttis=(delay_sum / delay_n) if delay_n else math.nan,
             delivered_bits=delivered,
         )
 

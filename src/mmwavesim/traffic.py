@@ -15,8 +15,6 @@ __all__ = ["PacketQueue", "generate_arrivals"]
 
 def generate_arrivals(mean: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Arrivals in `count` TTIs: one Poisson call, equal to `count` scalar draws; none at mean 0."""
-    if mean == 0.0:
-        return np.zeros(count, dtype=np.int64)
     return rng.poisson(mean, count)
 
 

@@ -260,15 +260,30 @@ class TestStepTti:
 
     def test_micro_run_matches_golden_trace(self):
         run = make_run(micro_cfg())
-        records = [run.step(t) for t in range(20)]
-        got = [(r.tti, r.coverage_rate, r.delivered_bits, r.mean_delay_ttis) for r in records]
+        got = [(t, *run.step(t)) for t in range(20)]
         assert got == self.GOLDEN
+
+    def test_step_returns_a_float_an_int_and_a_float(self):
+        # the run's array columns and `fmt` take these Python types, in this order
+        for cfg, coverage_only in (
+            (micro_cfg(), False),
+            (micro_cfg(load_bps=0.0), False),  # nothing delivered: the mean delay is nan
+            (micro_cfg(), True),
+        ):
+            run = make_run(cfg, coverage_only=coverage_only)
+            for t in range(12):
+                values = run.step(t)
+                assert type(values) is tuple
+                assert [type(v) for v in values] == [float, int, float]
+                if coverage_only or cfg.load_bps == 0.0:
+                    assert values[1] == 0 and math.isnan(values[2])
 
     def test_zero_traffic_still_rewards(self):
         cfg = micro_cfg(load_bps=0.0)
         run = Scheduled(cfg, run_seed=derive_seed(cfg.master_seed, 0))
         for t in range(5):
-            assert run.step(t).delivered_bits == 0
+            _, delivered_bits, _ = run.step(t)
+            assert delivered_bits == 0
             assert len(run.rewards) == 2 * 6  # beams x rbgs
             assert all(0.0 < x <= 1.0 for x in run.rewards)
 
@@ -283,9 +298,9 @@ class TestStepTti:
         cfg = micro_cfg()
         run = Scheduled(cfg, run_seed=derive_seed(cfg.master_seed, 0))
         for t in range(30):
-            r = run.step(t)
+            _, delivered_bits, _ = run.step(t)
             allocated = sum(run.budgets.values())
-            assert r.delivered_bits <= allocated + 1e-9
+            assert delivered_bits <= allocated + 1e-9
 
     def test_queue_conservation_every_tti(self):
         run = make_run(micro_cfg())
@@ -306,11 +321,11 @@ class TestStepTti:
         )
         full = make_run(cfg)
         full_records = [full.step(t) for t in range(40)]
-        assert all(r.coverage_rate == 1.0 for r in full_records)
+        assert all(coverage == 1.0 for coverage, _, _ in full_records)
         reduced = FirstBeamServed(cfg, run_seed=derive_seed(cfg.master_seed, 0))
         reduced_records = [reduced.step(t) for t in range(40)]
-        assert sum(r.delivered_bits for r in reduced_records) <= sum(
-            r.delivered_bits for r in full_records
+        assert sum(bits for _, bits, _ in reduced_records) <= sum(
+            bits for _, bits, _ in full_records
         )
 
 
@@ -418,12 +433,12 @@ class TestCoverageOnlyPath:
         full = make_run(cfg)
         cov = make_run(cfg, coverage_only=True)
         for t in range(25):
-            assert full.step(t).coverage_rate == cov.step(t).coverage_rate
+            assert full.step(t)[0] == cov.step(t)[0]
 
     def test_mean_coverage_helper(self):
         cfg = micro_cfg(tti_count=20)
         direct = make_run(cfg, coverage_only=True)
-        expected = float(np.mean([direct.step(t).coverage_rate for t in range(20)]))
+        expected = float(np.mean([direct.step(t)[0] for t in range(20)]))
         assert mean_coverage(cfg) == expected
 
 

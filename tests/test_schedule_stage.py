@@ -159,8 +159,8 @@ def link_sinr_db(run):
 
 
 def record(run, t):
-    r = run.step(t)
-    fields = (r.tti, r.coverage_rate, r.delivered_bits, repr(r.mean_delay_ttis))
+    coverage, delivered_bits, mean_delay = run.step(t)
+    fields = (coverage, delivered_bits, repr(mean_delay))
     return fields, run.scheduled, link_sinr_db(run)
 
 

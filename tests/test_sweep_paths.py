@@ -189,7 +189,7 @@ def test_mean_coverage_plays_the_configured_trace(tmp_path):
     run = ScenarioRun(
         cfg, derive_seed(cfg.master_seed, 0), trace=load_position_trace(trace), coverage_only=True
     )
-    expected = float(np.mean([run.step(t).coverage_rate for t in range(cfg.tti_count)]))
+    expected = float(np.mean([run.step(t)[0] for t in range(cfg.tti_count)]))
     assert mean_coverage(cfg) == expected
 
 
