@@ -117,10 +117,12 @@ def _angle_from(p: Point2D) -> float:
 
 
 def _circular_range(angles) -> float:
-    """Smallest arc containing all of two or more angles."""
-    a = np.sort(np.asarray([_wrap_angle(x) for x in angles]))
-    wrap_gap = 2.0 * math.pi - (a[-1] - a[0])
-    return float(2.0 * math.pi - max(np.diff(a).max(), wrap_gap))
+    """Smallest arc containing all of two or more angles in [-pi, pi]: the
+    full turn less the largest gap between neighbours, the wrap-around gap
+    included."""
+    a = sorted(angles)
+    gap = max(hi - lo for lo, hi in zip(a, a[1:]))
+    return 2.0 * math.pi - max(gap, 2.0 * math.pi - (a[-1] - a[0]))
 
 
 class _Cluster(NamedTuple):
@@ -160,6 +162,8 @@ def form_beams(
     """
     clusters = _group(centers, labels, range(len(points)))
 
+    if len(clusters) < n_beams:  # the splits read each row's angle from the gNB
+        angles = [math.atan2(y, x) for x, y in points.tolist()]
     unsplittable = set()
     while len(clusters) < n_beams:
         candidates = [
@@ -169,11 +173,8 @@ def form_beams(
         ]
         if not candidates:
             break
-        spreads = [
-            _circular_range([math.atan2(y, x) for x, y in points[cl.rows].tolist()])
-            for _, cl in candidates
-        ]
-        pick = int(np.argmax(spreads))
+        spreads = [_circular_range([angles[i] for i in cl.rows]) for _, cl in candidates]
+        pick = spreads.index(max(spreads))  # the first widest, as np.argmax
         idx, cl = candidates[pick]
         sub = run_clustering(points[cl.rows], _SPLIT_CLUSTERING)
         halves = _group(sub.centers, sub.labels, cl.rows)

@@ -17,6 +17,8 @@ those centers.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -44,8 +46,9 @@ class InitStrategy(Enum):
 class ClusteringConfig:
     k: int = ranged(lo=1)
     # at convergence_epsilon 0 every call runs all its rounds (the stop rule
-    # needs movement < 0); a round is about 70 us at the default cell, Lloyd
-    # settles 2-200 points in under 20 rounds, and 1000 keeps a call near 0.1 s
+    # needs movement < 0); a round is about 7 us at the default cell (6 points,
+    # 3 clusters) and 7 ms at 1000 points and 64 clusters, Lloyd settles 2-200
+    # points in under 20 rounds, and 1000 keeps a default call near 10 ms
     max_iterations: int = ranged(100, lo=1, hi=1000)
     convergence_epsilon: float = ranged(1e-6, lo=0.0)  # squared meters of center movement
     init_strategy: InitStrategy = InitStrategy.FARTHEST_FIRST
@@ -63,55 +66,82 @@ class ClusteringResult:
     converged: bool
 
 
-def _assign(mus: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # argmin of squared distance; np.argmin keeps the lowest index on ties
-    d2 = ((mus[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+def _assign(rows: list, centers: list) -> list:
+    """Each row's nearest center by dx * dx + dy * dy; the strict `<`
+    keeps the lowest index on ties."""
+    labels = []
+    for x, y in rows:
+        best, label = math.inf, 0
+        for j, (cx, cy) in enumerate(centers):
+            dx, dy = x - cx, y - cy
+            d = dx * dx + dy * dy
+            if d < best:
+                best, label = d, j
+        labels.append(label)
+    return labels
 
 
-def _update(mus: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _argmax(values: list) -> int:
+    """The index of the first largest value."""
+    return values.index(max(values))
+
+
+def _update(rows: list, labels: list, k: int) -> list:
     """Mean of members per cluster; empty clusters reseed at the worst point.
 
-    An empty cluster takes the position of the point farthest from its
-    own (freshly computed) center, lowest point index on ties. Labels
+    A mean is the sum of its members in row order, started from 0.0 (as
+    numpy's `mean(axis=0)` sums, so a lone -0.0 gives 0.0), over their
+    count. An empty cluster takes the position of the point farthest from
+    its own (freshly computed) center, lowest point index on ties. Labels
     are left untouched; the next assign pass claims the point.
     """
-    centers = np.empty((k, 2), dtype=float)
-    empty = []
-    for j in range(k):
-        member = labels == j
-        if member.any():
-            centers[j] = mus[member].mean(axis=0)
-        else:
-            empty.append(j)
-    if empty:
-        own = ((mus - centers[labels]) ** 2).sum(axis=1)
-        for j in empty:
-            idx = int(own.argmax())
-            centers[j] = mus[idx]
-            own[idx] = -1.0  # a point reseeds at most one empty cluster
+    sx, sy, counts = [0.0] * k, [0.0] * k, [0] * k
+    for (x, y), j in zip(rows, labels):
+        sx[j] += x
+        sy[j] += y
+        counts[j] += 1
+    centers = [(x / m, y / m) if m else None for x, y, m in zip(sx, sy, counts)]
+    if 0 in counts:
+        own = []
+        for (x, y), j in zip(rows, labels):
+            cx, cy = centers[j]
+            dx, dy = x - cx, y - cy
+            own.append(dx * dx + dy * dy)
+        for j, m in enumerate(counts):
+            if not m:
+                idx = _argmax(own)
+                centers[j] = rows[idx]
+                own[idx] = -1.0  # a point reseeds at most one empty cluster
     return centers
 
 
-def _init_centers(
-    mus: np.ndarray, cfg: ClusteringConfig, rng: np.random.Generator
-) -> np.ndarray:
-    n = mus.shape[0]
+@functools.lru_cache(maxsize=1024)
+def _first_index(seed: int, n: int) -> int:
+    """The farthest-first init's one random draw, a row index below n, from
+    make_rng(seed). Cached: every beam split draws it again from seed 0 for
+    its size (at most n_ues <= 1000), while a run's own seed draws it once."""
+    return int(make_rng(seed).integers(n))
+
+
+def _init_centers(rows: list, cfg: ClusteringConfig) -> list:
+    n = len(rows)
     if cfg.init_strategy is InitStrategy.RANDOM_POINTS:
-        idx = rng.choice(n, size=cfg.k, replace=False)
-        return mus[np.sort(idx)].copy()
+        idx = make_rng(cfg.seed).choice(n, size=cfg.k, replace=False)
+        return [rows[i] for i in sorted(idx.tolist())]
     # farthest-first: seed one point at random, then greedily take the point
     # farthest from the chosen set (lowest index on ties)
-    chosen = [int(rng.integers(n))]
-    dmin = ((mus - mus[chosen[0]]) ** 2).sum(axis=1)
-    dmin[chosen[0]] = -1.0
+    chosen = [_first_index(cfg.seed, n)]
+    dmin = [math.inf] * n  # per point, its squared distance to the chosen set
     while len(chosen) < cfg.k:
-        nxt = int(dmin.argmax())
-        chosen.append(nxt)
-        d_new = ((mus - mus[nxt]) ** 2).sum(axis=1)
-        dmin = np.minimum(dmin, d_new)
-        dmin[nxt] = -1.0
-    return mus[chosen].copy()
+        cx, cy = rows[chosen[-1]]
+        for i, (x, y) in enumerate(rows):
+            dx, dy = x - cx, y - cy
+            d = dx * dx + dy * dy
+            if d < dmin[i]:
+                dmin[i] = d
+        dmin[chosen[-1]] = -1.0
+        chosen.append(_argmax(dmin))
+    return [rows[i] for i in chosen]
 
 
 def run_clustering(
@@ -126,22 +156,24 @@ def run_clustering(
     uncertain ones. The result is fully determined by (points, cfg,
     initial_centers): the labels of the last assign step, the centers of
     the last update, the number of rounds and whether the stop rule held.
+    The rounds run on Python floats: at the 2 to 48 points of a cell, a
+    numpy call costs more than its arithmetic.
     """
-    mus = np.asarray(points, dtype=float)
-    n = len(mus)
+    rows = np.asarray(points, dtype=float).tolist()
     if initial_centers is not None:
-        centers = np.array([(c.x, c.y) for c in initial_centers], dtype=float)
+        centers = [(float(c.x), float(c.y)) for c in initial_centers]
     else:
-        centers = _init_centers(mus, cfg, make_rng(cfg.seed))
+        centers = _init_centers(rows, cfg)
 
-    labels = np.zeros(n, dtype=int)
     converged = False
     iterations = 0
-
     for _ in range(cfg.max_iterations):
-        labels = _assign(mus, centers)
-        new_centers = _update(mus, labels, cfg.k)
-        movement = float(((new_centers - centers) ** 2).sum(axis=1).max())
+        labels = _assign(rows, centers)
+        new_centers = _update(rows, labels, cfg.k)
+        movement = 0.0
+        for (x, y), (cx, cy) in zip(new_centers, centers):
+            dx, dy = x - cx, y - cy
+            movement = max(movement, dx * dx + dy * dy)
         centers = new_centers
         iterations += 1
         if movement < cfg.convergence_epsilon:
@@ -149,8 +181,8 @@ def run_clustering(
             break
 
     return ClusteringResult(
-        labels=tuple(int(l) for l in labels),
-        centers=tuple(Point2D(float(x), float(y)) for x, y in centers),
+        labels=tuple(labels),
+        centers=tuple(Point2D(x, y) for x, y in centers),
         iterations=iterations,
         converged=converged,
     )

@@ -1,10 +1,12 @@
 """TTI-stepped simulation of one mmWave cell.
 
-Each TTI runs these stages in order: packet arrivals; mobility (every
+Each TTI runs these stages in order: mobility (every
 `move_interval_ttis` TTIs, or the rows of a position trace); the
 geometry stage, which clusters the positions the base station believes
 in, points beams at the cluster centroids, and evaluates coverage and
-every (beam, member) link; per-beam RBG scheduling by the DQN agents;
+every (beam, member) link; packet arrivals (from the UEs' own random
+streams, so their place in the order changes no draw); per-beam RBG
+scheduling by the DQN agents;
 serving, which drains the queues with the allocated bits; and learning
 (agent training and target sync at their intervals). Coverage and links
 are always evaluated against the TRUE positions; scheduling and beam
@@ -80,6 +82,7 @@ __all__ = [
     "write_summary_csv",
     "SUMMARY_METRICS",
     "MIN_GNB_DISTANCE_M",
+    "MAX_GNB_DISTANCE_M",
 ]
 
 SUMMARY_METRICS = ("coverage_rate", "sum_rate_bps", "mean_delay_ttis")
@@ -87,6 +90,9 @@ SUMMARY_METRICS = ("coverage_rate", "sum_rate_bps", "mean_delay_ttis")
 # the closest a UE may be to the gNB (1 mm): a trace row closer is rejected,
 # a random placement closer is drawn again
 MIN_GNB_DISTANCE_M = 1e-3
+# the farthest a trace row may be from the gNB: the largest cell_radius_m, up to
+# which the SINR is finite (farther, the squared path loss underflows to 0)
+MAX_GNB_DISTANCE_M = 1e6
 
 # the most packets a UE may expect per TTI; numpy's Poisson draw fails near 9.2e18
 MAX_ARRIVALS_PER_TTI = 1e4
@@ -118,7 +124,9 @@ class ScenarioConfig:
     # a run keeps three numbers (24 bytes) per TTI until its cell's CSVs are
     # written; 1e5 TTIs are 12.5 s at the default TTI, 70 times the default
     tti_count: int = ranged(1400, lo=1, hi=100_000)
-    tti_duration_s: float = ranged(1.25e-4, lo=0.0, closed=False)
+    # 1 ns, far below any NR slot: the sum rate divides a run's bits (at most
+    # about 5.2e17) by tti_count times this, which overflows to inf near 1e-291 s
+    tti_duration_s: float = ranged(1.25e-4, lo=1e-9)
     move_interval_ttis: int = ranged(10, lo=1)
     # 1 ms at the default TTI duration; no packet waits longer than the longest
     # run, and the reward divides this by an int delay, which fails past 1.8e308
@@ -267,10 +275,10 @@ def load_position_trace(path):
     """Parse a `tti,ue_id,x_m,y_m` CSV into {tti: [(ue_id, Point2D), ...]}.
 
     Rows must be at TTIs >= 0, sorted by (tti, ue_id), and hold finite
-    coordinates at least MIN_GNB_DISTANCE_M from the gNB at the origin
-    (closer, the free-space path loss overflows and the SINR is not a
-    number); TTIs without rows hold the last position; an unreadable file
-    is a ConfigError.
+    coordinates from MIN_GNB_DISTANCE_M to MAX_GNB_DISTANCE_M from the gNB
+    at the origin (outside, the free-space path loss overflows or
+    underflows and the SINR is not a number); TTIs without rows hold the
+    last position; an unreadable file is a ConfigError.
     """
     trace = {}
     last = None
@@ -293,10 +301,16 @@ def load_position_trace(path):
             raise ConfigError(f"{path}: line {lineno}: malformed row {row}") from exc
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ConfigError(f"{path}: line {lineno}: non-finite position {row}")
-        if math.hypot(x, y) < MIN_GNB_DISTANCE_M:
+        distance = math.hypot(x, y)
+        if distance < MIN_GNB_DISTANCE_M:
             raise ConfigError(
                 f"{path}: line {lineno}: position is within {MIN_GNB_DISTANCE_M} m "
                 f"of the gNB (0, 0)"
+            )
+        if distance > MAX_GNB_DISTANCE_M:
+            raise ConfigError(
+                f"{path}: line {lineno}: position is farther than {MAX_GNB_DISTANCE_M:g} m "
+                f"from the gNB (0, 0)"
             )
         if tti < 0:
             raise ConfigError(f"{path}: line {lineno}: tti must be >= 0")
@@ -390,6 +404,7 @@ class ScenarioRun:
         self.prev_centers = None  # the warm start of the next clustering call
         self._fixed_point = False  # whether the last call returned its warm start
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
+        self._coverage_row = None  # a coverage-only step's result, kept with the geometry
 
     def _random_position(self) -> Point2D:
         """An area-uniform point of the cell from `move_rng`, both of its
@@ -422,33 +437,20 @@ class ScenarioRun:
             for _ in range(count):
                 queue.push(t)
 
-    def _mobility(self, t: int) -> bool:
-        """Apply this TTI's movement event, if any: the trace rows at `t`,
-        or a redraw of every UE each `move_interval_ttis` TTIs. Moved UEs
-        get a new report. Returns whether any UE moved."""
+    def _mobility(self, t: int) -> None:
+        """Apply TTI t's movement event (see `step`): place each UE of the
+        trace rows at t, or every UE at a new random position. Moved UEs get
+        a new report."""
         if self.trace is not None:
-            rows = self.trace.get(t, ())
-            for ue_id, pos in rows:
+            for ue_id, pos in self.trace[t]:
                 self._place(ue_id, pos)
-            return bool(rows)
-        if t == 0 or t % self.cfg.move_interval_ttis:
-            return False
-        for u in range(self.cfg.n_ues):
-            self._place(u, self._random_position())
-        return True
+        else:
+            for u in range(self.cfg.n_ues):
+                self._place(u, self._random_position())
 
-    def _geometry(self, moved: bool) -> _Geometry:
-        """Clustering, beam formation, coverage and the link tables.
-
-        The clustering call is a deterministic function of the positions
-        and its warm-start centers, and everything after it is a function
-        of its result and the true positions. So the previous TTI's
-        result is returned as is unless a UE moved, or the previous call
-        did not end at a fixed point (its output centers, the next call's
-        warm start, differ from the centers it started from).
-        """
-        if self._fixed_point and not moved:
-            return self.geometry
+    def _geometry(self) -> None:
+        """Keep the clustering, beams, coverage and link tables of the current
+        positions as `geometry`, warm-started from the last call's centers."""
         cfg = self.cfg
         result = run_clustering(self.believed_xy, self.clustering, self.prev_centers)
         self._fixed_point = result.centers == self.prev_centers
@@ -459,13 +461,13 @@ class ScenarioRun:
         cov = coverage_rate(beams, self.true_xy, cfg.cell_radius_m)
         if self.coverage_only:
             self.geometry = _Geometry(beams, cov)
+            self._coverage_row = (cov, 0, math.nan)
         else:
             mask, masks, feasible, links = self._links(beams)
             states = [{uid: link.next_state for uid, link in table.items()} for table in links]
             # a fresh memo: its nodes are keyed by states this geometry's links give
             memo = RolloutMemo(self.stack, mask, states)
             self.geometry = _Geometry(beams, cov, mask, masks, feasible, links, memo)
-        return self.geometry
 
     def _links(self, beams):
         """The (beam, UE) action mask, its rows as tuples, each beam's member ids
@@ -604,11 +606,29 @@ class ScenarioRun:
     def step(self, t: int) -> tuple:
         """Advance TTI t; returns its (coverage_rate, delivered_bits,
         mean_delay_ttis), the run's columns in order. The mean delay is nan
-        when nothing was delivered, and the bits are 0 on a coverage-only run."""
+        when nothing was delivered, and the bits are 0 on a coverage-only run.
+
+        The geometry stage is entered only at a movement event (trace rows at
+        t, or without a trace every `move_interval_ttis`-th TTI after 0), or
+        while the last clustering call did not end at its warm start: the
+        call is a deterministic function of the positions and that start,
+        and all the stage computes after it a function of its result and the
+        true positions, so otherwise the kept result is what it would
+        compute. The movement test is inline: as a method call it would be
+        a third of a cached coverage-only step."""
+        if self.trace is None:
+            moves = t > 0 and t % self.cfg.move_interval_ttis == 0
+        else:
+            moves = bool(self.trace.get(t))
+        if moves:
+            self._mobility(t)
+            self._geometry()
+        elif not self._fixed_point:
+            self._geometry()
         if self.coverage_only:
-            return self._geometry(self._mobility(t)).coverage, 0, math.nan
+            return self._coverage_row
         self._arrivals(t)
-        geo = self._geometry(self._mobility(t))
+        geo = self.geometry
         budgets, _ = self._schedule(t, geo)
         delivered_bits, delays = self._serve(t, budgets)
         self._learn(t, geo)

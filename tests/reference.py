@@ -4,7 +4,9 @@ gain; the general uncertainty-PDF model (a uniform disk or weighted
 samples, wrapped in an `UncertainPoint`) with its mean, expected squared
 distance, `moments`, per-point sampling and rigid translation, and
 `report_pdf`, the report drawn as such a PDF, which `engine.inject_error`
-must match bit for bit as two points; the point-list forms of the
+must match bit for bit as two points; `numpy_clustering`, the
+`run_clustering` loop in numpy that the scalar one must match bit for
+bit, and on its `_assign` and `_update` the point-list forms of the
 k-means and UK-means assign/update steps; the clustering objective and
 per-iteration history that `run_clustering` does not keep; the
 composed epsilon-greedy decision of an `AgentStack` at one RBG, with
@@ -28,12 +30,12 @@ from mmwavesim.beams import AntennaConfig
 from mmwavesim.clustering import (
     ClusteringConfig,
     ClusteringResult,
-    _assign,
-    _update,
+    InitStrategy,
     run_clustering,
 )
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D, UniformDisk, sq_distance, uniform_disk_point
+from mmwavesim.seeding import make_rng
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,93 @@ def translate(p: UncertainPoint, dx: float, dy: float) -> UncertainPoint:
             tuple(Point2D(s.x + dx, s.y + dy) for s in pdf.samples), pdf.weights
         )
     return UncertainPoint(pdf=moved)
+
+
+def _assign(mus: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # argmin of squared distance; np.argmin keeps the lowest index on ties
+    d2 = ((mus[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
+
+
+def _update(mus: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Mean of members per cluster; empty clusters reseed at the worst point.
+
+    An empty cluster takes the position of the point farthest from its
+    own (freshly computed) center, lowest point index on ties. Labels
+    are left untouched; the next assign pass claims the point.
+    """
+    centers = np.empty((k, 2), dtype=float)
+    empty = []
+    for j in range(k):
+        member = labels == j
+        if member.any():
+            centers[j] = mus[member].mean(axis=0)
+        else:
+            empty.append(j)
+    if empty:
+        own = ((mus - centers[labels]) ** 2).sum(axis=1)
+        for j in empty:
+            idx = int(own.argmax())
+            centers[j] = mus[idx]
+            own[idx] = -1.0  # a point reseeds at most one empty cluster
+    return centers
+
+
+def _init_centers(
+    mus: np.ndarray, cfg: ClusteringConfig, rng: np.random.Generator
+) -> np.ndarray:
+    n = mus.shape[0]
+    if cfg.init_strategy is InitStrategy.RANDOM_POINTS:
+        idx = rng.choice(n, size=cfg.k, replace=False)
+        return mus[np.sort(idx)].copy()
+    # farthest-first: seed one point at random, then greedily take the point
+    # farthest from the chosen set (lowest index on ties)
+    chosen = [int(rng.integers(n))]
+    dmin = ((mus - mus[chosen[0]]) ** 2).sum(axis=1)
+    dmin[chosen[0]] = -1.0
+    while len(chosen) < cfg.k:
+        nxt = int(dmin.argmax())
+        chosen.append(nxt)
+        d_new = ((mus - mus[nxt]) ** 2).sum(axis=1)
+        dmin = np.minimum(dmin, d_new)
+        dmin[nxt] = -1.0
+    return mus[chosen].copy()
+
+
+def numpy_clustering(
+    points: np.ndarray,
+    cfg: ClusteringConfig,
+    initial_centers: Optional[Sequence[Point2D]] = None,
+) -> ClusteringResult:
+    """`clustering.run_clustering` in numpy, each round's assign, update and
+    movement as array operations: the oracle of its scalar rounds."""
+    mus = np.asarray(points, dtype=float)
+    n = len(mus)
+    if initial_centers is not None:
+        centers = np.array([(c.x, c.y) for c in initial_centers], dtype=float)
+    else:
+        centers = _init_centers(mus, cfg, make_rng(cfg.seed))
+
+    labels = np.zeros(n, dtype=int)
+    converged = False
+    iterations = 0
+
+    for _ in range(cfg.max_iterations):
+        labels = _assign(mus, centers)
+        new_centers = _update(mus, labels, cfg.k)
+        movement = float(((new_centers - centers) ** 2).sum(axis=1).max())
+        centers = new_centers
+        iterations += 1
+        if movement < cfg.convergence_epsilon:
+            converged = True
+            break
+
+    return ClusteringResult(
+        labels=tuple(int(l) for l in labels),
+        centers=tuple(Point2D(float(x), float(y)) for x, y in centers),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def kmeans_assign(points: Sequence[Point2D], centers: Sequence[Point2D]):

@@ -193,8 +193,8 @@ class TestTable:
 
     def test_qos_latency_needs_a_derivable_tti_duration(self):
         with pytest.raises(ConfigError, match="line 1: tti_duration_s is too small"):
-            parse_config_text("tti_duration_s = 5e-324\n")
-        spec = parse_config_text("tti_duration_s = 5e-324\nqos_latency_ttis = 3\n")
+            parse_config_text("tti_duration_s = 5e-9\n")
+        spec = parse_config_text("tti_duration_s = 5e-9\nqos_latency_ttis = 3\n")
         assert spec.base[0].qos_latency_ttis == 3
 
     def test_every_scenario_field_has_one_key(self):

@@ -1,8 +1,10 @@
 """The geometry stage: recomputed at movement events only, and exactly
-what recomputing it every TTI would give."""
+what recomputing it every TTI would give; and its clustering rounds, which
+give the bits of the numpy oracle."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 from mmwavesim import engine
 from mmwavesim.agent import encode_state
 from mmwavesim.beams import compute_sinr, coverage_rate, form_beams, rbg_rate, sinr_to_cqi
-from mmwavesim.clustering import InitStrategy, run_clustering
+from mmwavesim.clustering import ClusteringConfig, InitStrategy, run_clustering
 from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
 from mmwavesim.geometry import Point2D
 from mmwavesim.seeding import derive_seed
+from reference import numpy_clustering
 
 
 def micro_cfg(**overrides):
@@ -117,24 +120,44 @@ def runs(draw):
     return make_run(cfg, trace=trace, coverage_only=draw(st.booleans()))
 
 
+def assert_step_equals_mirror(run, mirror, t):
+    coverage, _, _ = run.step(t)
+    beams, cov, sinr_db = mirror.step()
+    assert run.geometry.beams == beams
+    assert coverage == cov
+    if not run.coverage_only:
+        link_sinr_db = {
+            (b, uid): link.sinr_db
+            for b, table in enumerate(run.geometry.links)
+            for uid, link in table.items()
+        }
+        assert link_sinr_db == sinr_db
+        assert_links_follow_sinr(run)
+
+
 class TestReuseIsExact:
     @settings(max_examples=80, deadline=None)
     @given(run=runs())
     def test_every_tti_equals_recomputing_it(self, run):
         mirror = Mirror(run)
         for t in range(run.cfg.tti_count):
-            coverage, _, _ = run.step(t)
-            beams, cov, sinr_db = mirror.step()
-            assert run.geometry.beams == beams
-            assert coverage == cov
-            if not run.coverage_only:
-                link_sinr_db = {
-                    (b, uid): link.sinr_db
-                    for b, table in enumerate(run.geometry.links)
-                    for uid, link in table.items()
-                }
-                assert link_sinr_db == sinr_db
-                assert_links_follow_sinr(run)
+            assert_step_equals_mirror(run, mirror, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=runs(), data=st.data())
+    def test_steps_in_any_order_equal_recomputing_them(self, run, data):
+        """A TTI's movement event is read from t alone, so steps taken out of
+        order, or twice, still reuse only what recomputing would give."""
+        ttis = data.draw(st.lists(st.integers(0, run.cfg.tti_count - 1), max_size=16), label="ttis")
+        mirror = Mirror(run)
+        for t in ttis:
+            assert_step_equals_mirror(run, mirror, t)
+
+    def test_going_back_in_time_equals_recomputing(self):
+        run = make_run(micro_cfg())
+        mirror = Mirror(run)
+        for t in (25, 20, 0, 30, 30, 11, 10, 10, 31):
+            assert_step_equals_mirror(run, mirror, t)
 
 
 def assert_links_follow_sinr(run):
@@ -150,13 +173,14 @@ def assert_links_follow_sinr(run):
 
 
 class CallLog:
-    """Logs the TTI of every call to the named `engine` functions."""
+    """Logs the TTI of every call to the named attributes of `owner`: the
+    functions `engine` calls, or the methods of `ScenarioRun`."""
 
-    def __init__(self, monkeypatch, *names):
+    def __init__(self, monkeypatch, *names, owner=engine):
         self.tti = None
         self.calls = {name: [] for name in names}
         for name in names:
-            monkeypatch.setattr(engine, name, self._logged(name, getattr(engine, name)))
+            monkeypatch.setattr(owner, name, self._logged(name, getattr(owner, name)))
 
     def _logged(self, name, fn):
         def logged(*args, **kwargs):
@@ -173,6 +197,10 @@ class CallLog:
 
 # every movement event of micro_cfg, then the call that finds the fixed point
 MOVES = [0, 1, 10, 11, 20, 21, 30, 31]
+TRACE = {
+    5: [(1, Point2D(-15.0, 25.0))],
+    17: [(0, Point2D(10.0, 20.0)), (3, Point2D(70.0, 80.0))],
+}
 
 
 class TestRecomputedOnlyAtMovement:
@@ -191,12 +219,18 @@ class TestRecomputedOnlyAtMovement:
 
     def test_trace_rows(self, monkeypatch):
         log = CallLog(monkeypatch, "run_clustering")
-        trace = {
-            5: [(1, Point2D(-15.0, 25.0))],
-            17: [(0, Point2D(10.0, 20.0)), (3, Point2D(70.0, 80.0))],
-        }
-        log.step_all(make_run(micro_cfg(), trace=trace))
+        log.step_all(make_run(micro_cfg(), trace=TRACE))
         assert log.calls["run_clustering"] == [0, 1, 5, 6, 17, 18]
+
+    @pytest.mark.parametrize("trace", [None, TRACE])
+    @pytest.mark.parametrize("coverage_only", [False, True])
+    def test_a_cached_tti_enters_no_geometry_method(self, monkeypatch, trace, coverage_only):
+        log = CallLog(monkeypatch, "_mobility", "_geometry", owner=ScenarioRun)
+        log.step_all(make_run(micro_cfg(), trace=trace, coverage_only=coverage_only))
+        if trace is None:
+            assert log.calls == {"_mobility": [10, 20, 30], "_geometry": MOVES}
+        else:
+            assert log.calls == {"_mobility": [5, 17], "_geometry": [0, 1, 5, 6, 17, 18]}
 
     def test_no_fixed_point_recomputes_next_tti(self, monkeypatch):
         fixed = []
@@ -223,3 +257,59 @@ class TestRecomputedOnlyAtMovement:
         assert n == 5
         assert log.calls["run_clustering"] == list(range(n))
         assert fixed == [False] * (n - 1) + [True]
+
+
+# small integers make ties and coincident points, -0.0 signed zeros, and
+# floats the rest
+COORD = st.integers(-4, 4).map(float) | st.just(-0.0) | st.floats(-160.0, 160.0)
+
+
+class TestScalarClusteringEqualsNumpy:
+    """`run_clustering`'s plain-Python rounds give the bits of the numpy
+    oracle: labels, centers (signed zeros included), rounds and stop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_oracle(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        k = data.draw(st.integers(1, min(n, 5)), label="k")
+        pts = np.array(data.draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+        cfg = ClusteringConfig(
+            k=k,
+            max_iterations=data.draw(st.sampled_from([1, 2, 100]), label="max_iterations"),
+            convergence_epsilon=data.draw(st.sampled_from([0.0, 1e-6, 1.0]), label="epsilon"),
+            init_strategy=data.draw(st.sampled_from(InitStrategy), label="init"),
+            seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        )
+        # a warm start far from the points leaves clusters empty, to be reseeded
+        far = st.tuples(st.sampled_from([-1e4, 1e4]), st.sampled_from([-1e4, 1e4]))
+        warm = data.draw(st.none() | st.lists(st.tuples(COORD, COORD) | far, min_size=k, max_size=k))
+        initial = None if warm is None else [Point2D(x, y) for x, y in warm]
+        assert_equals_oracle(pts, cfg, initial)
+
+    @pytest.mark.parametrize("init", list(InitStrategy))
+    def test_large_clusters_and_reseeds(self, init):
+        """Past 8 points per cluster, where a pairwise sum would differ, and
+        with two empty clusters reseeded in one round."""
+        rng = np.random.default_rng(7)
+        pts = np.concatenate([rng.normal(c, 3.0, size=(40, 2)) for c in (-50.0, 0.0, 50.0)])
+        pts[::7, 1] = -0.0
+        cfg = ClusteringConfig(k=4, init_strategy=init, convergence_epsilon=0.0, seed=3)
+        far = [Point2D(0.0, 0.0), Point2D(1e4, 1e4), Point2D(-1e4, 1e4), Point2D(50.0, 50.0)]
+        for initial in (None, far):
+            assert_equals_oracle(pts, cfg, initial)
+
+    def test_a_lone_negative_zero_averages_to_positive_zero(self):
+        pts = np.array([[-2.0, -0.0], [5.0, 5.0]])
+        cfg = ClusteringConfig(k=2, max_iterations=1)
+        result = assert_equals_oracle(pts, cfg, [Point2D(-2.0, 0.0), Point2D(5.0, 5.0)])
+        assert repr(result.centers[0]) == "Point2D(x=-2.0, y=0.0)"
+
+
+def assert_equals_oracle(pts, cfg, initial):
+    got = run_clustering(pts, cfg, initial)
+    want = numpy_clustering(pts, cfg, initial)
+    assert repr(got.labels) == repr(want.labels)
+    assert repr(got.centers) == repr(want.centers)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    return got

@@ -54,6 +54,7 @@ def _validate_and_run(tmp_path, text):
     [
         "qos_latency_ttis = 100000\n",
         "qos_latency_ttis = 0\ntti_duration_s = 1e-8\n",  # derives 1 ms / 10 ns = 100000
+        "qos_latency_ttis = 8\ntti_duration_s = 1e-9\n",
         # the range is open at 1e6
         f"element_spacing_over_wavelength = {math.nextafter(1e6, 0)!r}\n",
     ],
@@ -68,6 +69,13 @@ def test_the_bound_runs(tmp_path, text):
         ("qos_latency_ttis", "qos_latency_ttis = 100001\n"),
         ("qos_latency_ttis", f"qos_latency_ttis = {10**400}\n"),
         ("tti_duration_s", f"qos_latency_ttis = 0\ntti_duration_s = {math.nextafter(1e-8, 0)!r}\n"),
+        ("tti_duration_s", f"qos_latency_ttis = 8\ntti_duration_s = {math.nextafter(1e-9, 0)!r}\n"),
+        # once ran to a sum_rate_bps of inf
+        (
+            "tti_duration_s",
+            "load_bps = 1.7e308\npacket_size_bytes = 1\nsubcarrier_spacing_hz = 1e308\n"
+            "tti_duration_s = 1e-306\n",
+        ),
         ("element_spacing_over_wavelength", "element_spacing_over_wavelength = 1e6\n"),
         ("element_spacing_over_wavelength", "element_spacing_over_wavelength = 1e308\n"),
     ],

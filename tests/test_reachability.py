@@ -144,6 +144,7 @@ CHILD = textwrap.dedent(
         "malformed": HEADER + "0,0,1\\n",
         "nonfinite": HEADER + "0,0,nan,2\\n",
         "at_gnb": HEADER + "0,0,0,0\\n",
+        "far": HEADER + "0,0,1e160,0\\n",
         "negative_tti": HEADER + "-1,0,1,2\\n",
         "unsorted": HEADER + "5,0,1,2\\n0,0,1,2\\n",
         "ue_id": HEADER + "0,9,1,2\\n",
@@ -165,7 +166,7 @@ CHILD = textwrap.dedent(
         "n_ues = 3\\nn_clusters = 4\\n",
         "load_bps = 1e12\\n",
         "minibatch = 61\\n",
-        "tti_duration_s = 1e-320\\nqos_latency_ttis = 0\\n",
+        "tti_duration_s = 5e-9\\nqos_latency_ttis = 0\\n",
         "position_trace_csv = " + os.path.join(out, "missing.csv") + "\\n",
         *(f"position_trace_csv = {write(name + '.csv', text)}\\n"
           for name, text in bad_trace.items()),

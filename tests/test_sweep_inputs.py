@@ -1,5 +1,6 @@
 """Sweep inputs that must be rejected or bounded before any cell runs."""
 
+import math
 import os
 from concurrent.futures import Future
 
@@ -111,6 +112,25 @@ class TestTraceRows:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.count("line 2: tti must be >= 0") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("far", ["1e6,0", "-8e5,6e5", "0,-1000000.0"])
+    def test_row_at_the_far_bound_runs(self, tmp_path, far):
+        trace = _trace(tmp_path, ["0,0,10,10", f"0,1,{far}"])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"position_trace_csv = {trace}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("far", [f"{math.nextafter(1e6, math.inf)!r},0", "8e5,6.000001e5", "1e160,0"])
+    def test_row_past_the_far_bound_exits_1_with_line(self, tmp_path, capsys, far):
+        trace = _trace(tmp_path, ["0,0,10,10", f"0,1,{far}"])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"position_trace_csv = {trace}\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("line 3: position is farther than 1e+06 m") == 2
         assert not out.exists()
 
     def test_near_origin_accepted(self, tmp_path):
