@@ -31,7 +31,6 @@ is built.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -280,6 +279,8 @@ def load_position_trace(path):
     underflows and the SINR is not a number); TTIs without rows hold the
     last position; an unreadable file is a ConfigError.
     """
+    import csv  # only a configured trace needs it
+
     trace = {}
     last = None
     try:
@@ -641,8 +642,9 @@ class ScenarioRun:
         # int64 holds delivered_bits: at the key bounds (1e5 TTIs, 1000 UEs, 1e4
         # packets of 65535 bytes per UE and TTI) a run delivers about 5.2e17, below 2**63
         columns = coverage, bits, delay = array("d"), array("q"), array("d")
-        # a gate's exp(-z) may overflow once training diverges; the logistic is then 0
-        with np.errstate(over="ignore"):
+        # training may diverge (nn_learning_rate is open): a gate's exp(-z) may overflow
+        # and the backward pass meet inf * 0; greedy's all -inf fallback takes nan Q-values
+        with np.errstate(over="ignore", invalid="ignore"):
             for t in range(self.cfg.tti_count):
                 cov, delivered, mean_delay = self.step(t)
                 coverage.append(cov)

@@ -3,6 +3,7 @@ with what keeps it harmless; the keys bounded for a crash past their bound
 run at it and exit 1 beyond it, before any cell starts."""
 
 import math
+import warnings
 from enum import Enum
 
 import pytest
@@ -85,3 +86,17 @@ def test_past_the_bound_exits_1_before_any_cell(tmp_path, capsys, key, text):
     assert _validate_and_run(tmp_path, text) == ((1, 1), False)
     line = (TINY + text).count("\n")
     assert capsys.readouterr().err.count(f"line {line}: {key}") == 2
+
+
+def test_diverging_training_runs_without_a_warning(tmp_path):
+    """nn_learning_rate is open: training that diverges to inf and nan is
+    accepted, so the run neither fails nor warns."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "tti_count = 200\nn_ues = 4\nn_clusters = 2\nn_beams = 2\nrbg_count = 4\n"
+        "hidden_units = 4\nminibatch = 4\nreplay_capacity = 8\ntrain_interval_ttis = 2\n"
+        "nn_learning_rate = 1e30\nscenarios = kmeans_exact\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -1,12 +1,12 @@
 """Sweep inputs that must be rejected or bounded before any cell runs."""
 
+import concurrent.futures
 import math
 import os
 from concurrent.futures import Future
 
 import pytest
 
-from mmwavesim import cli
 from mmwavesim.cli import main, run_sweep
 from mmwavesim.config import parse_config_text
 from mmwavesim.engine import load_position_trace
@@ -44,7 +44,8 @@ class InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "created", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # run_sweep imports the pool class when it needs one, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return InlinePool.created
 
 

@@ -60,21 +60,21 @@ def values_of(key):
     return st.sampled_from(_ends(key)[0] + [key.default])
 
 
-# every field key but the position trace, which needs a file
+# every field key but the position trace, which needs a file (`traces`)
 FIELD_KEYS = [key for key in KEYS if key.path is not None and key.name != "position_trace_csv"]
 RANGED_KEYS = [key for key in FIELD_KEYS if key.range is not None and key.name not in TINY]
 
 
 @st.composite
-def configs(draw):
-    """A config text, its runs and its scenario count: every tiny key, a
-    subset of the other field keys, at most one of them out of its range, a
-    scenario subset and a sweep."""
+def configs(draw, wide=True):
+    """A config text, its field values and its scenario count: every tiny
+    key, a scenario subset and a sweep; if `wide`, also a subset of the other
+    field keys, at most one of them out of its range."""
     values = {key.name: draw(values_of(key)) for key in FIELD_KEYS
-              if key.name in TINY or draw(st.booleans())}
+              if key.name in TINY or (wide and draw(st.booleans()))}
     for small, big in (("n_clusters", "n_ues"), ("minibatch", "replay_capacity")):
         values[small] = min(values[small], values[big])  # the size rules kept
-    out_of_range = draw(st.none() | st.sampled_from(RANGED_KEYS))
+    out_of_range = draw(st.none() | st.sampled_from(RANGED_KEYS)) if wide else None
     if out_of_range is not None:
         values[out_of_range.name] = draw(st.sampled_from(_ends(out_of_range)[1]))
     scenarios = draw(st.lists(st.sampled_from(list(Scenario)), min_size=1, max_size=3, unique=True))
@@ -86,7 +86,7 @@ def configs(draw):
         "sweep_values = " + ",".join(fmt(v) for v in sweep),
     ]
     text = "\n".join(draw(st.permutations(lines))) + "\n"
-    return text, values["runs"], len(scenarios)
+    return text, values, len(scenarios)
 
 
 def _rows(path: Path) -> list:
@@ -103,25 +103,74 @@ def _undelivered(report: Path) -> bool:
     return 0 in delivered.values()
 
 
+# trace rows at each end of the allowed distance from the gNB (1 mm and 1e6 m)
+# and inside; just past the ends; and at huge in-bound coordinates
+TRACE_DISTANCES = (1e-3, 1.0, 50.0, 3e5, 1e6)
+PAST_TRACE_DISTANCES = (math.nextafter(1e-3, 0), math.nextafter(1e6, 2e6))
+TRACE_POINTS = ((-1e6, 0.0), (0.0, 1e6), (7e5, -7e5), (-999_999.999, 1e-3))
+
+
+@st.composite
+def traces(draw, n_ues, tti_count):
+    """A `tti,ue_id,x_m,y_m` text: rows at TTIs up to twice `tti_count` and
+    at ue_ids below `n_ues` (so some UEs may never appear); rarely a row at
+    TTI -1 or 10**6, at ue_id -1 or `n_ues`, or just past a distance bound,
+    or the rows unsorted."""
+    def rare(common, odd):
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, 9)) == 5 else draw(common)
+
+    rows = {}
+    for _ in range(draw(st.integers(1, 6))):
+        tti = rare(st.integers(0, 2 * tti_count), (-1, 10**6))
+        ue_id = rare(st.integers(0, n_ues - 1), (-1, n_ues))
+        if draw(st.booleans()):
+            x, y = draw(st.sampled_from(TRACE_POINTS))
+        else:
+            r = rare(st.sampled_from(TRACE_DISTANCES), PAST_TRACE_DISTANCES)
+            angle = draw(st.sampled_from((0.0, 0.5, 1.0, 1.5))) * math.pi
+            x, y = r * math.cos(angle), r * math.sin(angle)
+        rows[tti, ue_id] = (x, y)
+    rows = sorted(rows.items()) if draw(st.integers(0, 9)) else list(rows.items())
+    return "tti,ue_id,x_m,y_m\n" + "".join(f"{t},{u},{x!r},{y!r}\n" for (t, u), (x, y) in rows)
+
+
+def _validate_then_run(tmp, text, runs, n_scenarios):
+    """A config that `validate` accepts runs to exit 0 with finite means;
+    a rejected one exits 1 from `run` too and leaves no output."""
+    path, out = Path(tmp) / "exp.cfg", Path(tmp) / "out"
+    path.write_text(text)
+    validated = main(["validate", "--config", str(path)])
+    ran = main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"])
+    assert validated in (0, 1)
+    assert ran == validated
+    if validated == 1:
+        assert not out.exists()
+        return
+    # three rows per cell, in cell order: by sweep value, then scenario
+    for k, row in enumerate(_rows(out / "sweep_summary.csv")):
+        mean, hw = float(row["mean"]), float(row["ci95_halfwidth"])
+        cell = f"{row['scenario']}_{row['sweep_variable']}_{k // 3 // n_scenarios}"
+        report = out / f"report_{cell}.csv"
+        undelivered = row["metric"] == "mean_delay_ttis" and _undelivered(report)
+        assert math.isfinite(mean) or undelivered, row
+        assert math.isfinite(hw) or runs == 1 or undelivered, row
+
+
 @settings(max_examples=300, deadline=None)
 @given(config=configs())
 def test_validate_decides_whether_run_succeeds(config):
-    text, runs, n_scenarios = config
+    text, values, n_scenarios = config
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "exp.cfg", Path(tmp) / "out"
-        path.write_text(text)
-        validated = main(["validate", "--config", str(path)])
-        ran = main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"])
-        assert validated in (0, 1)
-        assert ran == validated
-        if validated == 1:
-            assert not out.exists()
-            return
-        # three rows per cell, in cell order: by sweep value, then scenario
-        for k, row in enumerate(_rows(out / "sweep_summary.csv")):
-            mean, hw = float(row["mean"]), float(row["ci95_halfwidth"])
-            cell = f"{row['scenario']}_{row['sweep_variable']}_{k // 3 // n_scenarios}"
-            report = out / f"report_{cell}.csv"
-            undelivered = row["metric"] == "mean_delay_ttis" and _undelivered(report)
-            assert math.isfinite(mean) or undelivered, row
-            assert math.isfinite(hw) or runs == 1 or undelivered, row
+        _validate_then_run(tmp, text, values["runs"], n_scenarios)
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=configs(wide=False), data=st.data())
+def test_validate_decides_whether_a_traced_run_succeeds(config, data):
+    text, values, n_scenarios = config
+    trace = data.draw(traces(values["n_ues"], values["tti_count"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(trace)
+        text += f"position_trace_csv = {path}\n"
+        _validate_then_run(tmp, text, values["runs"], n_scenarios)
