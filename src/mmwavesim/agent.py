@@ -111,7 +111,7 @@ class ExperienceTuple:
     next_state: float
     reward: float
     hidden_context: tuple  # (h, c) carry at decision time, each shape (H,)
-    action_mask: tuple  # feasible actions at decision time
+    action_mask: Sequence[bool]  # feasible actions at decision time, e.g. a mask row
 
 
 def encode_state(cqi: int) -> float:

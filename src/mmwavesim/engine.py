@@ -183,10 +183,8 @@ class _Link(NamedTuple):
     """What scheduling one RBG of a beam to one of its members yields,
     apart from the reward (which reads the head-of-line delay)."""
 
-    sinr_db: float
     bits: float  # RBG rate times the TTI duration
-    cqi: int
-    next_state: float
+    next_state: float  # the encoded CQI of the link's SINR
     sinr_ratio: float  # linear SINR over the QoS requirement
 
 
@@ -197,7 +195,6 @@ class _Geometry(NamedTuple):
     beams: list
     coverage: float
     mask: Optional[np.ndarray] = None  # (beam, UE): True for the beam's members
-    masks: Optional[list] = None  # the rows of `mask` as tuples of bools
     feasible: Optional[list] = None  # per beam: its members' ids in ascending order
     links: Optional[list] = None  # per beam: {member id: _Link}
     memo: Optional[RolloutMemo] = None  # the schedule's LSTM rollouts
@@ -435,8 +432,8 @@ class ScenarioRun:
             block = [generate_arrivals(mean, rng, ARRIVAL_BLOCK) for rng in self.traffic_rngs]
             self._arrival_rows = np.array(block).T.tolist()[::-1]  # the next row last
         for queue, count in zip(self.queues, self._arrival_rows.pop()):
-            for _ in range(count):
-                queue.push(t)
+            if count:
+                queue.push(t, count)
 
     def _mobility(self, t: int) -> None:
         """Apply TTI t's movement event (see `step`): place each UE of the
@@ -464,15 +461,15 @@ class ScenarioRun:
             self.geometry = _Geometry(beams, cov)
             self._coverage_row = (cov, 0, math.nan)
         else:
-            mask, masks, feasible, links = self._links(beams)
+            mask, feasible, links = self._links(beams)
             states = [{uid: link.next_state for uid, link in table.items()} for table in links]
             # a fresh memo: its nodes are keyed by states this geometry's links give
             memo = RolloutMemo(self.stack, mask, states)
-            self.geometry = _Geometry(beams, cov, mask, masks, feasible, links, memo)
+            self.geometry = _Geometry(beams, cov, mask, feasible, links, memo)
 
     def _links(self, beams):
-        """The (beam, UE) action mask, its rows as tuples, each beam's member ids
-        and per beam the `_Link` of an RBG to each member; the gNB is at the origin."""
+        """The (beam, UE) action mask, each beam's member ids and per beam the
+        `_Link` of an RBG to each member; the gNB is at the origin."""
         cfg = self.cfg
         xy = self.true_xy.tolist()
         links = []
@@ -484,16 +481,13 @@ class ScenarioRun:
                 x, y = xy[uid]
                 sdb = compute_sinr(math.atan2(y, x), math.hypot(x, y), beam, others, cfg.antenna)
                 mask[b, uid] = True
-                cqi = sinr_to_cqi(sdb)
                 table[uid] = _Link(
-                    sinr_db=sdb,
                     bits=rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s,
-                    cqi=cqi,
-                    next_state=encode_state(cqi),
+                    next_state=encode_state(sinr_to_cqi(sdb)),
                     sinr_ratio=(10.0 ** (sdb / 10.0)) / self.qos_sinr_lin,
                 )
             links.append(table)
-        return mask, [tuple(row) for row in mask.tolist()], [tuple(t) for t in links], links
+        return mask, [tuple(t) for t in links], links
 
     def _first_replayed(self, t: int) -> int:
         """Index of the first of this TTI's experiences, per agent, that a
@@ -512,21 +506,6 @@ class ScenarioRun:
         if train_t >= cfg.tti_count:
             return rbgs
         return max(0, (train_t - t + 1) * rbgs - cfg.replay_capacity)
-
-    def _rewards(self, t: int, geo: _Geometry) -> list:
-        """Per beam, {member id: the reward of scheduling an RBG to it}. The
-        links are fixed by the geometry and the head-of-line delay cannot
-        change before service, so each (beam, member)'s reward is computed
-        once per TTI, and only in a TTI that pushes an experience."""
-        cfg = self.cfg
-        rewards = []
-        for table in geo.links:
-            row = {}
-            for uid, link in table.items():
-                delay_ratio = cfg.qos_latency_ttis / self.queues[uid].head_of_line_delay(t)
-                row[uid] = reward(self.classes[uid], link.sinr_ratio, delay_ratio)
-            rewards.append(row)
-        return rewards
 
     def _schedule(self, t: int, geo: _Geometry):
         """Every beam's agent picks one member UE per RBG.
@@ -565,10 +544,16 @@ class ScenarioRun:
     def _remember(self, t, geo, rows, carries, first_replayed) -> None:
         """Push each agent's experiences of RBGs first_replayed .. rbg_count - 1,
         in RBG order, before `first_states` moves on to the next TTI: the state
-        of RBG 0 is its first state, that of RBG j > 0 the next state of RBG j - 1."""
-        rewards = self._rewards(t, geo)
+        of RBG 0 is its first state, that of RBG j > 0 the next state of RBG j - 1.
+        The links are fixed by the geometry and no queue changes before service,
+        so each (beam, member)'s reward is computed once per pushing TTI."""
+        latency, queues, classes = self.cfg.qos_latency_ttis, self.queues, self.classes
         for b, agent in enumerate(self.agents):
-            links, mask = geo.links[b], geo.masks[b]
+            links, mask = geo.links[b], geo.mask[b]  # a view, shared by the beam's experiences
+            rewards = {}
+            for uid, link in links.items():
+                delay_ratio = latency / queues[uid].head_of_line_delay(t)
+                rewards[uid] = reward(classes[uid], link.sinr_ratio, delay_ratio)
             for j in range(first_replayed, len(rows)):
                 action = rows[j][b]
                 state = links[rows[j - 1][b]].next_state if j else self.first_states[b]
@@ -578,7 +563,7 @@ class ScenarioRun:
                         state=state,
                         action=action,
                         next_state=links[action].next_state,
-                        reward=rewards[b][action],
+                        reward=rewards[action],
                         hidden_context=(h[b], c[b]),
                         action_mask=mask,
                     )

@@ -37,9 +37,10 @@ class PacketQueue:
     def __len__(self):
         return len(self._arrival_ttis)
 
-    def push(self, arrival_tti: int) -> None:
-        self._arrival_ttis.append(arrival_tti)
-        self.arrivals_total += 1
+    def push(self, arrival_tti: int, count: int) -> None:
+        """Enqueue `count` packets that arrived at `arrival_tti`."""
+        self._arrival_ttis.extend([arrival_tti] * count)
+        self.arrivals_total += count
 
     def serve(self, budget_bits: float, now: int) -> list:
         """Drain whole packets FIFO within the bit budget and return their

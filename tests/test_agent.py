@@ -207,6 +207,25 @@ class TestTrainStep:
         for k in before:
             assert np.array_equal(target.params[k], before[k])
 
+    def test_mask_rows_train_as_tuples(self):
+        # the engine's experiences hold rows of its (beam, UE) mask array
+        cfg = AgentConfig(action_count=3, minibatch=4, nn_learning_rate=0.1)
+        mask = np.array([[True, False, True], [False, True, False], [False, True, True]])
+        rng = make_rng(4)
+        fields = [
+            (rng.random(), a, rng.random(), 0.5 + 0.5 * rng.random(), rng.normal(size=(2, 4)), b)
+            for a, b in ((0, 0), (2, 0), (1, 1), (2, 2))
+        ]
+        results = []
+        for row in (lambda b: mask[b], lambda b: tuple(mask[b].tolist()), lambda b: (True,) * 3):
+            main, target = LstmNetwork(4, 3, seed=1), LstmNetwork(4, 3, seed=2)
+            batch = [ExperienceTuple(s, a, n, r, tuple(hc), row(b)) for s, a, n, r, hc, b in fields]
+            results.append((train_step(main, target, batch, cfg), main.arrays()))
+        (loss, weights), (tuple_loss, tuple_weights), (unmasked_loss, _) = results
+        assert loss == tuple_loss
+        assert all(np.array_equal(x, y) for x, y in zip(weights, tuple_weights))
+        assert loss != unmasked_loss  # the masks decide the bootstrap
+
     def test_gradients_match_finite_differences(self):
         # central differences on the full BPTT loss, two seeds here
         # (the acceptance suite runs ten)

@@ -126,13 +126,7 @@ def assert_step_equals_mirror(run, mirror, t):
     assert run.geometry.beams == beams
     assert coverage == cov
     if not run.coverage_only:
-        link_sinr_db = {
-            (b, uid): link.sinr_db
-            for b, table in enumerate(run.geometry.links)
-            for uid, link in table.items()
-        }
-        assert link_sinr_db == sinr_db
-        assert_links_follow_sinr(run)
+        assert_links_follow_sinr(run, sinr_db)
 
 
 class TestReuseIsExact:
@@ -160,16 +154,17 @@ class TestReuseIsExact:
             assert_step_equals_mirror(run, mirror, t)
 
 
-def assert_links_follow_sinr(run):
-    """Each (beam, member) link is the CQI, rate and state of its SINR."""
+def assert_links_follow_sinr(run, sinr_db):
+    """The run holds one link per (beam, member) of `sinr_db`, and each is the
+    rate, state and SINR ratio of the SINR in dB that `sinr_db` gives it."""
     cfg = run.cfg
-    for table in run.geometry.links:
-        for link in table.values():
-            sdb = link.sinr_db
-            assert link.cqi == sinr_to_cqi(sdb)
-            assert link.bits == rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s
-            assert link.next_state == encode_state(link.cqi)
-            assert link.sinr_ratio == 10 ** (sdb / 10) / 10 ** (cfg.qos_sinr_db / 10)
+    links = run.geometry.links
+    assert {(b, uid) for b, table in enumerate(links) for uid in table} == set(sinr_db)
+    for (b, uid), sdb in sinr_db.items():
+        link = links[b][uid]
+        assert link.bits == rbg_rate(sdb, cfg.antenna) * cfg.tti_duration_s
+        assert link.next_state == encode_state(sinr_to_cqi(sdb))
+        assert link.sinr_ratio == 10 ** (sdb / 10) / 10 ** (cfg.qos_sinr_db / 10)
 
 
 class CallLog:

@@ -27,16 +27,30 @@ import reference
 from reference import decide, next_draws
 
 
+def reward_table(run, t, geo):
+    """Per beam, {member id: the reward of scheduling an RBG to it} at TTI t,
+    before the queues are served."""
+    cfg = run.cfg
+    rewards = []
+    for table in geo.links:
+        row = {}
+        for uid, link in table.items():
+            delay_ratio = cfg.qos_latency_ttis / run.queues[uid].head_of_line_delay(t)
+            row[uid] = reward(run.classes[uid], link.sinr_ratio, delay_ratio)
+        rewards.append(row)
+    return rewards
+
+
 class Recorded(ScenarioRun):
     """Keeps the scheduling stage's output of the last TTI: the per-UE bit
     budgets, the per-beam allocations (the per-RBG actions transposed) and
     the rewards of the allocated RBGs, beam by beam."""
 
     def _schedule(self, t, geo):
-        reward_table = self._rewards(t, geo)
+        rewards = reward_table(self, t, geo)
         budgets, actions = super()._schedule(t, geo)
         allocations = [list(alloc) for alloc in zip(*actions)]
-        seen = [reward_table[b][a] for b, alloc in enumerate(allocations) for a in alloc]
+        seen = [rewards[b][a] for b, alloc in enumerate(allocations) for a in alloc]
         self.scheduled = budgets, allocations, seen
         return budgets, actions
 
@@ -44,22 +58,12 @@ class Recorded(ScenarioRun):
 class Mirror(ScenarioRun):
     """The scheduling stage without the memo or the push rule: one
     `AgentStack.forward` and `decide` per RBG from a zero carry, every
-    experience pushed."""
-
-    def _rewards(self, t, geo):
-        cfg = self.cfg
-        rewards = []
-        for table in geo.links:
-            row = {}
-            for uid, link in table.items():
-                delay_ratio = cfg.qos_latency_ttis / self.queues[uid].head_of_line_delay(t)
-                row[uid] = reward(self.classes[uid], link.sinr_ratio, delay_ratio)
-            rewards.append(row)
-        return rewards
+    experience pushed, its mask built from the beam's members."""
 
     def _schedule(self, t, geo):
         cfg = self.cfg
-        rewards = self._rewards(t, geo)
+        rewards = reward_table(self, t, geo)
+        masks = [tuple(uid in beam.members for uid in range(cfg.n_ues)) for beam in geo.beams]
         states, carry = list(self.first_states), self.stack.zero_carry()
         steps = []
         for _ in range(cfg.rbg_count):
@@ -77,7 +81,7 @@ class Mirror(ScenarioRun):
                 link, r = geo.links[b][action], rewards[b][action]
                 budgets[action] = budgets.get(action, 0.0) + link.bits
                 agent.remember(
-                    ExperienceTuple(state, action, link.next_state, r, (h[b], c[b]), geo.masks[b])
+                    ExperienceTuple(state, action, link.next_state, r, (h[b], c[b]), masks[b])
                 )
                 state = link.next_state
         self.first_states = tuple(states)
@@ -123,13 +127,11 @@ class ReplayWatch:
 
 
 def same_experience(a, b):
-    return (a.state, a.action, a.next_state, a.reward, a.action_mask) == (
-        b.state,
-        b.action,
-        b.next_state,
-        b.reward,
-        b.action_mask,
-    ) and all(np.array_equal(x, y) for x, y in zip(a.hidden_context, b.hidden_context))
+    return (
+        (a.state, a.action, a.next_state, a.reward) == (b.state, b.action, b.next_state, b.reward)
+        and np.array_equal(a.action_mask, b.action_mask)
+        and all(np.array_equal(x, y) for x, y in zip(a.hidden_context, b.hidden_context))
+    )
 
 
 def assert_same_samples(got, want):
@@ -149,19 +151,10 @@ def assert_same_weights(run, mirror):
                 assert np.array_equal(a, b)
 
 
-def link_sinr_db(run):
-    """{(beam, UE id): SINR in dB} of the run's current links."""
-    return {
-        (b, uid): link.sinr_db
-        for b, table in enumerate(run.geometry.links)
-        for uid, link in table.items()
-    }
-
-
 def record(run, t):
     coverage, delivered_bits, mean_delay = run.step(t)
     fields = (coverage, delivered_bits, repr(mean_delay))
-    return fields, run.scheduled, link_sinr_db(run)
+    return fields, run.scheduled, run.geometry.links
 
 
 def run_pair(cfg):
@@ -406,12 +399,31 @@ def invariant_runs(draw):
 @given(run=invariant_runs())
 def test_invariants(run):
     cfg = run.cfg
+    packet_bits = 8 * cfg.packet_size_bytes
+    pushed = []  # this TTI's experiences, as (beam, experience)
+    for b, agent in enumerate(run.agents):
+        push = agent.replay.push
+        agent.replay.push = lambda exp, b=b, push=push: pushed.append((b, exp)) or push(exp)
     for t in range(cfg.tti_count):
-        run.step(t)
-        _, allocations, _ = run.scheduled
+        delivered = [q.delivered_packets for q in run.queues]
+        _, delivered_bits, _ = run.step(t)
+        budgets, allocations, _ = run.scheduled
         for beam, alloc in zip(run.geometry.beams, allocations):
             assert len(alloc) == cfg.rbg_count
             assert set(alloc) <= set(beam.members)
-        for q in run.queues:
+        # each UE is served whole packets, as many as its budget and queue allow
+        served = [q.delivered_packets - n for q, n in zip(run.queues, delivered)]
+        assert delivered_bits == sum(served) * packet_bits
+        for uid, (q, n) in enumerate(zip(run.queues, served)):
+            budget = budgets.get(uid, 0.0)
+            assert n * packet_bits <= budget
+            assert len(q) == 0 or budget - n * packet_bits < packet_bits
             assert q.arrivals_total == q.delivered_packets + len(q)
-        assert all(math.isfinite(v) for v in link_sinr_db(run).values())
+        for b, exp in pushed:
+            members = sorted(set(run.geometry.beams[b].members))
+            assert exp.action_mask[exp.action]
+            assert np.flatnonzero(exp.action_mask).tolist() == members
+            assert 0.5 <= exp.reward <= 1.0
+        pushed.clear()
+        links = [link for table in run.geometry.links for link in table.values()]
+        assert all(math.isfinite(v) for link in links for v in link)

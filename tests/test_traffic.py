@@ -84,31 +84,39 @@ def test_run_takes_one_row_per_step_in_call_order():
 class TestQueue:
     def test_serve_both_packets_in_budget(self):
         q = PacketQueue(256)
-        q.push(0)
-        q.push(0)
+        q.push(0, 2)
         assert q.serve(512, 1) == [1, 1]
         assert q.delivered_packets == 2
         assert len(q) == 0
 
     def test_whole_packet_rule(self):
         q = PacketQueue(256)
-        q.push(0)
+        q.push(0, 1)
         assert q.serve(255, 3) == []
         assert len(q) == 1
 
     def test_recorded_delay(self):
         q = PacketQueue(256)
-        q.push(5)
+        q.push(5, 1)
         assert q.serve(256, 9) == [4]
         assert q.delivered_delay_sum == 4
 
     def test_fifo_order(self):
         q = PacketQueue(100)
-        q.push(1)
-        q.push(2)
-        q.push(3)
+        q.push(1, 1)
+        q.push(2, 1)
+        q.push(3, 1)
         assert q.serve(250, 4) == [3, 2]  # the packets of TTIs 1 and 2
         assert q.head_of_line_delay(4) == 1  # the packet of TTI 3 is left
+
+    def test_push_counts_packets(self):
+        q = PacketQueue(100)
+        q.push(1, 2)
+        q.push(2, 0)
+        q.push(3, 3)
+        assert (len(q), q.arrivals_total) == (5, 5)
+        assert q.serve(400, 5) == [4, 4, 2, 2]
+        assert q.head_of_line_delay(5) == 2
 
 
 class TestHeadOfLineDelay:
@@ -117,12 +125,12 @@ class TestHeadOfLineDelay:
 
     def test_just_arrived_clamped(self):
         q = PacketQueue(256)
-        q.push(10)
+        q.push(10, 1)
         assert q.head_of_line_delay(10) == 1
 
     def test_aged_packet(self):
         q = PacketQueue(256)
-        q.push(3)
+        q.push(3, 1)
         assert q.head_of_line_delay(10) == 7
 
 
@@ -132,8 +140,7 @@ def test_conservation_over_random_run():
     serve_rng = make_rng(6)
     q = PacketQueue(8 * cfg.packet_size_bytes)
     for t, count in enumerate(generate_arrivals(cfg.arrivals_per_tti, rng, 2000)):
-        for _ in range(count):
-            q.push(t)
+        q.push(t, int(count))
         q.serve(float(serve_rng.integers(0, 2000)), t)
         assert q.arrivals_total == q.delivered_packets + len(q)
 
