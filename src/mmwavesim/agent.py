@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class AgentConfig:
     hidden_units: int = ranged(20, lo=1, hi=256)
     # a train step's arrays peak at about 47 MB at 1,000 and 256 hidden units
     minibatch: int = ranged(20, lo=1, hi=1000)
-    # each agent keeps this many experiences, about 440 + 16 * hidden_units bytes
+    # each agent keeps this many experiences, about 410 + 16 * hidden_units bytes
     # each with its share of the carries they view: 45 MB at 256 hidden units
     replay_capacity: int = ranged(60, lo=1, hi=10_000)
     train_interval_ttis: int = ranged(60, lo=1)
@@ -104,8 +104,7 @@ class AgentConfig:
             raise ConfigError("minibatch cannot exceed replay_capacity", rule)
 
 
-@dataclass
-class ExperienceTuple:
+class ExperienceTuple(NamedTuple):
     state: float
     action: int
     next_state: float

@@ -17,19 +17,16 @@ of response vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
 from .fields import check_fields, ranged
-from .geometry import Point2D
 
 __all__ = [
-    "SPEED_OF_LIGHT",
     "DB_LIMIT",
-    "DEFAULT_CQI_THRESHOLDS_DB",
     "AntennaConfig",
     "Beam",
     "beam_gain",
@@ -81,8 +78,7 @@ class AntennaConfig:
         return 12.0 * self.subcarrier_spacing_hz * self.rbs_per_rbg
 
 
-@dataclass(frozen=True)
-class Beam:
+class Beam(NamedTuple):
     boresight: float  # radians from the gNB
     width: float  # radians, full angular sector served
     members: tuple  # UE ids
@@ -111,11 +107,6 @@ def beam_gain(boresight: float, ue_angle: float, cfg: AntennaConfig) -> float:
     return (r * r) / n
 
 
-def _angle_from(p: Point2D) -> float:
-    """Angle of `p` seen from the gNB at the origin."""
-    return math.atan2(p.y, p.x)
-
-
 def _circular_range(angles) -> float:
     """Smallest arc containing all of two or more angles in [-pi, pi]: the
     full turn less the largest gap between neighbours, the wrap-around gap
@@ -126,7 +117,7 @@ def _circular_range(angles) -> float:
 
 
 class _Cluster(NamedTuple):
-    center: Point2D
+    center: tuple  # (x, y)
     rows: list  # the members' rows of the points array, which are their UE ids
 
 
@@ -142,13 +133,14 @@ def _group(centers, labels, rows) -> list:
 
 
 def form_beams(
-    centers: Sequence[Point2D],
+    centers: Sequence[tuple],
     width: float,
     n_beams: int,
     points: np.ndarray,
     labels,
 ) -> list:
-    """Beams from the gNB (at the origin) pointed at the cluster centroids.
+    """Beams from the gNB (at the origin) pointed at the cluster centroids,
+    the (x, y) pairs `centers`.
 
     `points` is the (N, 2) array that was clustered, row i being UE i,
     and `labels` its cluster indices; beams on the centers alone take
@@ -184,7 +176,7 @@ def form_beams(
         clusters[idx : idx + 1] = halves
 
     while len(clusters) > n_beams:
-        bores = [_angle_from(cl.center) for cl in clusters]
+        bores = [math.atan2(y, x) for (x, y), _ in clusters]
         best = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
@@ -192,22 +184,16 @@ def form_beams(
                 if best is None or gap < best[0]:
                     best = (gap, i, j)
         _, i, j = best
-        a, b = clusters[i], clusters[j]
-        wa, wb = len(a.rows), len(b.rows)
-        merged_center = Point2D(
-            (wa * a.center.x + wb * b.center.x) / (wa + wb),
-            (wa * a.center.y + wb * b.center.y) / (wa + wb),
-        )
-        clusters[i] = _Cluster(merged_center, a.rows + b.rows)
+        ((ax, ay), a_rows), ((bx, by), b_rows) = clusters[i], clusters[j]
+        wa, wb = len(a_rows), len(b_rows)
+        merged_center = ((wa * ax + wb * bx) / (wa + wb), (wa * ay + wb * by) / (wa + wb))
+        clusters[i] = _Cluster(merged_center, a_rows + b_rows)
         del clusters[j]
 
-    beams = [
-        Beam(boresight=_angle_from(cl.center), width=width, members=tuple(cl.rows))
-        for cl in clusters
-    ]
+    beams = [Beam(math.atan2(y, x), width, tuple(rows)) for (x, y), rows in clusters]
     base = len(beams)
-    while len(beams) < n_beams:
-        beams.append(replace(beams[len(beams) % base]))
+    while len(beams) < n_beams:  # a repeat is the same immutable Beam
+        beams.append(beams[len(beams) % base])
     return beams
 
 

@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class ClusteringConfig:
         check_fields(self)
 
 
-@dataclass(frozen=True)
-class ClusteringResult:
+class ClusteringResult(NamedTuple):
     labels: tuple
     centers: tuple
     iterations: int
@@ -161,7 +160,7 @@ def run_clustering(
     """
     rows = np.asarray(points, dtype=float).tolist()
     if initial_centers is not None:
-        centers = [(float(c.x), float(c.y)) for c in initial_centers]
+        centers = [(float(x), float(y)) for x, y in initial_centers]
     else:
         centers = _init_centers(rows, cfg)
 

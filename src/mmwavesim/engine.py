@@ -79,7 +79,6 @@ __all__ = [
     "mean_coverage",
     "write_per_tti_csv",
     "write_summary_csv",
-    "SUMMARY_METRICS",
     "MIN_GNB_DISTANCE_M",
     "MAX_GNB_DISTANCE_M",
 ]
@@ -200,16 +199,14 @@ class _Geometry(NamedTuple):
     memo: Optional[RolloutMemo] = None  # the schedule's LSTM rollouts
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     coverage_rate: float
     sum_rate_bps: float
     mean_delay_ttis: float
     delivered_bits: int
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     config: ScenarioConfig
     records: list  # per run: its coverage_rate, delivered_bits and mean_delay_ttis columns
     summaries: list  # one RunSummary per run
@@ -231,8 +228,8 @@ def inject_error(
     informative: bool = False,
 ) -> tuple:
     """Distort a true position into a report: returns the reported
-    position and the mean of the report's uncertainty PDF, as
-    ((x, y), (x, y)) floats.
+    position and the mean of the report's uncertainty PDF, two (x, y)
+    pairs of floats; `pos` may be any (x, y) pair.
 
     Disk mode: the reported center is the true position plus an offset
     drawn uniformly in a disk of radius R = rmse * sqrt(2), so the
@@ -255,12 +252,13 @@ def inject_error(
     r_err = error_rmse_m * math.sqrt(2.0)
     if not informative:
         c = uniform_disk_point(rng, r_err, pos)
-        return (c.x, c.y), (c.x, c.y)
+        return c, c
+    px, py = pos
     ghosted = rng.random() < 0.5
     theta = rng.random() * 2.0 * math.pi
     gx = r_err * math.cos(theta)
     gy = r_err * math.sin(theta)
-    rx, ry = (pos.x + gx, pos.y + gy) if ghosted else (pos.x, pos.y)
+    rx, ry = (px + gx, py + gy) if ghosted else (px, py)
     ax, ay = rx - gx, ry - gy
     mx = 0.0 + 0.5 * rx + 0.5 * ax
     my = 0.0 + 0.5 * ry + 0.5 * ay
@@ -293,9 +291,9 @@ def load_position_trace(path):
         if not row:
             continue
         try:
-            tti, ue_id = int(row[0]), int(row[1])
-            x, y = float(row[2]), float(row[3])
-        except (ValueError, IndexError) as exc:
+            tti, ue_id, x, y = row
+            tti, ue_id, x, y = int(tti), int(ue_id), float(x), float(y)
+        except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: malformed row {row}") from exc
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ConfigError(f"{path}: line {lineno}: non-finite position {row}")
@@ -410,14 +408,14 @@ class ScenarioRun:
         gNB (at the gNB the path loss is not finite)."""
         while True:
             pos = uniform_disk_point(self.move_rng, self.cfg.cell_radius_m)
-            if math.hypot(pos.x, pos.y) >= MIN_GNB_DISTANCE_M:
+            if math.hypot(*pos) >= MIN_GNB_DISTANCE_M:
                 return pos
 
     def _place(self, u: int, pos: Point2D) -> None:
         """Move UE u to `pos` and, unless this scenario clusters the true
         position (`believed_xy` is `true_xy`), draw its report. The row
         then clustered is the reported position, or the PDF mean."""
-        self.true_xy[u] = pos.x, pos.y
+        self.true_xy[u] = pos
         if self.believed_xy is self.true_xy:
             return
         cfg = self.cfg

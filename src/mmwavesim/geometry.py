@@ -22,7 +22,7 @@ independent check of the closed form (`mmwavesim oracle mc-distance`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +35,8 @@ __all__ = [
     "mc_expected_sq_distance",
 ]
 
-@dataclass(frozen=True)
-class Point2D:
-    """A point in the cell plane, coordinates in meters."""
+class Point2D(NamedTuple):
+    """A point in the cell plane, (x, y) in meters."""
 
     x: float
     y: float
@@ -50,8 +49,7 @@ def sq_distance(a: Point2D, b: Point2D) -> float:
     return dx * dx + dy * dy
 
 
-@dataclass(frozen=True)
-class UniformDisk:
+class UniformDisk(NamedTuple):
     """Uniform density over a disk; radius 0 degenerates to an exact point."""
 
     center: Point2D
@@ -69,9 +67,10 @@ def uniform_disk_point(
     """Area-uniform draw inside a disk: the radius is drawn as R * sqrt(u)
     with u uniform on [0, 1), then the angle, so E[r] = 2R/3 and
     E[r^2] = R^2/2."""
+    cx, cy = center
     r = radius * math.sqrt(rng.random())
     theta = rng.random() * 2.0 * math.pi
-    return Point2D(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
+    return Point2D(cx + r * math.cos(theta), cy + r * math.sin(theta))
 
 
 def mc_expected_sq_distance(

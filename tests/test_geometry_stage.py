@@ -14,8 +14,8 @@ from mmwavesim.agent import encode_state
 from mmwavesim.beams import compute_sinr, coverage_rate, form_beams, rbg_rate, sinr_to_cqi
 from mmwavesim.clustering import ClusteringConfig, InitStrategy, run_clustering
 from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
-from mmwavesim.geometry import Point2D
-from mmwavesim.seeding import derive_seed
+from mmwavesim.geometry import Point2D, uniform_disk_point
+from mmwavesim.seeding import derive_seed, make_rng
 from reference import numpy_clustering
 
 
@@ -308,3 +308,67 @@ def assert_equals_oracle(pts, cfg, initial):
     assert repr(got.centers) == repr(want.centers)
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
     return got
+
+
+def as_tuples(points):
+    return [(float(x), float(y)) for x, y in points]
+
+
+class TestAPositionIsAnyPair:
+    """Where a position is read, a plain (x, y) tuple gives what the
+    `Point2D` of the same coordinates gives, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_initial_centers(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        pts = np.array(data.draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+        cfg = ClusteringConfig(k=k, max_iterations=data.draw(st.sampled_from([1, 2, 100])))
+        warm = data.draw(st.lists(st.tuples(COORD, COORD), min_size=k, max_size=k), label="warm")
+        as_points = run_clustering(pts, cfg, [Point2D(x, y) for x, y in warm])
+        assert repr(run_clustering(pts, cfg, warm)) == repr(as_points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_beam_centers(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        pts = np.array(data.draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+        result = run_clustering(pts, ClusteringConfig(k=k))
+        n_beams = data.draw(st.integers(1, 8), label="n_beams")  # split, merge and repeat
+        beams = form_beams(result.centers, 0.3, n_beams, pts, result.labels)
+        pairs = form_beams(as_tuples(result.centers), 0.3, n_beams, pts, result.labels)
+        assert repr(pairs) == repr(beams)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pos=positions(), seed=st.integers(0, 2**32), informative=st.booleans())
+    def test_reported_position_and_disk_center(self, pos, seed, informative):
+        pair = (pos.x, pos.y)
+        for rmse in (0.0, 8.0):
+            want = engine.inject_error(pos, rmse, make_rng(seed), informative=informative)
+            got = engine.inject_error(pair, rmse, make_rng(seed), informative=informative)
+            assert repr(got) == repr(want)
+        want = uniform_disk_point(make_rng(seed), 5.0, pos)
+        assert repr(uniform_disk_point(make_rng(seed), 5.0, pair)) == repr(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_trace_rows(self, data):
+        cfg = micro_cfg(
+            scenario=data.draw(st.sampled_from(list(Scenario)), label="scenario"),
+            informative_pdf=data.draw(st.booleans(), label="informative"),
+            master_seed=data.draw(st.integers(0, 2**32), label="seed"),
+            tti_count=12,
+            rbg_count=2,
+            hidden_units=3,
+            minibatch=4,
+            replay_capacity=8,
+            train_interval_ttis=5,
+            target_copy_interval_ttis=10,
+        )
+        trace = data.draw(sparse_traces(cfg.n_ues, cfg.tti_count), label="trace")
+        pairs = {t: [(u, (p.x, p.y)) for u, p in rows] for t, rows in trace.items()}
+        columns, _ = make_run(cfg, trace=trace).run()
+        pair_columns, _ = make_run(cfg, trace=pairs).run()
+        assert repr(pair_columns) == repr(columns)

@@ -115,6 +115,18 @@ class TestTraceRows:
         assert capsys.readouterr().err.count("line 2: tti must be >= 0") == 2
         assert not out.exists()
 
+    # a fifth field, and decimal commas (x = 10,5 and y = 5,0 read as six fields)
+    @pytest.mark.parametrize("row", ["0,0,10.0,5.0,junk", "0,0,10,5,5,0"])
+    def test_row_without_four_fields_exits_1_with_line(self, tmp_path, capsys, row):
+        trace = _trace(tmp_path, [row, "0,1,10,10"])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + f"position_trace_csv = {trace}\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("line 2: malformed row") == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("far", ["1e6,0", "-8e5,6e5", "0,-1000000.0"])
     def test_row_at_the_far_bound_runs(self, tmp_path, far):
         trace = _trace(tmp_path, ["0,0,10,10", f"0,1,{far}"])
