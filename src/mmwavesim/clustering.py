@@ -63,6 +63,7 @@ class ClusteringResult(NamedTuple):
     centers: tuple
     iterations: int
     converged: bool
+    settled: bool  # the last update returned its input, so a call from `centers` returns them
 
 
 def _assign(rows: list, centers: list) -> list:
@@ -169,6 +170,7 @@ def run_clustering(
     for _ in range(cfg.max_iterations):
         labels = _assign(rows, centers)
         new_centers = _update(rows, labels, cfg.k)
+        settled = new_centers == centers  # by floats; a list row (init, reseed) never equals a pair
         movement = 0.0
         for (x, y), (cx, cy) in zip(new_centers, centers):
             dx, dy = x - cx, y - cy
@@ -184,4 +186,5 @@ def run_clustering(
         centers=tuple(Point2D(x, y) for x, y in centers),
         iterations=iterations,
         converged=converged,
+        settled=settled,
     )

@@ -398,7 +398,7 @@ class ScenarioRun:
             # state of its last action, or that of CQI 0 before the first TTI
             self.first_states = (encode_state(0),) * cfg.n_beams
         self.prev_centers = None  # the warm start of the next clustering call
-        self._fixed_point = False  # whether the last call returned its warm start
+        self._fixed_point = False  # whether the last call settled (see ClusteringResult)
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
         self._coverage_row = None  # a coverage-only step's result, kept with the geometry
 
@@ -449,7 +449,7 @@ class ScenarioRun:
         positions as `geometry`, warm-started from the last call's centers."""
         cfg = self.cfg
         result = run_clustering(self.believed_xy, self.clustering, self.prev_centers)
-        self._fixed_point = result.centers == self.prev_centers
+        self._fixed_point = result.settled
         self.prev_centers = result.centers
         beams = form_beams(
             result.centers, self.width_rad, cfg.n_beams, self.believed_xy, result.labels
@@ -568,12 +568,12 @@ class ScenarioRun:
                 )
 
     def _serve(self, t: int, budgets: dict):
-        """Drain each scheduled UE's queue with its bit budget, in UE order.
-        Returns the bits delivered and every delivered packet's delay."""
-        delays = []
-        for uid in sorted(budgets):
-            delays += self.queues[uid].serve(budgets[uid], t)
-        return len(delays) * 8 * self.cfg.packet_size_bytes, delays
+        """Drain each scheduled UE's queue with its bit budget; returns (packets, delay sum)."""
+        packets = delay_sum = 0
+        for uid, budget in budgets.items():
+            n, d = self.queues[uid].serve(budget, t)
+            packets, delay_sum = packets + n, delay_sum + d
+        return packets, delay_sum
 
     def _learn(self, t: int, geo: _Geometry) -> None:
         """Train at the train interval (which makes the memo's rollouts
@@ -594,12 +594,12 @@ class ScenarioRun:
 
         The geometry stage is entered only at a movement event (trace rows at
         t, or without a trace every `move_interval_ttis`-th TTI after 0), or
-        while the last clustering call did not end at its warm start: the
-        call is a deterministic function of the positions and that start,
-        and all the stage computes after it a function of its result and the
-        true positions, so otherwise the kept result is what it would
-        compute. The movement test is inline: as a method call it would be
-        a third of a cached coverage-only step."""
+        while the last clustering call has not settled: a call from a settled
+        result's centers returns that result's labels and centers, and all
+        the stage computes after it is a function of those and the true
+        positions, so otherwise the kept result is what it would compute.
+        The movement test is inline: as a method call it would be a third of
+        a cached coverage-only step."""
         if self.trace is None:
             moves = t > 0 and t % self.cfg.move_interval_ttis == 0
         else:
@@ -614,10 +614,10 @@ class ScenarioRun:
         self._arrivals(t)
         geo = self.geometry
         budgets, _ = self._schedule(t, geo)
-        delivered_bits, delays = self._serve(t, budgets)
+        packets, delay_sum = self._serve(t, budgets)
         self._learn(t, geo)
-        # the delays are ints, so this equals float(np.mean(delays)) bit for bit
-        return geo.coverage, delivered_bits, sum(delays) / len(delays) if delays else math.nan
+        bits = packets * 8 * self.cfg.packet_size_bytes
+        return geo.coverage, bits, delay_sum / packets if packets else math.nan
 
     def run(self):
         """Step every TTI; returns the run's coverage_rate, delivered_bits and
@@ -629,10 +629,8 @@ class ScenarioRun:
         # and the backward pass meet inf * 0; greedy's all -inf fallback takes nan Q-values
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(self.cfg.tti_count):
-                cov, delivered, mean_delay = self.step(t)
-                coverage.append(cov)
-                bits.append(delivered)
-                delay.append(mean_delay)
+                for column, value in zip(columns, self.step(t)):
+                    column.append(value)
         return columns, self.summary(coverage, bits)
 
     def summary(self, coverage, bits) -> RunSummary:

@@ -42,17 +42,17 @@ class PacketQueue:
         self._arrival_ttis.extend([arrival_tti] * count)
         self.arrivals_total += count
 
-    def serve(self, budget_bits: float, now: int) -> list:
-        """Drain whole packets FIFO within the bit budget and return their
-        delays in TTIs; leftover budget is discarded."""
-        delays = []
-        remaining = budget_bits
-        while self._arrival_ttis and self.packet_bits <= remaining:
-            remaining -= self.packet_bits
-            delays.append(now - self._arrival_ttis.popleft())
-        self.delivered_delay_sum += sum(delays)
-        self.delivered_packets += len(delays)
-        return delays
+    def serve(self, budget_bits: float, now: int) -> tuple:
+        """Drain whole packets FIFO within the bit budget; returns how many left
+        and their delay sum in TTIs. The count is what taking one packet at a
+        time gives: `//` is exact, as a budget short of a full queue is < 2**53."""
+        n, bits = len(self._arrival_ttis), self.packet_bits
+        if not budget_bits >= n * bits:  # it does not cover all (inf does), or is nan
+            n = int(budget_bits // bits) if budget_bits >= bits else 0
+        delay_sum = n * now - sum(self._arrival_ttis.popleft() for _ in range(n))
+        self.delivered_delay_sum += delay_sum
+        self.delivered_packets += n
+        return n, delay_sum
 
     def head_of_line_delay(self, now: int) -> int:
         """TTIs the oldest packet has waited, floored at 1 (also when empty)."""

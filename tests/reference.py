@@ -12,7 +12,8 @@ per-iteration history that `run_clustering` does not keep; the
 composed epsilon-greedy decision of an `AgentStack` at one RBG, with
 `ScalarDrawSource`, the draws it makes one at a time, and `RawStub`, a
 stream of chosen raw draws; and `budgets`, the scheduling stage's bit
-budgets summed one UE at a time. `xy` turns a `Point2D` list into the
+budgets summed one UE at a time; `LoopQueue`, a packet queue served one
+packet at a time. `xy` turns a `Point2D` list into the
 (N, 2) array that clustering, beam forming and coverage take, and
 `next_draws` compares two places in a random stream."""
 
@@ -36,6 +37,7 @@ from mmwavesim.clustering import (
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D, UniformDisk, sq_distance, uniform_disk_point
 from mmwavesim.seeding import make_rng
+from mmwavesim.traffic import PacketQueue
 
 
 @dataclass(frozen=True)
@@ -228,7 +230,9 @@ def numpy_clustering(
     initial_centers: Optional[Sequence[Point2D]] = None,
 ) -> ClusteringResult:
     """`clustering.run_clustering` in numpy, each round's assign, update and
-    movement as array operations: the oracle of its scalar rounds."""
+    movement as array operations: the oracle of its scalar rounds. Its
+    `settled` compares arrays, so it also holds where the scalar call's
+    list-typed init rows make that call's comparison false."""
     mus = np.asarray(points, dtype=float)
     n = len(mus)
     if initial_centers is not None:
@@ -243,6 +247,7 @@ def numpy_clustering(
     for _ in range(cfg.max_iterations):
         labels = _assign(mus, centers)
         new_centers = _update(mus, labels, cfg.k)
+        settled = bool((new_centers == centers).all())
         movement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
         iterations += 1
@@ -255,6 +260,7 @@ def numpy_clustering(
         centers=tuple(Point2D(float(x), float(y)) for x, y in centers),
         iterations=iterations,
         converged=converged,
+        settled=settled,
     )
 
 
@@ -395,3 +401,19 @@ def budgets(rows: Sequence[Sequence[int]], links: Sequence[dict]) -> dict:
                     total += table[uid].bits
         out[uid] = total
     return out
+
+
+class LoopQueue(PacketQueue):
+    """`traffic.PacketQueue` serving one packet at a time: while a packet is
+    queued and the remaining budget covers its bits, subtract them and take
+    it. The oracle of the counted `serve`."""
+
+    def serve(self, budget_bits: float, now: int) -> tuple:
+        delays = []
+        remaining = budget_bits
+        while self._arrival_ttis and self.packet_bits <= remaining:
+            remaining -= self.packet_bits
+            delays.append(now - self._arrival_ttis.popleft())
+        self.delivered_delay_sum += sum(delays)
+        self.delivered_packets += len(delays)
+        return len(delays), sum(delays)

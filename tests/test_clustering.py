@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwavesim import engine
 from mmwavesim.clustering import (
     ClusteringConfig,
     InitStrategy,
     run_clustering,
 )
+from mmwavesim.engine import Scenario, ScenarioConfig
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D, UniformDisk
 from mmwavesim.seeding import make_rng
@@ -277,3 +281,54 @@ def test_history_ends_at_the_full_call(data):
     hist = history(pts, cfg, initial)
     assert len(hist) == full.iterations
     assert hist[-1] == (full.labels, objective(pts, full))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_settled_result_is_a_fixed_point(data):
+    """A settled call's centers, as the warm start of the next call, give
+    back its labels and centers (signed zeros included); a call whose last
+    round moved a center is not settled."""
+    n = data.draw(st.integers(1, 20), label="n")
+    k = data.draw(st.integers(1, min(n, 5)), label="k")
+    coord = COORD | st.just(-0.0)
+    pts = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    cfg = ClusteringConfig(
+        k=k,
+        max_iterations=data.draw(st.integers(1, 5), label="max_iterations"),
+        convergence_epsilon=data.draw(st.sampled_from([0.0, 1e-6, 1.0]), label="epsilon"),
+        init_strategy=data.draw(st.sampled_from(InitStrategy), label="init"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+    warm = data.draw(st.none() | st.lists(st.tuples(coord, coord), min_size=k, max_size=k))
+    initial = None if warm is None else [P(x, y) for x, y in warm]
+    result = run_clustering(pts, cfg, initial)
+    if result.settled:
+        again = run_clustering(pts, cfg, result.centers)
+        assert repr((again.labels, again.centers)) == repr((result.labels, result.centers))
+    if result.iterations > 1:  # the last round's input: the rounds before it
+        shorter = replace(cfg, max_iterations=result.iterations - 1)
+        before = run_clustering(pts, shorter, initial).centers
+    else:
+        before = initial
+    if before is not None and list(before) != list(result.centers):
+        assert not result.settled
+
+
+def test_coverage_sweep_cell_clusters_once_per_movement(monkeypatch):
+    """The first cell of the coverage sweep (400 TTIs, a move every 10)
+    clusters at its 40 movement events and at no TTI that would only find
+    the clustering settled."""
+    cfg = ScenarioConfig(
+        scenario=Scenario.KMEANS_EXACT, n_beams=3, beam_width_deg=30.0, tti_count=400
+    )
+    calls = []
+    wrapped = engine.run_clustering
+
+    def counted(*args):
+        calls.append(None)
+        return wrapped(*args)
+
+    monkeypatch.setattr(engine, "run_clustering", counted)
+    engine.mean_coverage(cfg)
+    assert len(calls) == 40

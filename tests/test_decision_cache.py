@@ -194,7 +194,7 @@ def test_default_run_decides_greedily_once_per_forward(monkeypatch):
     # The memo hits (most of the 200 * 24 RBG steps after the first of a
     # geometry) neither step the network nor decide greedily again
     assert calls == {"forward": 3266, "greedy": 3266, "push": 540}
-    assert run.geometry.memo.size == 164
+    assert run.geometry.memo.size == 188
 
 
 def _node_bytes(n_beams, hidden):
@@ -276,12 +276,16 @@ def test_int_mean_delay_equals_numpy(delays):
 
 
 class DelayLog(ScenarioRun):
-    """Keeps every TTI's delivered packet delays."""
+    """Keeps every TTI's delivered packet delays: the arrival TTIs that
+    serving takes from the front of each queue."""
 
     def _serve(self, t, budgets):
-        delivered_bits, delays = super()._serve(t, budgets)
-        self.delays.append(delays)
-        return delivered_bits, delays
+        queued = [list(q._arrival_ttis) for q in self.queues]
+        served = super()._serve(t, budgets)
+        self.delays.append(
+            [t - a for q, was in zip(self.queues, queued) for a in was[: len(was) - len(q)]]
+        )
+        return served
 
 
 def test_every_record_mean_delay_equals_numpy():

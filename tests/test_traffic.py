@@ -1,11 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwavesim.beams import AntennaConfig
 from mmwavesim.engine import ARRIVAL_BLOCK, ScenarioConfig, ScenarioRun
 from mmwavesim.errors import ConfigError
 from mmwavesim.seeding import derive_seed, make_rng
 from mmwavesim.traffic import PacketQueue, generate_arrivals
+from reference import LoopQueue
 
 
 class TestArrivals:
@@ -85,20 +89,20 @@ class TestQueue:
     def test_serve_both_packets_in_budget(self):
         q = PacketQueue(256)
         q.push(0, 2)
-        assert q.serve(512, 1) == [1, 1]
+        assert q.serve(512, 1) == (2, 2)
         assert q.delivered_packets == 2
         assert len(q) == 0
 
     def test_whole_packet_rule(self):
         q = PacketQueue(256)
         q.push(0, 1)
-        assert q.serve(255, 3) == []
+        assert q.serve(255, 3) == (0, 0)
         assert len(q) == 1
 
     def test_recorded_delay(self):
         q = PacketQueue(256)
         q.push(5, 1)
-        assert q.serve(256, 9) == [4]
+        assert q.serve(256, 9) == (1, 4)
         assert q.delivered_delay_sum == 4
 
     def test_fifo_order(self):
@@ -106,7 +110,7 @@ class TestQueue:
         q.push(1, 1)
         q.push(2, 1)
         q.push(3, 1)
-        assert q.serve(250, 4) == [3, 2]  # the packets of TTIs 1 and 2
+        assert q.serve(250, 4) == (2, 5)  # the packets of TTIs 1 and 2
         assert q.head_of_line_delay(4) == 1  # the packet of TTI 3 is left
 
     def test_push_counts_packets(self):
@@ -115,8 +119,57 @@ class TestQueue:
         q.push(2, 0)
         q.push(3, 3)
         assert (len(q), q.arrivals_total) == (5, 5)
-        assert q.serve(400, 5) == [4, 4, 2, 2]
+        assert q.serve(400, 5) == (4, 12)
         assert q.head_of_line_delay(5) == 2
+
+
+def budgets(bits):
+    """Budgets at and just below k whole packets (k = 0 gives -1.0), 0,
+    2**53 and above, inf, nan and any float up to 40 packets."""
+    k = st.integers(0, 40)
+    return st.one_of(
+        k.map(lambda k: float(k * bits)),
+        k.map(lambda k: k * bits - 1.0),
+        k.map(lambda k: math.nextafter(k * bits, 0.0)),
+        st.just(0.0),
+        st.floats(2.0**53, 1e300),
+        st.sampled_from([math.inf, math.nan]),
+        st.floats(0.0, 40.0 * bits),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_counted_serve_equals_the_per_packet_loop(data):
+    """Call by call, the counted `serve` returns what serving one packet at
+    a time returns, and leaves the same counters, queue and head-of-line delay."""
+    bits = 8 * data.draw(st.integers(1, 65535), label="packet_size_bytes")
+    counted, looped = PacketQueue(bits), LoopQueue(bits)
+    now = 0
+    for _ in range(data.draw(st.integers(1, 16), label="calls")):
+        now += data.draw(st.integers(0, 3))
+        if data.draw(st.booleans(), label="push"):
+            count = data.draw(st.integers(0, 30), label="count")
+            counted.push(now, count)
+            looped.push(now, count)
+        else:
+            budget = data.draw(budgets(bits), label="budget")
+            assert counted.serve(budget, now) == looped.serve(budget, now)
+        assert vars(counted) == vars(looped)
+        assert counted.head_of_line_delay(now) == looped.head_of_line_delay(now)
+
+
+def test_nan_budgets_deliver_nothing():
+    """At a subcarrier spacing whose bandwidth overflows to inf, a link with
+    log2(1 + SINR) = 0 has inf * 0 = nan bits. A nan budget serves no packet,
+    as taking one packet at a time does, and the run completes."""
+    antenna = AntennaConfig(subcarrier_spacing_hz=1e308, tx_power_dbm=-300.0, noise_power_dbm=300.0)
+    cfg = ScenarioConfig(tti_count=20, runs=1, antenna=antenna)
+    run = ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0))
+    (_, bits, delays), _ = run.run()
+    assert all(math.isnan(link.bits) for table in run.geometry.links for link in table.values())
+    assert set(bits) == {0} and all(math.isnan(d) for d in delays)
+    assert sum(len(q) for q in run.queues) == sum(q.arrivals_total for q in run.queues) > 0
 
 
 class TestHeadOfLineDelay:
