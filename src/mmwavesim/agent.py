@@ -22,10 +22,10 @@ decision time so replayed transitions are recomputed in their original
 context.
 
 `AgentStack` holds the main networks of one run's agents on a leading
-agent axis and advances all of them by one step per call, with the same
-floating-point operations as `select_action` on each agent.
-`RolloutMemo` keeps its steps within a TTI, each with its greedy
-decision, so a repeated sequence of input states is not computed again.
+agent axis and advances all of them by one step per call, on one or
+several rows each, with the same floating-point operations as
+`select_action` on each row (see `window`, which steps them on grids of
+rows).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,8 +53,6 @@ __all__ = [
     "DqnAgent",
     "AgentStack",
     "DrawSource",
-    "RolloutMemo",
-    "ROLLOUT_MEMO_BYTES",
     "encode_state",
     "reward",
     "lstm_forward",
@@ -413,11 +412,15 @@ class AgentStack:
         for k, net in enumerate(nets):
             net._bind(self.wx[k], self.wh[k], self.b[k], self.wq[k], self.bq[k])
         n, h = len(nets), nets[0].hidden_units
-        # (agent, gate, row, column) views of the fused gate columns: one
+        # (agent, 1, gate, row, column) views of the fused gate columns: one
         # BLAS product per gate, as in `_forward`. A single (H, 4H) product
         # rounds the last columns of a gate differently whenever H is not
         # a multiple of the BLAS kernel's block.
-        self._wh_gates = self.wh.reshape(n, h, 4, h).transpose(0, 2, 1, 3)
+        wh_gates = self.wh.reshape(n, h, 4, h).transpose(0, 2, 1, 3)
+        weights = (self.wx, wh_gates, self.b, self.wq, self.bq)
+        # by the dimensions of a carry, the weights with an axis for each
+        # leading axis of the rows: (N, H) and (N, M, H)
+        self._weights = {2: weights, 3: tuple(w[:, None] for w in weights)}
         self.draws = [
             DrawSource(agent.action_rng.bit_generator, agent.cfg.epsilon) for agent in self.agents
         ]
@@ -427,31 +430,40 @@ class AgentStack:
         return self.agents[0].main.zero_carry(batch=len(self.agents))
 
     def forward(self, x: np.ndarray, carry):
-        """One LSTM step of every agent.
+        """One LSTM step of every agent, on each of its rows.
 
-        x is (N, 1) and the carry (h, c) holds two (N, H) arrays. Returns
-        the Q-rows (N, A) and the new carry; row k equals, bit for bit,
-        `lstm_forward` of agent k on (x[k], (h[k], c[k])).
+        x is (N, 1) or (N, M, 1) and the carry (h, c) holds two (N, H) or
+        (N, M, H) arrays: agent k's rows are x[k], h[k] and c[k]. Returns the
+        Q-rows (N, A) or (N, M, A) and the new carry; every row equals, bit for
+        bit, `lstm_forward` of its agent on its state and carry, since each
+        row's products with the weights are its own.
         """
         h, c = carry
-        n, hd = h.shape
-        z = x * self.wx + np.matmul(h[:, None, None, :], self._wh_gates).reshape(n, 4 * hd) + self.b
-        ifo = _sigmoid(z[:, : 3 * hd])
-        i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
-        g = np.tanh(z[:, 3 * hd :])
+        hd = h.shape[-1]
+        wx, wh_gates, b, wq, bq = self._weights[h.ndim]
+        gates = np.matmul(h[..., None, None, :], wh_gates).reshape(*h.shape[:-1], 4 * hd)
+        z = x * wx + gates + b
+        ifo = _sigmoid(z[..., : 3 * hd])
+        i, f, o = ifo[..., :hd], ifo[..., hd : 2 * hd], ifo[..., 2 * hd :]
+        g = np.tanh(z[..., 3 * hd :])
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
-        q = np.matmul(h_new[:, None, :], self.wq)[:, 0] + self.bq
+        q = np.matmul(h_new[..., None, :], wq)[..., 0, :] + bq
         return q, (h_new, c_new)
 
     def greedy(self, q: np.ndarray, mask: np.ndarray) -> list:
-        """Every agent's feasible argmax of q[k] under `mask` (N, A), as in
-        `_epsilon_greedy`: the lowest index on ties, the first NaN if there
-        is one, and the lowest feasible index if every feasible entry is -inf."""
-        actions = np.where(mask, q, -np.inf).argmax(axis=1).tolist()
-        for k, a in enumerate(actions):
-            if not mask[k, a]:  # every feasible entry is -inf: argmax gave 0
-                actions[k] = int(np.flatnonzero(mask[k])[0])
+        """The feasible argmax of every Q-row of q, (N, A) or (N, M, A), under
+        its agent's row of `mask` (N, A), as in `_epsilon_greedy`: the lowest
+        index on ties, the first NaN if there is one, and the lowest feasible
+        index if every feasible entry is -inf. Per agent, its action, or the
+        list of its rows' actions."""
+        grid = q.ndim > 2
+        actions = np.where(mask[:, None] if grid else mask, q, -np.inf).argmax(axis=-1).tolist()
+        if 0 in (chain.from_iterable(actions) if grid else actions):
+            for k, acts in enumerate(actions if grid else [[a] for a in actions]):
+                if 0 in acts and not mask[k, 0]:  # every feasible entry is -inf: argmax gave 0
+                    feasible = [a or int(mask[k].argmax()) for a in acts]
+                    actions[k] = feasible if grid else feasible[0]
         return actions
 
     def explorations(self, feasible: Sequence[tuple], rbgs: int) -> list:
@@ -529,65 +541,3 @@ class DrawSource:
             m = half * n
             if m & 0xFFFFFFFF >= (2**32 - n) % n:  # else Lemire's rejection: draw again
                 return m >> 32
-
-
-# a RolloutMemo node's bytes besides its carry's 2NH floats, rounded up from
-# tracemalloc: NODE_BYTES for the node, its children dict, the carry tuple and the
-# carry's two array headers, and BEAM_BYTES per beam for its action, its state and
-# its key's entry
-NODE_BYTES, BEAM_BYTES = 768, 64
-# the bytes one RolloutMemo keeps, 4,096 nodes at 8 beams and 20 hidden units
-# (15 MiB); it bounds the memory of a run whose geometry and weights never change
-ROLLOUT_MEMO_BYTES = 4096 * (NODE_BYTES + 8 * BEAM_BYTES + 2 * 8 * 20 * 8)
-
-
-class _Node:
-    __slots__ = ("carry", "children", "greedy", "greedy_states")
-
-    def __init__(self, carry, greedy=None, greedy_states=None):
-        self.carry = carry  # the carry after the step into this node
-        self.greedy = greedy  # the greedy actions of that step's Q-rows
-        self.greedy_states = greedy_states  # the next RBG's states after them
-        self.children = {}  # next RBG's tuple of states -> _Node
-
-
-class RolloutMemo:
-    """`AgentStack.forward` results of the RBGs of a TTI, kept across TTIs.
-
-    The carry restarts at zero every TTI, so the Q-rows and the carry
-    after RBG r are a function of the main weights and of every agent's
-    (scalar) input state at RBGs 0..r. A prefix tree holds them, one
-    edge per RBG keyed by the tuple of states: a walk follows
-    `node.children.get(states)` and calls `expand` only for an edge not
-    yet in the tree. A node keeps the carry, the greedy actions under the
-    geometry's `mask` and the states they lead to (`next_states[b][action]`).
-    It keeps at most `cap` nodes, as many as fit in ROLLOUT_MEMO_BYTES at
-    NODE_BYTES and BEAM_BYTES besides each carry. Call `clear` whenever
-    the weights change.
-    """
-
-    def __init__(self, stack: AgentStack, mask: np.ndarray, next_states: Sequence[dict]):
-        self.stack = stack
-        self.mask = mask
-        self.next_states = next_states
-        self.clear()
-        carry = sum(part.nbytes for part in self.root.carry)
-        self.cap = ROLLOUT_MEMO_BYTES // (NODE_BYTES + len(next_states) * BEAM_BYTES + carry)
-
-    def clear(self) -> None:
-        self.root = _Node(self.stack.zero_carry())
-        self.size = 0  # nodes below the root
-
-    def states(self, actions: Sequence[int]) -> tuple:
-        return tuple(map(dict.__getitem__, self.next_states, actions))
-
-    def expand(self, node: _Node, key: tuple) -> _Node:
-        """The node one RBG after `node` with the input states `key`, which is
-        not among its children: one `forward` and `greedy`, kept if it fits."""
-        q, carry = self.stack.forward(np.array(key)[:, None], node.carry)
-        greedy = self.stack.greedy(q, self.mask)
-        child = _Node(carry, greedy, self.states(greedy))
-        if self.size < self.cap:
-            node.children[key] = child
-            self.size += 1
-        return child

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .clustering import ClusteringConfig, InitStrategy, run_clustering
+from .errors import ConfigError
 from .fields import check_fields, ranged
 
 __all__ = [
@@ -61,12 +62,20 @@ class AntennaConfig:
     carrier_frequency_hz: float = ranged(28e9, lo=1e6, hi=1e12)
     tx_power_dbm: float = ranged(30.0, lo=-DB_LIMIT, hi=DB_LIMIT)
     noise_power_dbm: float = ranged(-94.0, lo=-DB_LIMIT, hi=DB_LIMIT)
+    # open above: the bandwidth rule below keeps the RBG bandwidth finite
     subcarrier_spacing_hz: float = ranged(120e3, lo=0.0, closed=False)
     # an NR carrier has at most 275 RBs; the bandwidth multiplies it as a float
     rbs_per_rbg: int = ranged(2, lo=1, hi=275)
 
     def __post_init__(self):
         check_fields(self)
+        # an infinite bandwidth times log2(1 + SINR) = 0 would be a nan RBG rate
+        if not math.isfinite(self.rbg_bandwidth_hz):
+            raise ConfigError(
+                "the RBG bandwidth 12 * subcarrier_spacing_hz * rbs_per_rbg must be finite; "
+                f"they give {self.rbg_bandwidth_hz:g}",
+                ("subcarrier_spacing_hz", "rbs_per_rbg"),
+            )
 
     @property
     def wavelength_m(self) -> float:

@@ -191,10 +191,10 @@ def parse_config_text(text: str) -> SweepSpec:
         if key.path is not None:
             owner, _, name = key.path.rpartition(".")
             (antenna if owner else top)[name] = values[key.name]
-    top["antenna"] = AntennaConfig(**antenna)
-    base = tuple(ScenarioConfig(scenario=s, **top) for s in _scenarios(values, raw))
     variable = values["sweep_variable"]
     try:
+        top["antenna"] = AntennaConfig(**antenna)
+        base = tuple(ScenarioConfig(scenario=s, **top) for s in _scenarios(values, raw))
         return SweepSpec(variable=variable, values=_sweep_values(variable, values, raw), base=base)
     except ConfigError as exc:  # anchor a cross-field rule at the first of its keys the file sets
         keys = ["sweep_values" if k == variable and values["sweep_values"] else k for k in exc.keys]

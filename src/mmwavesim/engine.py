@@ -17,9 +17,11 @@ The geometry stage is event-driven: its inputs are the positions and
 the warm-start centers, so it is recomputed only at a movement event or
 while clustering has not reached a fixed point, and every other TTI
 reuses the previous result (exactly, as clustering draws no random
-numbers). Scheduling reuses the agents' LSTM rollouts and greedy picks
-of earlier TTIs in the same geometry while the weights are unchanged, and
-builds only the replay experiences that a training sample can read.
+numbers). Scheduling rolls the agents out over a window at once: the
+TTIs up to the next geometry stage or through the next training TTI,
+which share one geometry and one set of weights (`window.Window`); each
+TTI then looks up its agents' paths, and only the replay experiences
+that a training sample can read are built.
 
 Scenarios differ only in the (N, 2) array the clustering step consumes:
 the true positions, the distorted reported positions, or the means of
@@ -44,7 +46,6 @@ from .agent import (
     AgentStack,
     DqnAgent,
     ExperienceTuple,
-    RolloutMemo,
     UserClass,
     encode_state,
     reward,
@@ -196,7 +197,7 @@ class _Geometry(NamedTuple):
     mask: Optional[np.ndarray] = None  # (beam, UE): True for the beam's members
     feasible: Optional[list] = None  # per beam: its members' ids in ascending order
     links: Optional[list] = None  # per beam: {member id: _Link}
-    memo: Optional[RolloutMemo] = None  # the schedule's LSTM rollouts
+    next_states: Optional[list] = None  # per beam: {member id: its link's next state}
 
 
 class RunSummary(NamedTuple):
@@ -349,9 +350,10 @@ class ScenarioRun:
     are identical to the full run under the same seed: random streams
     are stream-separated).
 
-    `step` is meant for the TTIs 0 .. tti_count - 1: arrivals and exploration
-    are drawn per `step` call, in call order, and experiences that no training
-    sample in that range can read are not pushed to replay.
+    `step` is meant for the TTIs 0 .. tti_count - 1: arrivals are drawn per
+    `step` call, in call order, exploration per window (a run of consecutive
+    `step` calls in one geometry, see `_window_ttis`), and experiences that no
+    training sample in that range can read are not pushed to replay.
     """
 
     def __init__(
@@ -397,6 +399,9 @@ class ScenarioRun:
             # every agent's input state at the next TTI's first RBG: the next
             # state of its last action, or that of CQI 0 before the first TTI
             self.first_states = (encode_state(0),) * cfg.n_beams
+            # the Window being scheduled: (its geometry, the TTI it expects next,
+            # its first TTI, the Window)
+            self.window = None
         self.prev_centers = None  # the warm start of the next clustering call
         self._fixed_point = False  # whether the last call settled (see ClusteringResult)
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
@@ -461,9 +466,7 @@ class ScenarioRun:
         else:
             mask, feasible, links = self._links(beams)
             states = [{uid: link.next_state for uid, link in table.items()} for table in links]
-            # a fresh memo: its nodes are keyed by states this geometry's links give
-            memo = RolloutMemo(self.stack, mask, states)
-            self.geometry = _Geometry(beams, cov, mask, feasible, links, memo)
+            self.geometry = _Geometry(beams, cov, mask, feasible, links, states)
 
     def _links(self, beams):
         """The (beam, UE) action mask, each beam's member ids and per beam the
@@ -487,6 +490,12 @@ class ScenarioRun:
             links.append(table)
         return mask, [tuple(t) for t in links], links
 
+    def _next_train(self, t: int) -> int:
+        """The first TTI T >= t at which `_learn` trains: T > 0 and T %
+        train_interval_ttis == 0."""
+        interval = self.cfg.train_interval_ttis
+        return max(1, -(-t // interval)) * interval
+
     def _first_replayed(self, t: int) -> int:
         """Index of the first of this TTI's experiences, per agent, that a
         replay sample can read; the ones before it need not be pushed.
@@ -499,44 +508,55 @@ class ScenarioRun:
         replay_capacity, and later samples find it further back still.
         """
         cfg = self.cfg
-        interval, rbgs = cfg.train_interval_ttis, cfg.rbg_count
-        train_t = max(1, -(-t // interval)) * interval  # the next T >= t
+        train_t, rbgs = self._next_train(t), cfg.rbg_count
         if train_t >= cfg.tti_count:
             return rbgs
         return max(0, (train_t - t + 1) * rbgs - cfg.replay_capacity)
 
+    def _window_ttis(self, t: int) -> int:
+        """The TTIs from t on, before tti_count, that keep this geometry and
+        these weights: up to the next geometry stage (the next movement
+        event, or t + 1 while clustering has not settled) and through the next
+        training TTI."""
+        cfg = self.cfg
+        if not self._fixed_point:
+            return 1
+        end = min(self._next_train(t) + 1, cfg.tti_count)
+        if self.trace is None:
+            end = min(end, (t // cfg.move_interval_ttis + 1) * cfg.move_interval_ttis)
+        else:
+            end = next((u for u in range(t + 1, end) if self.trace.get(u)), end)
+        return max(1, end - t)
+
     def _schedule(self, t: int, geo: _Geometry):
         """Every beam's agent picks one member UE per RBG.
 
-        All agents advance together, one RBG per edge of the geometry's
-        `RolloutMemo` (which runs `AgentStack.forward` and `greedy` only for
-        states not seen since the weights last changed), with every RBG's
-        explorers drawn at once by `AgentStack.explorations`. Then the budgets
-        are summed (`_budgets`) and, in a TTI that pushes, the experiences a
-        replay sample can read are built (see `_first_replayed`), beam by beam
-        and RBG by RBG. Returns the per-UE bit budgets and, per RBG, the action
-        of every beam's agent.
+        At the first TTI of a window (see `Window`: the TTIs that keep this
+        geometry and these weights, `_window_ttis`) the agents are rolled out
+        over all of it at once; every TTI then takes each agent's path from
+        its first state. Then the budgets are summed (`_budgets`) and, in a
+        TTI that pushes, the experiences a replay sample can read are built
+        (see `_first_replayed`), beam by beam and RBG by RBG. Returns the
+        per-UE bit budgets and, per RBG, the action of every beam's agent.
         """
-        cfg, memo = self.cfg, geo.memo
-        states, node = self.first_states, memo.root
-        rows, carries = [], []  # per RBG: the actions and the carry they were picked in
-        for picks in self.stack.explorations(geo.feasible, cfg.rbg_count):
-            child = node.children.get(states)
-            if child is None:
-                child = memo.expand(node, states)
-            actions, states = child.greedy, child.greedy_states
-            if picks:  # a new list: the node keeps its greedy one
-                actions = actions.copy()
-                for k, a in picks:
-                    actions[k] = a
-                states = memo.states(actions)
-            rows.append(actions)
-            carries.append(node.carry)
-            node = child
+        cfg = self.cfg
+        window_geo, expected, start, window = self.window or (None, t, t, None)
+        if window_geo is not geo or t != expected or t - start >= window.ttis:
+            from .window import Window  # loaded by the first run that schedules, never coverage-only
+
+            ttis = self._window_ttis(t)
+            # carries are kept for the experiences of the TTIs that push
+            pushes = (u - t for u in range(t, t + ttis) if self._first_replayed(u) < cfg.rbg_count)
+            args = geo.mask, geo.feasible, geo.next_states, self.first_states, ttis, cfg.rbg_count
+            window, start = Window(self.stack, *args, next(pushes, None)), t
+        self.window = geo, t + 1, start, window
+        paths = window.paths(t - start, self.first_states)
+        rows = list(zip(*paths))
         first_replayed = self._first_replayed(t)
         if first_replayed < cfg.rbg_count:
+            carries = window.carries(t - start, self.first_states)
             self._remember(t, geo, rows, carries, first_replayed)
-        self.first_states = states
+        self.first_states = tuple(map(dict.__getitem__, geo.next_states, (p[-1] for p in paths)))
         return _budgets(rows, geo.links), rows
 
     def _remember(self, t, geo, rows, carries, first_replayed) -> None:
@@ -575,14 +595,13 @@ class ScenarioRun:
             packets, delay_sum = packets + n, delay_sum + d
         return packets, delay_sum
 
-    def _learn(self, t: int, geo: _Geometry) -> None:
-        """Train at the train interval (which makes the memo's rollouts
-        stale) and copy to the target networks at the sync interval."""
+    def _learn(self, t: int) -> None:
+        """Train at the train interval (the last TTI of a window) and copy to
+        the target networks at the sync interval."""
         cfg = self.cfg
         if t > 0 and t % cfg.train_interval_ttis == 0:
             for agent in self.agents:
                 agent.train()
-            geo.memo.clear()
         if t > 0 and t % cfg.target_copy_interval_ttis == 0:
             for agent in self.agents:
                 agent.sync()
@@ -615,7 +634,7 @@ class ScenarioRun:
         geo = self.geometry
         budgets, _ = self._schedule(t, geo)
         packets, delay_sum = self._serve(t, budgets)
-        self._learn(t, geo)
+        self._learn(t)
         bits = packets * 8 * self.cfg.packet_size_bytes
         return geo.coverage, bits, delay_sum / packets if packets else math.nan
 

@@ -134,6 +134,9 @@ def config_values(draw):
         chosen[small], chosen[big] = min(pair), pair[1]
     load = chosen.get("load_bps", BY_NAME["load_bps"].default)
     chosen["load_bps"] = within_arrivals(load, chosen)
+    spacing, rbs = (chosen.get(k, BY_NAME[k].default) for k in ("subcarrier_spacing_hz", "rbs_per_rbg"))
+    if not math.isfinite(12.0 * spacing * rbs):  # the RBG bandwidth rule
+        chosen["subcarrier_spacing_hz"] = BY_NAME["subcarrier_spacing_hz"].default
     if 1e-3 / chosen.get("tti_duration_s", 1.0) > BY_NAME["qos_latency_ttis"].range.hi:
         # too short a TTI to derive the latency from
         chosen["qos_latency_ttis"] = draw(in_range(BY_NAME["qos_latency_ttis"]).filter(bool))

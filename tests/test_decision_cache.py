@@ -1,31 +1,30 @@
 """The scheduling stage's decision split: `AgentStack.greedy`, computed once
-per rollout-memo node, and `AgentStack.explorations`, drawn once per TTI for
-all its RBGs, against `decide` and `_epsilon_greedy`; and the per-TTI mean
-delay, an int sum over its count, against `np.mean`."""
+per row of a window's stacked step, and `AgentStack.explorations`, drawn once
+per window for all its TTIs and RBGs, against `decide` and `_epsilon_greedy`;
+every path of a `Window` against a walk of its TTI; the window's work and
+row bound; and the per-TTI mean delay, an int sum over its count, against
+`np.mean`."""
 
 import math
-import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_schedule_stage import run_pair, step_and_compare
 
-from mmwavesim import agent as agent_module
+from mmwavesim import window as window_module
 from mmwavesim.agent import (
-    BEAM_BYTES,
-    NODE_BYTES,
-    ROLLOUT_MEMO_BYTES,
     AgentConfig,
     AgentStack,
     DqnAgent,
     DrawSource,
     ReplayMemory,
-    RolloutMemo,
     _epsilon_greedy,
 )
 from mmwavesim.engine import ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
+from mmwavesim.window import WINDOW_ROWS, Window
 from reference import RawStub, ScalarDrawSource, decide, next_draws, with_picks
 
 # Q entries that give ties, NaN and both infinities
@@ -95,37 +94,6 @@ class TestGreedyThenExplore:
         for a, b, c in zip(split.draws, whole.draws, by_row):
             assert next_draws(a) == next_draws(b) == next_draws(c.action_rng)
 
-    def test_exploring_leaves_the_greedy_list_alone(self):
-        # every agent explores at every RBG, yet each memo node still holds the
-        # greedy actions of its own Q-rows and the states they lead to
-        cfg = ScenarioConfig(
-            n_ues=6,
-            n_clusters=2,
-            n_beams=2,
-            rbg_count=4,
-            hidden_units=4,
-            epsilon=1.0,
-            tti_count=12,
-            move_interval_ttis=100,
-            train_interval_ttis=100,
-            runs=1,
-        )
-        run = ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0))
-        for t in range(cfg.tti_count):
-            run.step(t)
-        memo, stack = run.geometry.memo, run.stack
-        assert max(map(len, run.geometry.feasible)) > 1
-        nodes, checked = [memo.root], 0
-        while nodes:
-            node = nodes.pop()
-            for key, child in node.children.items():
-                q, _ = stack.forward(np.asarray(key, dtype=float).reshape(-1, 1), node.carry)
-                assert child.greedy == stack.greedy(q, memo.mask)
-                assert child.greedy_states == memo.states(child.greedy)
-                nodes.append(child)
-                checked += 1
-        assert checked > cfg.rbg_count
-
 
 # epsilon 0 (no draw), the smallest and largest positive doubles below 1 and 1
 EXPLORATION_EPSILONS = (0.0, 5e-324, 0.1, 1 - 2**-53, 1.0)
@@ -174,36 +142,172 @@ def test_explorations_equal_epsilon_greedy_across_refills(data):
         assert [draws.integers(1000) for _ in range(64)] == [oracle.integers(1000) for _ in range(64)]
 
 
-def test_default_run_decides_greedily_once_per_forward(monkeypatch):
-    calls = {"forward": 0, "greedy": 0, "push": 0}
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_call_for_many_ttis_draws_what_a_call_per_tti_draws(data):
+    # a window draws the explorations of its TTIs with one call: the same picks,
+    # RBG by RBG, as a call per TTI, and every DrawSource left at the same
+    # place; raw streams half full of values at an exploration bound, or
+    # the agents' own generators, and calls that cross block refills
+    n = data.draw(st.integers(1, 4), label="agents")
+    epsilons = [data.draw(st.sampled_from(EXPLORATION_EPSILONS)) for _ in range(n)]
+    feasible = [tuple(range(1, 1 + data.draw(st.integers(1, 5)))) for _ in range(n)]
+    rbgs, ttis = data.draw(st.integers(1, 40), label="rbgs"), data.draw(st.integers(1, 8), label="ttis")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    whole = AgentStack(_agents(6, epsilons, seed))
+    split = AgentStack(_agents(6, epsilons, seed))
+    if data.draw(st.booleans(), label="raw stubs"):
+        rng = np.random.default_rng(seed)
+        raws = [
+            [
+                NEAR_BOUNDS[rng.integers(len(NEAR_BOUNDS))]
+                if rng.random() < 0.5
+                else int(rng.integers(2**64, dtype=np.uint64))
+                for _ in range(2 * rbgs * ttis)
+            ]
+            for _ in range(n)
+        ]
+        for stack in (whole, split):
+            stack.draws = [DrawSource(RawStub(r), eps) for r, eps in zip(raws, epsilons)]
+    picks = whole.explorations(feasible, ttis * rbgs)
+    assert picks == [p for _ in range(ttis) for p in split.explorations(feasible, rbgs)]
+    for a, b in zip(whole.draws, split.draws):
+        assert next_draws(a) == next_draws(b)
 
-    def counted(name, method):
-        def wrapper(self, *args):
-            calls[name] += 1
-            return method(self, *args)
 
-        return wrapper
+@st.composite
+def windows(draw):
+    """A stack's geometry, first states and window: next states from few CQIs,
+    so members share them, and first states that may be none of them."""
+    n = draw(st.integers(1, 4))
+    actions = draw(st.integers(1, 6))
+    epsilon = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    mask = np.array([draw(mask_rows(actions)) for _ in range(n)])
+    cqi = st.integers(0, 3).map(lambda c: c / 15.0)
+    next_states = [{a: draw(cqi) for a in np.flatnonzero(row).tolist()} for row in mask]
+    first_states = tuple(draw(cqi | st.just(0.4)) for _ in range(n))
+    return (
+        n,
+        actions,
+        draw(st.integers(1, 8)),
+        epsilon,
+        mask,
+        next_states,
+        first_states,
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 6)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
 
-    for name in ("forward", "greedy"):
-        monkeypatch.setattr(AgentStack, name, counted(name, getattr(AgentStack, name)))
-    monkeypatch.setattr(ReplayMemory, "push", counted("push", ReplayMemory.push))
+
+def _stack(n, actions, hidden, epsilon, seed):
+    return AgentStack(
+        [
+            DqnAgent(AgentConfig(action_count=actions, hidden_units=hidden, epsilon=epsilon, seed=seed + k))
+            for k in range(n)
+        ]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=windows())
+def test_every_path_equals_a_walk_of_its_tti(case):
+    # each path (TTI, first states) of a window against the TTI stepped RBG by
+    # RBG with `forward`, `greedy` and a call of `explorations` per TTI: the
+    # same actions, the same carries, and the draws left at the same place
+    n, actions, hidden, epsilon, mask, next_states, first_states, ttis, rbgs, seed = case
+    stack, ref = _stack(n, actions, hidden, epsilon, seed), _stack(n, actions, hidden, epsilon, seed)
+    feasible = [tuple(states) for states in next_states]
+    window = Window(stack, mask, feasible, next_states, first_states, ttis, rbgs, carried_from=0)
+    assert 1 <= window.ttis <= ttis
+    starts = [sorted(set(states.values())) for states in next_states]
+    for w in range(window.ttis):
+        picks = ref.explorations(feasible, rbgs)
+        tried = [first_states] if w == 0 else [
+            tuple(s[i % len(s)] for s in starts) for i in range(max(map(len, starts)))
+        ]
+        for start in tried:
+            walked, carries, states = [], [], start
+            h, c = ref.zero_carry()
+            for explored in picks:
+                carries.append((h, c))
+                q, (h, c) = ref.forward(np.array(states)[:, None], (h, c))
+                walked.append(with_picks(ref.greedy(q, mask), explored))
+                states = tuple(ns[a] for ns, a in zip(next_states, walked[-1]))
+            assert [list(p) for p in window.paths(w, start)] == [list(a) for a in zip(*walked)]
+            for (h, c), (h_ref, c_ref) in zip(window.carries(w, start), carries, strict=True):
+                assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+    for a, b in zip(stack.draws, ref.draws):
+        assert next_draws(a) == next_draws(b)
+
+
+def _counted(monkeypatch):
+    """Counts of `AgentStack.forward` calls and their Q-rows, `greedy` calls and
+    replay pushes; `rows` also keeps each call's (agents, rows) pair."""
+    counts = {"forward": 0, "rows": 0, "greedy": 0, "push": 0}
+    calls = []
+    forward, greedy, push = AgentStack.forward, AgentStack.greedy, ReplayMemory.push
+
+    def counted_forward(self, x, carry):
+        counts["forward"] += 1
+        counts["rows"] += x.size
+        calls.append((len(x), x.size))
+        return forward(self, x, carry)
+
+    def counted_greedy(self, q, mask):
+        counts["greedy"] += 1
+        return greedy(self, q, mask)
+
+    def counted_push(self, exp):
+        counts["push"] += 1
+        return push(self, exp)
+
+    monkeypatch.setattr(AgentStack, "forward", counted_forward)
+    monkeypatch.setattr(AgentStack, "greedy", counted_greedy)
+    monkeypatch.setattr(ReplayMemory, "push", counted_push)
+    return counts, calls
+
+
+def test_default_run_work(monkeypatch):
+    counts, _ = _counted(monkeypatch)
     cfg = ScenarioConfig(tti_count=200, runs=1)
-    run = ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0))
-    run.run()
+    ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0)).run()
     # the work of one default cell; a faster scheduling stage does the same.
-    # The memo hits (most of the 200 * 24 RBG steps after the first of a
-    # geometry) neither step the network nor decide greedily again
-    assert calls == {"forward": 3266, "greedy": 3266, "push": 540}
-    assert run.geometry.memo.size == 188
+    # A window steps all its TTIs with one stacked forward and greedy per RBG
+    assert counts == {"forward": 552, "rows": 21237, "greedy": 552, "push": 540}
 
 
-def _node_bytes(n_beams, hidden):
-    """The bytes a rollout memo counts for one node: its carry, h and c, each
-    (n_beams, H) float64, and the rest at NODE_BYTES and BEAM_BYTES per beam."""
-    return NODE_BYTES + n_beams * BEAM_BYTES + 2 * n_beams * hidden * 8
+@st.composite
+def bounded_runs(draw):
+    n_ues = draw(st.integers(1, 12))
+    return ScenarioConfig(
+        n_ues=n_ues,
+        n_clusters=draw(st.integers(1, n_ues)),
+        n_beams=draw(st.integers(1, 8)),
+        beam_width_deg=draw(st.sampled_from([20.0, 90.0])),
+        hidden_units=draw(st.integers(1, 24)),
+        epsilon=draw(st.sampled_from([0.1, 1.0])),
+        rbg_count=draw(st.integers(1, 5)),
+        move_interval_ttis=draw(st.integers(2, 30)),
+        train_interval_ttis=draw(st.integers(1, 30)),
+        tti_count=30,
+        runs=1,
+        master_seed=draw(st.integers(0, 2**32)),
+    )
 
 
-def test_memo_past_a_small_cap_equals_the_mirror(monkeypatch):
+@settings(max_examples=40, deadline=None)
+@given(cfg=bounded_runs(), bound=st.sampled_from([WINDOW_ROWS, 8, 2]))
+def test_no_call_holds_more_rows_than_the_bound(cfg, bound):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(window_module, "WINDOW_ROWS", bound)
+        _, calls = _counted(monkeypatch)
+        ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0)).run()
+    # a window of one TTI holds a row per agent, more than the bound at 2
+    assert calls and all(rows <= max(agents, bound) for agents, rows in calls)
+
+
+def test_windows_cut_by_the_row_bound_equal_the_mirror(monkeypatch):
     cfg = ScenarioConfig(
         n_ues=5,
         n_clusters=2,
@@ -213,60 +317,24 @@ def test_memo_past_a_small_cap_equals_the_mirror(monkeypatch):
         epsilon=0.3,
         load_bps=4e6,
         tti_count=40,
-        move_interval_ttis=7,
-        train_interval_ttis=9,
+        move_interval_ttis=17,
+        train_interval_ttis=19,
         replay_capacity=12,
         minibatch=4,
         runs=1,
     )
-    # room for 3 nodes and most of a fourth
-    monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_BYTES", 4 * _node_bytes(cfg.n_beams, cfg.hidden_units) - 1)
+    monkeypatch.setattr(window_module, "WINDOW_ROWS", 9)
+    cut = []
+    init = Window.__init__
+
+    def recorded(self, stack, mask, feasible, next_states, first_states, ttis, *rest):
+        init(self, stack, mask, feasible, next_states, first_states, ttis, *rest)
+        cut.append(1 < self.ttis < ttis)
+
+    monkeypatch.setattr(Window, "__init__", recorded)
     run, mirror = run_pair(cfg)
     step_and_compare(run, mirror)
-    assert run.geometry.memo.size == run.geometry.memo.cap == 3
-
-
-def _memo(n_beams, hidden):
-    """A rollout memo of `n_beams` agents whose one feasible action, 999, is an
-    int Python does not cache, so each node's greedy list holds its own."""
-    agents = [
-        DqnAgent(AgentConfig(action_count=1000, hidden_units=hidden, seed=k))
-        for k in range(n_beams)
-    ]
-    mask = np.zeros((n_beams, 1000), dtype=bool)
-    mask[:, 999] = True
-    return RolloutMemo(AgentStack(agents), mask, [{999: 0.5}] * n_beams)
-
-
-def test_memo_cap_is_the_byte_budget_over_a_node():
-    # 4,096 nodes at 8 beams and 20 hidden units, more at the default shape and
-    # at 1 beam and 1 hidden unit, 58 (15 MiB) at 64 beams and 256 hidden units
-    for n_beams, hidden, cap in ((8, 20, 4096), (3, 20, 8192), (1, 1, 18547), (64, 256, 58)):
-        memo = _memo(n_beams, hidden)
-        assert memo.cap == cap
-        assert memo.cap * _node_bytes(n_beams, hidden) <= ROLLOUT_MEMO_BYTES
-
-
-def test_memo_bytes_stay_within_the_budget():
-    # tracemalloc's count of what a memo holds after `nodes` misses along one
-    # path, each with a new key: filled to its cap at 1 beam and 1 hidden unit,
-    # where a node's overhead outweighs its carry most, and in part elsewhere
-    for n_beams, hidden, nodes in ((1, 1, None), (8, 20, 1000), (64, 8, 200)):
-        memo = _memo(n_beams, hidden)
-        assert memo.cap * _node_bytes(n_beams, hidden) <= ROLLOUT_MEMO_BYTES
-        nodes = memo.cap if nodes is None else nodes
-        node = memo.root
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for i in range(1, nodes + 1):
-                node = memo.expand(node, ((i - 1) / nodes,) * n_beams)
-                if i % 1000 == 0 or i == nodes:  # stop early if nodes run over
-                    held = tracemalloc.get_traced_memory()[0] - before
-                    assert held <= i * _node_bytes(n_beams, hidden)
-        finally:
-            tracemalloc.stop()
-        assert memo.size == nodes
+    assert any(cut)
 
 
 @settings(max_examples=300, deadline=None)

@@ -28,7 +28,8 @@ OPEN_KEYS = {
     "nn_learning_rate": "training may diverge to inf or nan Q-values, which greedy's "
     "all -inf fallback takes",
     "cluster_convergence_epsilon": "a stop threshold: a large one ends clustering after a round",
-    "subcarrier_spacing_hz": "scales the RBG rate; an infinite budget serves every queued packet",
+    "subcarrier_spacing_hz": "the RBG bandwidth rule keeps 12 * spacing * rbs_per_rbg finite, "
+    "so a budget is finite or inf, never nan, and an inf budget serves every queued packet",
 }
 
 

@@ -76,7 +76,8 @@ ALLOWED = {
         "agent.AgentStack.greedy",
         "every feasible Q-value is -inf only after training diverges, which an "
         "unbounded nn_learning_rate allows",
-        "actions[k] = int(np.flatnonzero(mask[k])[0])",
+        "feasible = [a or int(mask[k].argmax()) for a in acts]",
+        "actions[k] = feasible if grid else feasible[0]",
     ),
     **_allow(
         "agent.ReplayMemory.__len__",
@@ -165,6 +166,7 @@ CHILD = textwrap.dedent(
         "sweep_variable = n_beams\\nsweep_values = 2.5\\n",
         "n_ues = 3\\nn_clusters = 4\\n",
         "load_bps = 1e12\\n",
+        "subcarrier_spacing_hz = 1e308\\n",
         "minibatch = 61\\n",
         "tti_duration_s = 5e-9\\nqos_latency_ttis = 0\\n",
         "position_trace_csv = " + os.path.join(out, "missing.csv") + "\\n",
@@ -182,9 +184,10 @@ CHILD = textwrap.dedent(
           "cluster_init = random_points\\nscenarios = kmeans_error\\n"
           f"sweep_variable = load_bps\\nsweep_values = 1e6,4e6\\nposition_trace_csv = {trace}\\n"),
           "--out", outdir("trace"), "--jobs", "1"], 0),
-        # one run, no traffic, no exploration, and a replay memory still short of a
-        # minibatch when training starts
+        # one run, no traffic, no exploration, clustering stopped before it settles,
+        # and a replay memory still short of a minibatch when training starts
         (["run", "--config", write("idle.cfg", "runs = 1\\nload_bps = 0\\nepsilon = 0\\n"
+          "cluster_max_iterations = 1\\n"
           "n_ues = 4\\nhidden_units = 4\\nrbg_count = 2\\ntrain_interval_ttis = 5\\n"
           "tti_count = 12\\n"),
           "--out", outdir("idle"), "--jobs", "1", "--seed", "3"], 0),

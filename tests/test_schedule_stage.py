@@ -1,6 +1,6 @@
-"""The scheduling stage: memoized LSTM rollouts, the vectorized decision
-and the replay pushes, against a stage that steps every RBG through the
-network and pushes every experience."""
+"""The scheduling stage: window rollouts of the LSTM, the vectorized
+decision and the replay pushes, against a stage that steps every RBG of
+every TTI through the network and pushes every experience."""
 
 import math
 from types import SimpleNamespace
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwavesim import agent as agent_module
 from mmwavesim.agent import (
     AgentConfig,
     AgentStack,
@@ -21,6 +20,7 @@ from mmwavesim.agent import (
     reward,
     select_action,
 )
+from mmwavesim.clustering import InitStrategy
 from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun, _budgets
 from mmwavesim.seeding import derive_seed
 import reference
@@ -56,7 +56,7 @@ class Recorded(ScenarioRun):
 
 
 class Mirror(ScenarioRun):
-    """The scheduling stage without the memo or the push rule: one
+    """The scheduling stage without windows or the push rule: one
     `AgentStack.forward` and `decide` per RBG from a zero carry, every
     experience pushed, its mask built from the beam's members."""
 
@@ -157,9 +157,9 @@ def record(run, t):
     return fields, run.scheduled, run.geometry.links
 
 
-def run_pair(cfg):
+def run_pair(cfg, trace=None):
     seed = derive_seed(cfg.master_seed, 0)
-    return Recorded(cfg, run_seed=seed), RecordedMirror(cfg, run_seed=seed)
+    return Recorded(cfg, seed, trace), RecordedMirror(cfg, seed, trace)
 
 
 def step_and_compare(run, mirror):
@@ -175,56 +175,51 @@ def step_and_compare(run, mirror):
 
 @st.composite
 def configs(draw):
+    """A small config and, half the time, a position trace: windows cut by
+    movement events, by training TTIs at intervals that need not divide the
+    run, by clustering that stops before it settles and by the end of the
+    run, over beams with one member and repeat beams."""
     n_ues = draw(st.integers(1, 6))
-    tti_count = draw(st.integers(1, 16))
+    tti_count = draw(st.integers(1, 40))
     capacity = draw(st.integers(1, 12))
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         scenario=draw(st.sampled_from(list(Scenario))),
         n_ues=n_ues,
         n_clusters=draw(st.integers(1, n_ues)),
-        n_beams=draw(st.integers(1, 4)),
+        n_beams=draw(st.integers(1, 6)),  # above n_clusters: split and repeat beams
         beam_width_deg=draw(st.sampled_from([20.0, 90.0])),
         hidden_units=draw(st.integers(1, 24)),
         epsilon=draw(st.sampled_from([0.0, 0.1, 1.0])),
         rbg_count=draw(st.integers(1, 5)),
         replay_capacity=capacity,
         minibatch=draw(st.integers(1, capacity)),
-        train_interval_ttis=draw(st.integers(1, 4)),
+        train_interval_ttis=draw(st.integers(1, 13)),
         target_copy_interval_ttis=draw(st.integers(1, 6)),
         # moves every few TTIs, or never
-        move_interval_ttis=draw(st.sampled_from([2, 3, 5, tti_count + 1])),
+        move_interval_ttis=draw(st.sampled_from([2, 3, 7, 11, tti_count + 1])),
+        # one or two rounds may stop before clustering settles
+        cluster_max_iterations=draw(st.sampled_from([1, 2, 100])),
+        cluster_init=draw(st.sampled_from(list(InitStrategy))),
         load_bps=draw(st.sampled_from([0.0, 4e6])),
         tti_count=tti_count,
         runs=1,
         master_seed=draw(st.integers(0, 2**32)),
     )
+    if draw(st.booleans()):
+        return cfg, None
+    point = st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0))
+    trace = {}
+    for t in sorted(draw(st.lists(st.integers(0, tti_count - 1), unique=True, max_size=6))):
+        ues = sorted(draw(st.lists(st.integers(0, n_ues - 1), min_size=1, unique=True)))
+        trace[t] = [(u, draw(point.filter(lambda p: math.hypot(*p) >= 1e-3))) for u in ues]
+    return cfg, trace
 
 
 class TestEqualsEveryRbgForward:
     @settings(max_examples=150, deadline=None)
-    @given(cfg=configs())
-    def test_details_samples_and_weights(self, cfg):
-        step_and_compare(*run_pair(cfg))
-
-    def test_no_move_no_train_run_past_the_node_cap(self, monkeypatch):
-        cfg = ScenarioConfig(
-            n_ues=4,
-            n_clusters=2,
-            n_beams=2,
-            rbg_count=4,
-            hidden_units=6,
-            epsilon=1.0,
-            tti_count=30,
-            move_interval_ttis=100,
-            train_interval_ttis=100,
-            runs=1,
-        )
-        carry = 2 * cfg.n_beams * cfg.hidden_units * 8
-        node_bytes = agent_module.NODE_BYTES + cfg.n_beams * agent_module.BEAM_BYTES + carry
-        monkeypatch.setattr(agent_module, "ROLLOUT_MEMO_BYTES", 5 * node_bytes)
-        run, mirror = run_pair(cfg)
-        step_and_compare(run, mirror)
-        assert run.geometry.memo.size == 5
+    @given(case=configs())
+    def test_details_samples_and_weights(self, case):
+        step_and_compare(*run_pair(*case))
 
     def test_repeated_rollouts_skip_the_network(self, monkeypatch):
         cfg = ScenarioConfig(
@@ -245,8 +240,8 @@ class TestEqualsEveryRbgForward:
         monkeypatch.setattr(run.stack, "forward", lambda *a: calls.append(1) or forward(*a))
         for t in range(cfg.tti_count):
             run.step(t)
-        # greedy in a geometry fixed from TTI 1 on: the TTIs soon repeat one
-        # rollout, so of 40 TTIs only a few run the network
+        # greedy in a geometry fixed from TTI 1 on: a window rolls out many
+        # TTIs at once, so of 40 TTIs only a few run the network
         assert len(calls) <= 4 * cfg.rbg_count
 
 

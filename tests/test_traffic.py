@@ -159,17 +159,23 @@ def test_counted_serve_equals_the_per_packet_loop(data):
         assert counted.head_of_line_delay(now) == looped.head_of_line_delay(now)
 
 
-def test_nan_budgets_deliver_nothing():
-    """At a subcarrier spacing whose bandwidth overflows to inf, a link with
-    log2(1 + SINR) = 0 has inf * 0 = nan bits. A nan budget serves no packet,
-    as taking one packet at a time does, and the run completes."""
-    antenna = AntennaConfig(subcarrier_spacing_hz=1e308, tx_power_dbm=-300.0, noise_power_dbm=300.0)
+def test_an_infinite_rbg_bandwidth_is_rejected():
+    """At a subcarrier spacing whose RBG bandwidth overflows to inf, a link with
+    log2(1 + SINR) = 0 would have inf * 0 = nan bits and every budget would be
+    nan, so the antenna is rejected; the largest finite bandwidth is kept, and
+    there a budget is finite or inf, never nan."""
+    with pytest.raises(ConfigError, match="RBG bandwidth") as info:
+        AntennaConfig(subcarrier_spacing_hz=1e308, tx_power_dbm=-300.0, noise_power_dbm=300.0)
+    assert info.value.keys == ("subcarrier_spacing_hz", "rbs_per_rbg")
+    largest = math.nextafter(math.inf, 0) / 12 / 2  # 12 subcarriers times the default 2 RBs
+    while not math.isfinite(12.0 * largest * 2):
+        largest = math.nextafter(largest, 0)
+    antenna = AntennaConfig(subcarrier_spacing_hz=largest, tx_power_dbm=-300.0, noise_power_dbm=300.0)
     cfg = ScenarioConfig(tti_count=20, runs=1, antenna=antenna)
     run = ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0))
-    (_, bits, delays), _ = run.run()
-    assert all(math.isnan(link.bits) for table in run.geometry.links for link in table.values())
-    assert set(bits) == {0} and all(math.isnan(d) for d in delays)
-    assert sum(len(q) for q in run.queues) == sum(q.arrivals_total for q in run.queues) > 0
+    (_, bits, _), _ = run.run()
+    assert all(link.bits == 0.0 for table in run.geometry.links for link in table.values())
+    assert set(bits) == {0}
 
 
 class TestHeadOfLineDelay:
