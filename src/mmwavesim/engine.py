@@ -19,9 +19,10 @@ while clustering has not reached a fixed point, and every other TTI
 reuses the previous result (exactly, as clustering draws no random
 numbers). Scheduling rolls the agents out over a window at once: the
 TTIs up to the next geometry stage or through the next training TTI,
-which share one geometry and one set of weights (`window.Window`); each
-TTI then looks up its agents' paths, and only the replay experiences
-that a training sample can read are built.
+which share one geometry and one set of weights (`window.Window`), and
+resolves each of those TTIs' actions, bit budgets and next first states
+once; each TTI then reads its entry of the window's plan, and only the
+replay experiences that a training sample can read are built.
 
 Scenarios differ only in the (N, 2) array the clustering step consumes:
 the true positions, the distorted reported positions, or the means of
@@ -195,9 +196,7 @@ class _Geometry(NamedTuple):
     beams: list
     coverage: float
     mask: Optional[np.ndarray] = None  # (beam, UE): True for the beam's members
-    feasible: Optional[list] = None  # per beam: its members' ids in ascending order
-    links: Optional[list] = None  # per beam: {member id: _Link}
-    next_states: Optional[list] = None  # per beam: {member id: its link's next state}
+    links: Optional[list] = None  # per beam: {member id: _Link}, in ascending id order
 
 
 class RunSummary(NamedTuple):
@@ -329,18 +328,6 @@ def check_trace_ids(trace: dict, cfg: ScenarioConfig) -> None:
         )
 
 
-def _budgets(rows: list, links: list) -> dict:
-    """Per UE id, the bits of the RBGs it was given: `rows` holds every RBG's
-    actions, one per beam, and `links[b][uid].bits` is an RBG's bits. Each UE's
-    sum runs from 0.0 beam by beam, RBG by RBG."""
-    budgets = {}
-    for b, table in enumerate(links):
-        for actions in rows:
-            uid = actions[b]
-            budgets[uid] = budgets.get(uid, 0.0) + table[uid].bits
-    return budgets
-
-
 class ScenarioRun:
     """One seeded run of one scenario; `step` advances a single TTI.
 
@@ -464,13 +451,11 @@ class ScenarioRun:
             self.geometry = _Geometry(beams, cov)
             self._coverage_row = (cov, 0, math.nan)
         else:
-            mask, feasible, links = self._links(beams)
-            states = [{uid: link.next_state for uid, link in table.items()} for table in links]
-            self.geometry = _Geometry(beams, cov, mask, feasible, links, states)
+            self.geometry = _Geometry(beams, cov, *self._links(beams))
 
     def _links(self, beams):
-        """The (beam, UE) action mask, each beam's member ids and per beam the
-        `_Link` of an RBG to each member; the gNB is at the origin."""
+        """The (beam, UE) action mask and per beam the `_Link` of an RBG to each
+        member, in ascending id order; the gNB is at the origin."""
         cfg = self.cfg
         xy = self.true_xy.tolist()
         links = []
@@ -488,7 +473,7 @@ class ScenarioRun:
                     sinr_ratio=(10.0 ** (sdb / 10.0)) / self.qos_sinr_lin,
                 )
             links.append(table)
-        return mask, [tuple(t) for t in links], links
+        return mask, links
 
     def _next_train(self, t: int) -> int:
         """The first TTI T >= t at which `_learn` trains: T > 0 and T %
@@ -533,11 +518,12 @@ class ScenarioRun:
 
         At the first TTI of a window (see `Window`: the TTIs that keep this
         geometry and these weights, `_window_ttis`) the agents are rolled out
-        over all of it at once; every TTI then takes each agent's path from
-        its first state. Then the budgets are summed (`_budgets`) and, in a
-        TTI that pushes, the experiences a replay sample can read are built
-        (see `_first_replayed`), beam by beam and RBG by RBG. Returns the
-        per-UE bit budgets and, per RBG, the action of every beam's agent.
+        over all of it at once, and the window resolves each of its TTIs'
+        actions, budgets and next first states. Every TTI then reads its entry
+        of the window's plan and, if it pushes, builds the experiences a replay
+        sample can read (see `_first_replayed`), beam by beam and RBG by RBG.
+        Returns the per-UE bit budgets and, per RBG, the action of every
+        beam's agent.
         """
         cfg = self.cfg
         window_geo, expected, start, window = self.window or (None, t, t, None)
@@ -545,19 +531,17 @@ class ScenarioRun:
             from .window import Window  # loaded by the first run that schedules, never coverage-only
 
             ttis = self._window_ttis(t)
-            # carries are kept for the experiences of the TTIs that push
+            # carries are kept for the experiences of the TTIs that push: the
+            # window's last ones, as `_first_replayed` falls toward its training TTI
             pushes = (u - t for u in range(t, t + ttis) if self._first_replayed(u) < cfg.rbg_count)
-            args = geo.mask, geo.feasible, geo.next_states, self.first_states, ttis, cfg.rbg_count
-            window, start = Window(self.stack, *args, next(pushes, None)), t
+            args = self.first_states, ttis, cfg.rbg_count, next(pushes, None)
+            window, start = Window(self.stack, geo, *args), t
         self.window = geo, t + 1, start, window
-        paths = window.paths(t - start, self.first_states)
-        rows = list(zip(*paths))
-        first_replayed = self._first_replayed(t)
-        if first_replayed < cfg.rbg_count:
-            carries = window.carries(t - start, self.first_states)
-            self._remember(t, geo, rows, carries, first_replayed)
-        self.first_states = tuple(map(dict.__getitem__, geo.next_states, (p[-1] for p in paths)))
-        return _budgets(rows, geo.links), rows
+        rows, budgets, first_states, carries = window.plan[t - start]
+        if carries is not None:
+            self._remember(t, geo, rows, carries, self._first_replayed(t))
+        self.first_states = first_states
+        return budgets, rows
 
     def _remember(self, t, geo, rows, carries, first_replayed) -> None:
         """Push each agent's experiences of RBGs first_replayed .. rbg_count - 1,

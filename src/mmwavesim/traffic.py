@@ -46,10 +46,14 @@ class PacketQueue:
         """Drain whole packets FIFO within the bit budget; returns how many left
         and their delay sum in TTIs. The count is what taking one packet at a
         time gives: `//` is exact, as a budget short of a full queue is < 2**53."""
-        n, bits = len(self._arrival_ttis), self.packet_bits
-        if not budget_bits >= n * bits:  # it does not cover all (inf does), or is nan
+        queue, bits = self._arrival_ttis, self.packet_bits
+        n = len(queue)
+        if budget_bits >= n * bits:  # it covers the whole queue (inf does)
+            delay_sum = n * now - sum(queue)
+            queue.clear()
+        else:  # short of it, or nan
             n = int(budget_bits // bits) if budget_bits >= bits else 0
-        delay_sum = n * now - sum(self._arrival_ttis.popleft() for _ in range(n))
+            delay_sum = n * now - sum([queue.popleft() for _ in range(n)])
         self.delivered_delay_sum += delay_sum
         self.delivered_packets += n
         return n, delay_sum

@@ -1,18 +1,21 @@
 """Scheduling windows: every agent's LSTM rollouts over the TTIs that share
 one geometry and one set of main weights, one stacked `AgentStack.forward`
-and `greedy` per RBG.
+and `greedy` per RBG, resolved into a plan of each TTI's actions.
 
 A `Window` rolls the agents out from every first state an agent can have
-at each of its TTIs, so each of those TTIs only looks up its agents'
-paths; the paths equal, action for action and carry for carry, stepping
-each TTI RBG by RBG.
+at each of its TTIs, then follows the one chain of first states that its
+first TTI's states and its explorations give, so each of its TTIs only
+reads its entry of `plan`; its actions equal, action for action and carry
+for carry, stepping each TTI RBG by RBG.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
-__all__ = ["Window", "CALL_ROWS", "WINDOW_ROWS"]
+__all__ = ["Window", "Tti", "CALL_ROWS", "WINDOW_ROWS"]
 
 # a stacked `forward` and `greedy` call costs about as much as this many of its
 # Q-rows at 20 hidden units, and a row's weight products grow as H**2 (3 agents
@@ -22,42 +25,72 @@ CALL_ROWS = 20
 WINDOW_ROWS = 128
 
 
+class Tti(NamedTuple):
+    """What one TTI of a window schedules."""
+
+    rows: list  # per RBG, every beam's action
+    budgets: dict  # per UE id given an RBG, its bits (see `_budgets`)
+    first_states: tuple  # every agent's first state at the next TTI
+    carries: Optional[list]  # per RBG, the (h, c) its actions were picked in; None: no push
+
+
+def _budgets(paths: list, bits: list) -> dict:
+    """Per UE id, the bits of the RBGs it was given: `paths` holds every beam's
+    actions, RBG by RBG, and `bits[b][uid]` is the bits of an RBG of beam b to
+    UE uid. Each UE's sum runs from 0.0 beam by beam, RBG by RBG."""
+    budgets = {}
+    for actions, table in zip(paths, bits):
+        for uid in actions:
+            budgets[uid] = budgets.get(uid, 0.0) + table[uid]
+    return budgets
+
+
 class Window:
     """Every agent's rollouts over the TTIs of a window, which share one
-    geometry (`mask`, `feasible`, `next_states`) and one set of main weights.
+    geometry (its `mask` and `links`: each member's RBG bits and next state)
+    and one set of main weights, and `plan`, each TTI's `Tti`.
 
     The carry restarts at zero every TTI, so at TTI w of the window agent
     k's Q-rows, carries and actions depend only on its first state (the
     next state of its last action at TTI w - 1, `first_states[k]` at w = 0),
     its own explorations and the weights. So the window rolls each agent
     out, at once, along every path (w, first state) it can take: from
-    `first_states[k]` at w = 0 and from each distinct value of
-    `next_states[k]` at later TTIs. The explorations of all its TTIs are
+    `first_states[k]` at w = 0 and from each distinct next state of beam k's
+    members at later TTIs. The explorations of all its TTIs are
     drawn with one `AgentStack.explorations` call, which draws what one
     call per TTI would, and each RBG is one `forward` and `greedy` over an
     (agent, row) grid of each agent's distinct prefixes of input states
     (a rollout, the greedy actions along one; paths whose states agree so
     far share it). A path's action at an RBG is its exploration pick there,
-    or else its rollout's greedy action.
+    or else its rollout's greedy action. Then `_plan` follows the chain:
+    each TTI's paths from its first states give its rows, its budgets (the
+    geometry's links are fixed for the window) and the next TTI's first
+    states, and a TTI from `carried_from` on (None: no TTI) also keeps the
+    carries its actions were picked in, the TTIs that push experiences.
 
     Each TTI after the first adds at most N * S rows to every call, for N
     agents with at most S members each, and saves a call per RBG; so a
     window spans more than one TTI only while those rows cost no more than
     a call (CALL_ROWS at 20 hidden units), and then only as many as fit
     WINDOW_ROWS rows: the grid holds at most N * (1 + (ttis - 1) * S') rows
-    for S' distinct next states. For `carries` it keeps, at every RBG, the
-    carry rows of the paths of its TTIs from `carried_from` on (None: no
-    TTI), at most rbgs * max(N, WINDOW_ROWS) rows of 2H floats. A window of
-    one TTI has one path per agent, stepped RBG by RBG.
+    for S' distinct next states. For the carries it keeps, at every RBG, the
+    carry rows of the paths of its TTIs from `carried_from` on, at most
+    rbgs * max(N, WINDOW_ROWS) rows of 2H floats; its plan holds, per TTI,
+    rbgs rows of N actions and a budget per scheduled UE, and per pushing TTI
+    the rbgs (N, H) carry pairs that its experiences keep. A window of one
+    TTI has one path per agent, stepped RBG by RBG, and a plan of one entry.
     """
 
-    def __init__(self, stack, mask, feasible, next_states, first_states, ttis, rbgs, carried_from):
-        n, hidden = len(first_states), stack.wh.shape[1]
-        self._next_states = next_states
+    def __init__(self, stack, geo, first_states, ttis, rbgs, carried_from):
+        n, hidden, mask, links = len(first_states), stack.wh.shape[1], geo.mask, geo.links
+        feasible = [tuple(table) for table in links]  # each beam's member ids
+        self._next_states = [
+            {uid: link.next_state for uid, link in table.items()} for table in links
+        ]
         # a TTI after the first adds at most a row per agent and member to each
         # call and saves a call
         if ttis > 1 and n * max(map(len, feasible)) * (hidden / 20) ** 2 <= CALL_ROWS:
-            starts = [list(dict.fromkeys(states.values())) for states in next_states]
+            starts = [list(dict.fromkeys(states.values())) for states in self._next_states]
             self.ttis = max(1, min(ttis, 1 + (WINDOW_ROWS // n - 1) // max(map(len, starts))))
         else:
             self.ttis = 1
@@ -66,11 +99,13 @@ class Window:
         self._carries = None if carried_from is None or carried_from >= self.ttis else []
         if self.ttis == 1:
             self._walk(stack, mask, first_states, stack.explorations(feasible, rbgs))
-            return
-        self._index = [{state: i for i, state in enumerate(s)} for s in starts]
-        self._spread = [len(s) for s in starts]
-        picks = stack.explorations(feasible, self.ttis * rbgs)
-        self._roll_out(stack, mask, first_states, starts, picks, rbgs, carried_from)
+        else:
+            self._index = [{state: i for i, state in enumerate(s)} for s in starts]
+            self._spread = [len(s) for s in starts]
+            picks = stack.explorations(feasible, self.ttis * rbgs)
+            self._roll_out(stack, mask, first_states, starts, picks, rbgs, carried_from)
+        bits = [{uid: link.bits for uid, link in table.items()} for table in links]
+        self.plan = self._plan(first_states, bits, carried_from)
 
     def _walk(self, stack, mask, states, picks) -> None:
         """The rollouts of a one-TTI window: one path per agent, its picks in."""
@@ -183,35 +218,34 @@ class Window:
         """The TTI of agent k's path p."""
         return 0 if p == 0 else 1 + (p - 1) // self._spread[k]
 
-    def _path(self, w, k, state) -> int:
-        """Agent k's path at TTI w from the first state `state`."""
-        return 1 + (w - 1) * self._spread[k] + self._index[k][state] if w else 0
-
-    def _rollouts(self, w, first_states) -> list:
-        """Per agent, the rollout of its path at TTI w from its first state."""
+    def _paths(self, w, first_states) -> list:
+        """Per agent, its path at TTI w from its first state."""
+        if not w:
+            return [0] * len(first_states)
         return [
-            self._slots[k][self._where[k][self._path(w, k, state)]]
-            for k, state in enumerate(first_states)
+            1 + (w - 1) * spread + index[state]
+            for spread, index, state in zip(self._spread, self._index, first_states)
         ]
 
-    def paths(self, w, first_states) -> list:
-        """Per agent, its actions at the RBGs of TTI w from its first state."""
-        out = []
-        for roll, explored in zip(self._rollouts(w, first_states), self._explored):
-            if explored[w]:
-                roll = list(roll)
-                for r, action in explored[w]:
-                    roll[r] = action
-            out.append(roll)
-        return out
-
-    def carries(self, w, first_states) -> list:
-        """Per RBG of TTI w (at least `carried_from`), the (h, c) carry each
-        agent's action there was picked in from its first state, two (N, H)
-        arrays of their own."""
-        paths = [(k, self._path(w, k, state)) for k, state in enumerate(first_states)]
-        out = []
-        for h, c, index in self._carries:
-            rows = [index[path] for path in paths]
-            out.append((h[rows], c[rows]))
-        return out
+    def _plan(self, states, bits, carried_from) -> list:
+        """Each TTI's `Tti`, along the chain from the first states `states`
+        at TTI 0: a TTI's last actions give the next TTI's first states."""
+        plan = []
+        for w in range(self.ttis):
+            paths, actions = self._paths(w, states), []
+            for slots, where, explored, p in zip(self._slots, self._where, self._explored, paths):
+                roll = slots[where[p]]
+                if explored[w]:
+                    roll = list(roll)
+                    for r, action in explored[w]:
+                        roll[r] = action
+                actions.append(roll)
+            carries = None
+            if self._carries is not None and w >= carried_from:
+                carries = []
+                for h, c, index in self._carries:
+                    rows = [index[path] for path in enumerate(paths)]
+                    carries.append((h[rows], c[rows]))
+            states = tuple(map(dict.__getitem__, self._next_states, (a[-1] for a in actions)))
+            plan.append(Tti(list(zip(*actions)), _budgets(actions, bits), states, carries))
+        return plan

@@ -11,11 +11,13 @@ k-means and UK-means assign/update steps; the clustering objective and
 per-iteration history that `run_clustering` does not keep; the
 composed epsilon-greedy decision of an `AgentStack` at one RBG, with
 `ScalarDrawSource`, the draws it makes one at a time, and `RawStub`, a
-stream of chosen raw draws; and `budgets`, the scheduling stage's bit
-budgets summed one UE at a time; `LoopQueue`, a packet queue served one
-packet at a time. `xy` turns a `Point2D` list into the
-(N, 2) array that clustering, beam forming and coverage take, and
-`next_draws` compares two places in a random stream."""
+stream of chosen raw draws; `window_paths` and `window_carries`, the
+actions and carries of any path of a `window.Window` looked up in its
+rollouts; and `budgets`, the scheduling stage's bit budgets summed one
+UE at a time; `LoopQueue`, a packet queue served one packet at a time.
+`xy` turns a `Point2D` list into the (N, 2) array that clustering, beam
+forming and coverage take, and `next_draws` compares two places in a
+random stream."""
 
 from __future__ import annotations
 
@@ -386,6 +388,39 @@ class RawStub:
         self.read += size
         rest = self.rest.random_raw(size - len(out)).tolist()
         return np.array(out + rest, dtype=np.uint64)
+
+
+def _window_path(window, w: int, k: int, state: float) -> int:
+    """Agent k's path at TTI w of `window` from the first state `state`."""
+    return 1 + (w - 1) * window._spread[k] + window._index[k][state] if w else 0
+
+
+def window_paths(window, w: int, first_states: Sequence[float]) -> list:
+    """Per agent, its actions at the RBGs of TTI w of `window` from its first
+    state: its path's rollout, with the path's explorations put in. The
+    window's plan holds these for the chain of first states it follows; this
+    reads any path, realized or not."""
+    out = []
+    for k, state in enumerate(first_states):
+        roll = window._slots[k][window._where[k][_window_path(window, w, k, state)]]
+        if window._explored[k][w]:
+            roll = list(roll)
+            for r, action in window._explored[k][w]:
+                roll[r] = action
+        out.append(roll)
+    return out
+
+
+def window_carries(window, w: int, first_states: Sequence[float]) -> list:
+    """Per RBG of TTI w of `window` (at least its `carried_from`), the (h, c)
+    carry each agent's action there was picked in from its first state, two
+    (N, H) arrays."""
+    paths = [(k, _window_path(window, w, k, state)) for k, state in enumerate(first_states)]
+    out = []
+    for h, c, index in window._carries:
+        rows = [index[path] for path in paths]
+        out.append((h[rows], c[rows]))
+    return out
 
 
 def budgets(rows: Sequence[Sequence[int]], links: Sequence[dict]) -> dict:

@@ -1,9 +1,9 @@
 """The scheduling stage's decision split: `AgentStack.greedy`, computed once
 per row of a window's stacked step, and `AgentStack.explorations`, drawn once
 per window for all its TTIs and RBGs, against `decide` and `_epsilon_greedy`;
-every path of a `Window` against a walk of its TTI; the window's work and
-row bound; and the per-TTI mean delay, an int sum over its count, against
-`np.mean`."""
+every path of a `Window` against a walk of its TTI; its plan against its
+chain stepped with the path lookups; the window's work and row bound; and
+the per-TTI mean delay, an int sum over its count, against `np.mean`."""
 
 import math
 
@@ -22,9 +22,10 @@ from mmwavesim.agent import (
     ReplayMemory,
     _epsilon_greedy,
 )
-from mmwavesim.engine import ScenarioConfig, ScenarioRun
+from mmwavesim.engine import ScenarioConfig, ScenarioRun, _Geometry, _Link
 from mmwavesim.seeding import derive_seed
 from mmwavesim.window import WINDOW_ROWS, Window
+import reference
 from reference import RawStub, ScalarDrawSource, decide, next_draws, with_picks
 
 # Q entries that give ties, NaN and both infinities
@@ -178,21 +179,29 @@ def test_one_call_for_many_ttis_draws_what_a_call_per_tti_draws(data):
 @st.composite
 def windows(draw):
     """A stack's geometry, first states and window: next states from few CQIs,
-    so members share them, and first states that may be none of them."""
+    so members share them, first states that may be none of them, RBG bits
+    with full mantissas, and half the time a UE that every beam shares; at 64
+    hidden units (one stack in 8) a window of more than one TTI may fail the
+    `CALL_ROWS` test."""
     n = draw(st.integers(1, 4))
     actions = draw(st.integers(1, 6))
     epsilon = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     mask = np.array([draw(mask_rows(actions)) for _ in range(n)])
+    if draw(st.booleans(), label="shared"):
+        mask[:, 0] = True
     cqi = st.integers(0, 3).map(lambda c: c / 15.0)
-    next_states = [{a: draw(cqi) for a in np.flatnonzero(row).tolist()} for row in mask]
+    bits = st.floats(0.0, 1e6) | st.sampled_from([0.1, 1 / 3, 2.0**-30])
+    links = [
+        {a: _Link(draw(bits), draw(cqi), 1.0) for a in np.flatnonzero(row).tolist()} for row in mask
+    ]
+    geo = _Geometry([], 0.0, mask, links)
     first_states = tuple(draw(cqi | st.just(0.4)) for _ in range(n))
     return (
         n,
         actions,
-        draw(st.integers(1, 8)),
+        draw(st.integers(1, 8).map(lambda h: 64 if h == 8 else h)),
         epsilon,
-        mask,
-        next_states,
+        geo,
         first_states,
         draw(st.integers(1, 5)),
         draw(st.integers(1, 6)),
@@ -212,13 +221,15 @@ def _stack(n, actions, hidden, epsilon, seed):
 @settings(max_examples=150, deadline=None)
 @given(case=windows())
 def test_every_path_equals_a_walk_of_its_tti(case):
-    # each path (TTI, first states) of a window against the TTI stepped RBG by
-    # RBG with `forward`, `greedy` and a call of `explorations` per TTI: the
-    # same actions, the same carries, and the draws left at the same place
-    n, actions, hidden, epsilon, mask, next_states, first_states, ttis, rbgs, seed = case
+    # each path (TTI, first states) of a window, looked up in its rollouts,
+    # against the TTI stepped RBG by RBG with `forward`, `greedy` and a call
+    # of `explorations` per TTI: the same actions, the same carries, and the
+    # draws left at the same place
+    n, actions, hidden, epsilon, geo, first_states, ttis, rbgs, seed = case
     stack, ref = _stack(n, actions, hidden, epsilon, seed), _stack(n, actions, hidden, epsilon, seed)
-    feasible = [tuple(states) for states in next_states]
-    window = Window(stack, mask, feasible, next_states, first_states, ttis, rbgs, carried_from=0)
+    mask, feasible = geo.mask, [tuple(table) for table in geo.links]
+    next_states = [{a: link.next_state for a, link in table.items()} for table in geo.links]
+    window = Window(stack, geo, first_states, ttis, rbgs, carried_from=0)
     assert 1 <= window.ttis <= ttis
     starts = [sorted(set(states.values())) for states in next_states]
     for w in range(window.ttis):
@@ -234,11 +245,47 @@ def test_every_path_equals_a_walk_of_its_tti(case):
                 q, (h, c) = ref.forward(np.array(states)[:, None], (h, c))
                 walked.append(with_picks(ref.greedy(q, mask), explored))
                 states = tuple(ns[a] for ns, a in zip(next_states, walked[-1]))
-            assert [list(p) for p in window.paths(w, start)] == [list(a) for a in zip(*walked)]
-            for (h, c), (h_ref, c_ref) in zip(window.carries(w, start), carries, strict=True):
+            paths = reference.window_paths(window, w, start)
+            assert [list(p) for p in paths] == [list(a) for a in zip(*walked)]
+            got = reference.window_carries(window, w, start)
+            for (h, c), (h_ref, c_ref) in zip(got, carries, strict=True):
                 assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
     for a, b in zip(stack.draws, ref.draws):
         assert next_draws(a) == next_draws(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=windows(),
+    bound=st.sampled_from([WINDOW_ROWS, 12, 6]),
+    carried_from=st.sampled_from([None, 0, 1, 2, 4]),
+)
+def test_the_plan_equals_its_chain_stepped_with_the_lookups(case, bound, carried_from):
+    # TTI by TTI from the window's first states, each entry of its plan
+    # against the lookups of the path from the last TTI's first states: its
+    # rows, its budgets summed one UE at a time, the next first states and,
+    # at the TTIs from carried_from on, its carries; windows whose TTIs the
+    # row bound cuts, windows of one TTI and beams that share a UE
+    n, actions, hidden, epsilon, geo, first_states, ttis, rbgs, seed = case
+    stack = _stack(n, actions, hidden, epsilon, seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(window_module, "WINDOW_ROWS", bound)
+        window = Window(stack, geo, first_states, ttis, rbgs, carried_from)
+    assert len(window.plan) == window.ttis
+    states = first_states
+    for w, tti in enumerate(window.plan):
+        paths = reference.window_paths(window, w, states)
+        rows = list(zip(*paths))
+        assert tti.rows == rows
+        assert tti.budgets == reference.budgets(rows, geo.links)
+        if carried_from is None or w < carried_from:
+            assert tti.carries is None
+        else:
+            want = reference.window_carries(window, w, states)
+            for (h, c), (h_ref, c_ref) in zip(tti.carries, want, strict=True):
+                assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+        states = tuple(table[p[-1]].next_state for table, p in zip(geo.links, paths))
+        assert tti.first_states == states
 
 
 def _counted(monkeypatch):
@@ -270,11 +317,32 @@ def _counted(monkeypatch):
 
 def test_default_run_work(monkeypatch):
     counts, _ = _counted(monkeypatch)
+    resolved = {"paths": 0, "budgets": 0, "in a step": 0}
+    building = []
+    init, paths, budgets = Window.__init__, Window._paths, window_module._budgets
+
+    def building_init(self, *args):
+        building.append(self)
+        init(self, *args)
+        building.pop()
+
+    def counted(name, fn):
+        def resolve(*args):
+            resolved[name if building else "in a step"] += 1
+            return fn(*args)
+
+        return resolve
+
+    monkeypatch.setattr(Window, "__init__", building_init)
+    monkeypatch.setattr(Window, "_paths", counted("paths", paths))
+    monkeypatch.setattr(window_module, "_budgets", counted("budgets", budgets))
     cfg = ScenarioConfig(tti_count=200, runs=1)
     ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0)).run()
     # the work of one default cell; a faster scheduling stage does the same.
     # A window steps all its TTIs with one stacked forward and greedy per RBG
     assert counts == {"forward": 552, "rows": 21237, "greedy": 552, "push": 540}
+    # and resolves each TTI's paths and budgets once, while it is built
+    assert resolved == {"paths": 200, "budgets": 200, "in a step": 0}
 
 
 @st.composite
@@ -327,8 +395,8 @@ def test_windows_cut_by_the_row_bound_equal_the_mirror(monkeypatch):
     cut = []
     init = Window.__init__
 
-    def recorded(self, stack, mask, feasible, next_states, first_states, ttis, *rest):
-        init(self, stack, mask, feasible, next_states, first_states, ttis, *rest)
+    def recorded(self, stack, geo, first_states, ttis, *rest):
+        init(self, stack, geo, first_states, ttis, *rest)
         cut.append(1 < self.ttis < ttis)
 
     monkeypatch.setattr(Window, "__init__", recorded)

@@ -21,8 +21,9 @@ from mmwavesim.agent import (
     select_action,
 )
 from mmwavesim.clustering import InitStrategy
-from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun, _budgets
+from mmwavesim.engine import Scenario, ScenarioConfig, ScenarioRun
 from mmwavesim.seeding import derive_seed
+from mmwavesim.window import _budgets
 import reference
 from reference import decide, next_draws
 
@@ -275,7 +276,8 @@ def allocations(draw):
 @given(case=allocations())
 def test_budgets_equal_the_rbg_by_rbg_sum(case):
     rows, links = case
-    assert _budgets([list(row) for row in rows], links) == reference.budgets(rows, links)
+    bits = [{uid: link.bits for uid, link in table.items()} for table in links]
+    assert _budgets([list(path) for path in zip(*rows)], bits) == reference.budgets(rows, links)
 
 
 def test_budgets_of_a_run_with_repeat_beams():

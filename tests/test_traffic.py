@@ -123,11 +123,13 @@ class TestQueue:
         assert q.head_of_line_delay(5) == 2
 
 
-def budgets(bits):
-    """Budgets at and just below k whole packets (k = 0 gives -1.0), 0,
-    2**53 and above, inf, nan and any float up to 40 packets."""
+def budgets(bits, queued):
+    """Budgets of exactly one packet, of exactly the `queued` packets' bits
+    and one ulp below them; at and just below k whole packets (k = 0 gives
+    -1.0), 0, 2**53 and above, inf, nan and any float up to 40 packets."""
     k = st.integers(0, 40)
     return st.one_of(
+        st.sampled_from([float(bits), float(queued * bits), math.nextafter(queued * bits, 0.0)]),
         k.map(lambda k: float(k * bits)),
         k.map(lambda k: k * bits - 1.0),
         k.map(lambda k: math.nextafter(k * bits, 0.0)),
@@ -142,18 +144,19 @@ def budgets(bits):
 @given(data=st.data())
 def test_counted_serve_equals_the_per_packet_loop(data):
     """Call by call, the counted `serve` returns what serving one packet at
-    a time returns, and leaves the same counters, queue and head-of-line delay."""
+    a time returns, and leaves the same counters, queue and head-of-line delay;
+    the first call serves the empty queue."""
     bits = 8 * data.draw(st.integers(1, 65535), label="packet_size_bytes")
     counted, looped = PacketQueue(bits), LoopQueue(bits)
     now = 0
-    for _ in range(data.draw(st.integers(1, 16), label="calls")):
+    for call in range(data.draw(st.integers(1, 16), label="calls")):
         now += data.draw(st.integers(0, 3))
-        if data.draw(st.booleans(), label="push"):
+        if call and data.draw(st.booleans(), label="push"):
             count = data.draw(st.integers(0, 30), label="count")
             counted.push(now, count)
             looped.push(now, count)
         else:
-            budget = data.draw(budgets(bits), label="budget")
+            budget = data.draw(budgets(bits, len(looped)), label="budget")
             assert counted.serve(budget, now) == looped.serve(budget, now)
         assert vars(counted) == vars(looped)
         assert counted.head_of_line_delay(now) == looped.head_of_line_delay(now)
