@@ -53,9 +53,9 @@ _SPLIT_CLUSTERING = ClusteringConfig(k=2, seed=0, init_strategy=InitStrategy.FAR
 
 @dataclass(frozen=True)
 class AntennaConfig:
-    # four times the default array; the gain evaluates n_elements as a float
-    n_elements: int = ranged(1024, lo=1, hi=4096)
-    # far past any array (about 0.5); the gain's phase, up to n_elements * 2 pi
+    # four times the default array; the gain evaluates n_antennas as a float
+    n_antennas: int = ranged(1024, lo=1, hi=4096)
+    # far past any array (about 0.5); the gain's phase, up to n_antennas * 2 pi
     # times this, must stay finite for math.sin, which it does up to about 7e303
     element_spacing_over_wavelength: float = ranged(0.5, lo=0.0, hi=1e6, closed=False)
     # 1 MHz to 1 THz: the free-space path loss stays finite from 1 mm to 1000 km
@@ -105,7 +105,7 @@ def beam_gain(boresight: float, ue_angle: float, cfg: AntennaConfig) -> float:
     with h = pi (d/lambda)(sin boresight - sin ue_angle); the limit Nt
     is taken at h = k pi. Value lies in [0, Nt].
     """
-    n = cfg.n_elements
+    n = cfg.n_antennas
     psi = cfg.element_spacing_over_wavelength * (math.sin(boresight) - math.sin(ue_angle))
     h = math.pi * psi
     s = math.sin(h)

@@ -136,7 +136,7 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> int:
 
 def _cmd_run(args) -> int:
     spec = parse_config(args.config)
-    if args.seed is not None:  # SweepSpec re-validates every cell
+    if args.seed is not None:  # replace checks the new configs and their cells
         spec = replace(spec, base=tuple(replace(cfg, master_seed=args.seed) for cfg in spec.base))
     return run_sweep(spec, args.out, jobs=args.jobs)
 

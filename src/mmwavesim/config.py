@@ -10,8 +10,8 @@ three scenarios, a single sweep point, and the defaults that
 
 `KEYS` lists every key once, in emission order. Its rows are read off
 the `ScenarioConfig` and `AntennaConfig` fields, which declare each
-default and range (see `fields.ranged`), so parsing, `emit_config` and
-`ScenarioConfig.validate` apply the same values.
+default and range (see `fields.ranged`): parsing and `emit_config` read
+the defaults, and a config checks the ranges when it is built.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ SWEEPABLE = ("n_beams", "beam_width_deg", "load_bps")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated sweep: constructing one (also via `replace`) checks every cell."""
+    """A valid sweep: constructing one (also via `replace`) builds, so checks, every cell."""
 
     variable: str
     values: tuple
-    base: tuple  # one ScenarioConfig per requested scenario, sweep variable unset
+    base: tuple  # one ScenarioConfig per requested scenario
 
     def __post_init__(self):
-        for cfg, _ in self.cells():
-            cfg.validate()
+        self.cells()
 
     def cells(self):
         """(scenario_config, value) pairs in deterministic order."""
@@ -60,7 +59,7 @@ class Key(NamedTuple):
 
 
 # config names that differ from the field name
-_RENAMED = {"antenna.n_elements": "n_antennas", "trace_csv": "position_trace_csv"}
+_RENAMED = {"trace_csv": "position_trace_csv"}
 # file-only default and range: qos_latency_ttis = 0 derives 1 ms / tti_duration_s
 _LATENCY = ScenarioConfig.__dataclass_fields__["qos_latency_ttis"].metadata["range"]
 _PARSE_TIME = {"qos_latency_ttis": (0, Range(0, _LATENCY.hi))}
@@ -119,12 +118,9 @@ def _parse_lines(text: str):
 def _parse_value(key: Key, text: str, lineno: int):
     parse = _parse_bool if isinstance(key.default, bool) else type(key.default)
     try:
-        value = parse(text)
+        return parse(text)
     except ValueError:
         raise ConfigError(f"line {lineno}: invalid value for {key.name!r}: {text!r}") from None
-    if key.range is not None:
-        key.range.check(key.name, value, where=f"line {lineno}: ")
-    return value
 
 
 def _where(raw: dict, name: str) -> str:
@@ -148,25 +144,22 @@ def _scenarios(values: dict, raw: dict):
 
 
 def _sweep_values(variable: str, values: dict, raw: dict) -> tuple:
-    """The swept values, parsed and range-checked like the key they replace."""
+    """The swept values, parsed like the key they replace."""
     if variable not in SWEEPABLE:
         raise ConfigError(
             f"{_where(raw, 'sweep_variable')}sweep_variable must be one of {SWEEPABLE}, got {variable!r}"
         )
     if not values["sweep_values"]:
         return (values[variable],)
-    key = _BY_NAME[variable]
     where = f"{_where(raw, 'sweep_values')}sweep_values: "
     try:
         numbers = [float(v) for v in values["sweep_values"].split(",")]
     except ValueError:
         raise ConfigError(f"{where}expected comma-separated numbers") from None
-    if isinstance(key.default, int):
+    if isinstance(_BY_NAME[variable].default, int):
         if not all(v.is_integer() for v in numbers):
             raise ConfigError(f"{where}a sweep over {variable} needs integers")
         numbers = [int(v) for v in numbers]
-    for v in numbers:
-        key.range.check(variable, v, where)
     return tuple(numbers)
 
 
@@ -177,28 +170,34 @@ def parse_config_text(text: str) -> SweepSpec:
         key.name: _parse_value(key, *raw[key.name]) if key.name in raw else key.default
         for key in KEYS
     }
-    if values["qos_latency_ttis"] == 0:
-        ttis_per_ms = 1e-3 / values["tti_duration_s"]
-        if not ttis_per_ms <= _LATENCY.hi:
-            raise ConfigError(
-                f"{_where(raw, 'tti_duration_s')}tti_duration_s is too small to derive "
-                f"qos_latency_ttis = 1 ms / tti_duration_s {_LATENCY}; set qos_latency_ttis"
-            )
-        values["qos_latency_ttis"] = max(1, round(ttis_per_ms))
-
-    top, antenna = {}, {}
-    for key in KEYS:
-        if key.path is not None:
-            owner, _, name = key.path.rpartition(".")
-            (antenna if owner else top)[name] = values[key.name]
-    variable = values["sweep_variable"]
+    variable, cells = values["sweep_variable"], False
     try:
+        _BY_NAME["qos_latency_ttis"].range.check("qos_latency_ttis", values["qos_latency_ttis"])
+        if values["qos_latency_ttis"] == 0:  # 1 ms, once tti_duration_s is known to divide it
+            _BY_NAME["tti_duration_s"].range.check("tti_duration_s", values["tti_duration_s"])
+            ttis_per_ms = 1e-3 / values["tti_duration_s"]
+            if not ttis_per_ms <= _LATENCY.hi:
+                raise ConfigError(
+                    f"tti_duration_s is too small to derive qos_latency_ttis = 1 ms / "
+                    f"tti_duration_s {_LATENCY}; set qos_latency_ttis",
+                    ("tti_duration_s",),
+                )
+            values["qos_latency_ttis"] = max(1, round(ttis_per_ms))
+        top, antenna = {}, {}
+        for key in KEYS:
+            if key.path is not None:
+                owner, _, name = key.path.rpartition(".")
+                (antenna if owner else top)[name] = values[key.name]
         top["antenna"] = AntennaConfig(**antenna)
         base = tuple(ScenarioConfig(scenario=s, **top) for s in _scenarios(values, raw))
-        return SweepSpec(variable=variable, values=_sweep_values(variable, values, raw), base=base)
-    except ConfigError as exc:  # anchor a cross-field rule at the first of its keys the file sets
-        keys = ["sweep_values" if k == variable and values["sweep_values"] else k for k in exc.keys]
+        swept = _sweep_values(variable, values, raw)
+        cells = bool(values["sweep_values"])  # a cell's error comes from its swept value
+        return SweepSpec(variable=variable, values=swept, base=base)
+    except ConfigError as exc:  # anchor it at the first of its keys the file sets
+        keys = ["sweep_values" if cells and k == variable else k for k in exc.keys]
         where = next((_where(raw, key) for key in keys if key in raw), "")
+        if cells and exc.keys == (variable,):  # a swept value out of range
+            where += "sweep_values: "
         raise ConfigError(f"{where}{exc}", exc.keys) from None
 
 

@@ -108,7 +108,8 @@ class Scenario(Enum):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario's parameters. Each field's default and range is declared
-    here or, for a field shared with a component config, on that config."""
+    here or, for a field shared with a component config, on that config.
+    Building one, `dataclasses.replace` included, checks them and the rules."""
 
     scenario: Scenario = Scenario.KMEANS_ERROR
     # each UE holds a traffic generator and a queue and widens every agent's
@@ -156,7 +157,7 @@ class ScenarioConfig:
     antenna: AntennaConfig = field(default_factory=AntennaConfig)
     trace_csv: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(self)
         if self.n_clusters > self.n_ues:
             raise ConfigError("n_clusters cannot exceed n_ues", ("n_clusters", "n_ues"))
@@ -350,7 +351,6 @@ class ScenarioRun:
         trace: Optional[dict] = None,
         coverage_only: bool = False,
     ):
-        cfg.validate()
         if trace is not None:
             check_trace_ids(trace, cfg)
         self.cfg = cfg
@@ -653,7 +653,6 @@ def _scenario_runs(cfg: ScenarioConfig, count: int, trace=None, coverage_only=Fa
     """Runs 0 .. count - 1 of `cfg`, built one at a time: run i uses the
     seed derive_seed(master_seed, i) and `trace`, or else cfg.trace_csv
     loaded once."""
-    cfg.validate()
     if trace is None and cfg.trace_csv:
         trace = load_position_trace(cfg.trace_csv)
     for i in range(count):

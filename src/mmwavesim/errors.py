@@ -2,7 +2,7 @@
 
 
 class ConfigError(ValueError):
-    """Raised when a config value or combination is invalid; `keys` names a combination's fields."""
+    """Raised when a config value or combination is invalid; `keys` names the fields at fault."""
 
     def __init__(self, message: str = "", keys: tuple = ()):
         super().__init__(message)

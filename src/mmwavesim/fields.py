@@ -1,10 +1,10 @@
 """Config fields declared once: default and valid range on the dataclass field.
 
-A field declared with `ranged` carries its `Range` in its metadata, so
-the constructor checks (`check_fields`), `ScenarioConfig.validate` and
-the config file parser all read one declaration. `same_as` declares a
-field with the default and range of a field of another config class,
-and records which one, so `shared_values` can build that class's config.
+A field declared with `ranged` carries its `Range` in its metadata, which
+each config class's `__post_init__` checks (`check_fields`), so a built
+config is valid and a range error's `keys` name its field. `same_as`
+declares a field with the default and range of a field of another config
+class, and records which one, so `shared_values` can build that class's config.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class Range:
         right = "]" if self.closed and self.hi < math.inf else ")"
         return f"in {left}{self.lo:g}, {self.hi:g}{right}"
 
-    def check(self, name: str, value, where: str = "") -> None:
+    def check(self, name: str, value) -> None:
         if value not in self:
-            raise ConfigError(f"{where}{name} must be {self}, got {value!r}")
+            raise ConfigError(f"{name} must be {self}, got {value!r}", (name,))
 
 
 def ranged(default=MISSING, *, lo=-math.inf, hi=math.inf, closed=True):

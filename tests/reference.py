@@ -148,8 +148,8 @@ def xy(points: Sequence[Point2D]) -> np.ndarray:
 def array_response(angle: float, cfg: AntennaConfig) -> np.ndarray:
     """Unit-norm ULA response vector toward `angle` (radians)."""
     phase = 2.0 * math.pi * cfg.element_spacing_over_wavelength * math.sin(angle)
-    m = np.arange(cfg.n_elements)
-    return np.exp(1j * phase * m) / math.sqrt(cfg.n_elements)
+    m = np.arange(cfg.n_antennas)
+    return np.exp(1j * phase * m) / math.sqrt(cfg.n_antennas)
 
 
 def sample_position(p: UncertainPoint, rng: np.random.Generator) -> Point2D:

@@ -137,7 +137,7 @@ def test_criterion_5_bandit_sanity():
 def test_criterion_6_beam_pattern():
     with criterion(6, "boresight gain = Nt exactly; first null below 1e-9 of peak"):
         for n in (8, 64, 1024):
-            cfg = AntennaConfig(n_elements=n)
+            cfg = AntennaConfig(n_antennas=n)
             assert beam_gain(0.3, 0.3, cfg) == float(n)
             null_angle = math.asin(2.0 / n)
             assert beam_gain(0.0, null_angle, cfg) / n < 1e-9

@@ -24,16 +24,16 @@ def P(x, y):
 
 class TestArrayResponse:
     def test_broadside(self):
-        v = array_response(0.0, AntennaConfig(n_elements=4))
+        v = array_response(0.0, AntennaConfig(n_antennas=4))
         assert np.allclose(v, 0.5 * np.ones(4))
 
     def test_endfire_two_elements(self):
-        v = array_response(math.pi / 2, AntennaConfig(n_elements=2))
+        v = array_response(math.pi / 2, AntennaConfig(n_antennas=2))
         expected = np.array([1.0, -1.0]) / math.sqrt(2)
         assert np.allclose(v, expected, atol=1e-12)
 
     def test_unit_norm(self):
-        cfg = AntennaConfig(n_elements=64)
+        cfg = AntennaConfig(n_antennas=64)
         rng = make_rng(0)
         for ang in rng.uniform(-math.pi, math.pi, 20):
             assert abs(np.linalg.norm(array_response(float(ang), cfg)) - 1.0) < 1e-12
@@ -42,16 +42,16 @@ class TestArrayResponse:
 class TestBeamGain:
     def test_peak_equals_element_count(self):
         for n in (1, 8, 64, 1024):
-            cfg = AntennaConfig(n_elements=n)
+            cfg = AntennaConfig(n_antennas=n)
             assert beam_gain(0.7, 0.7, cfg) == float(n)
 
     def test_first_null(self):
-        cfg = AntennaConfig(n_elements=8)
+        cfg = AntennaConfig(n_antennas=8)
         gain = beam_gain(0.0, math.asin(2.0 / 8.0), cfg)
         assert gain < 1e-9
 
     def test_single_element_omnidirectional(self):
-        cfg = AntennaConfig(n_elements=1)
+        cfg = AntennaConfig(n_antennas=1)
         rng = make_rng(1)
         for b, u in rng.uniform(-1.5, 1.5, size=(20, 2)):
             assert beam_gain(float(b), float(u), cfg) == pytest.approx(1.0, abs=1e-12)
@@ -59,26 +59,26 @@ class TestBeamGain:
     def test_closed_form_matches_inner_product(self):
         # the closed-form Fejer pattern against the explicit conjugate
         # inner product of response vectors, 1000 random pairs
-        cfg = AntennaConfig(n_elements=32)
+        cfg = AntennaConfig(n_antennas=32)
         rng = make_rng(2)
         for b, u in rng.uniform(-math.pi / 2, math.pi / 2, size=(1000, 2)):
             closed = beam_gain(float(b), float(u), cfg)
             inner = np.vdot(array_response(float(b), cfg), array_response(float(u), cfg))
-            explicit = cfg.n_elements * float(np.abs(inner)) ** 2
+            explicit = cfg.n_antennas * float(np.abs(inner)) ** 2
             assert abs(closed - explicit) <= 1e-9 * max(closed, explicit, 1e-12)
 
     def test_range(self):
-        cfg = AntennaConfig(n_elements=128)
+        cfg = AntennaConfig(n_antennas=128)
         rng = make_rng(3)
         for b, u in rng.uniform(-math.pi, math.pi, size=(500, 2)):
             g = beam_gain(float(b), float(u), cfg)
-            assert 0.0 <= g <= cfg.n_elements * (1 + 1e-12)
+            assert 0.0 <= g <= cfg.n_antennas * (1 + 1e-12)
 
     def test_beamspace_energy_parseval(self):
         # DFT-grid boresights form an orthonormal basis: the projection
         # energies of any response vector sum to its unit norm
         n = 16
-        cfg = AntennaConfig(n_elements=n)
+        cfg = AntennaConfig(n_antennas=n)
         grid = [math.asin(2.0 * b / n) for b in range(-n // 2, n // 2)]
         rng = make_rng(4)
         for u in rng.uniform(-math.pi / 2, math.pi / 2, 10):
@@ -208,7 +208,7 @@ class TestSinr:
         assert s1 - s2 == pytest.approx(20 * math.log10(2), abs=1e-9)
 
     def test_null_interferer_equals_snr(self):
-        cfg = AntennaConfig(n_elements=8)
+        cfg = AntennaConfig(n_antennas=8)
         serving = Beam(boresight=0.0, width=math.radians(20), members=(0,))
         # interferer pointed so the UE angle sits on its first null
         null_angle = math.asin(2.0 / 8.0)
@@ -219,7 +219,7 @@ class TestSinr:
 
     def test_fixture_against_bruteforce_formula(self):
         # independent re-evaluation of the whole chain at Nt=64
-        cfg = AntennaConfig(n_elements=64)
+        cfg = AntennaConfig(n_antennas=64)
         ue_angle, dist = 0.1, 100.0
         serving = Beam(boresight=0.12, width=math.radians(20), members=(0,))
         other = Beam(boresight=-0.9, width=math.radians(20), members=(1,))
@@ -233,7 +233,7 @@ class TestSinr:
         def gain(bore):
             a_b = array_response(bore, cfg)
             a_u = array_response(ue_angle, cfg)
-            return cfg.n_elements * abs(np.vdot(a_b, a_u)) ** 2
+            return cfg.n_antennas * abs(np.vdot(a_b, a_u)) ** 2
 
         expected = 10 * math.log10(
             ptx * gain(0.12) * pl / (noise + ptx * gain(-0.9) * pl)

@@ -16,7 +16,7 @@ class TestParseConfig:
         spec = parse_config(path)
         cfg = spec.base[0]
         assert cfg.n_clusters == 3
-        assert cfg.antenna.n_elements == 1024
+        assert cfg.antenna.n_antennas == 1024
         assert cfg.epsilon == 0.1
         assert cfg.gamma == 0.9
         assert cfg.tti_count == 1400

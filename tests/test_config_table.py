@@ -1,22 +1,25 @@
 """The config key table: round trips, rejections and the canonical text."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from enum import Enum
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwavesim import engine
+from mmwavesim import fields as fields_module
 from mmwavesim.agent import AgentConfig
 from mmwavesim.beams import AntennaConfig
 from mmwavesim.cli import main
 from mmwavesim.clustering import ClusteringConfig
 from mmwavesim.config import KEYS, SWEEPABLE, emit_config, parse_config_text
-from mmwavesim.engine import MAX_ARRIVALS_PER_TTI, Scenario, ScenarioConfig
+from mmwavesim.engine import MAX_ARRIVALS_PER_TTI, Scenario, ScenarioConfig, run_scenario
 from mmwavesim.errors import ConfigError
-from mmwavesim.fields import fmt
+from mmwavesim.fields import check_fields, fmt
 
 BY_NAME = {key.name: key for key in KEYS}
 FIELD_KEYS = [key for key in KEYS if key.path is not None]
@@ -120,8 +123,8 @@ def out_of_range(key):
 def within_arrivals(load_bps, values):
     """`load_bps`, or 0.0 where it gives more than MAX_ARRIVALS_PER_TTI mean
     arrivals per UE and TTI at the TTI duration and packet size of `values`."""
-    keep = {name: values[name] for name in ("tti_duration_s", "packet_size_bytes") if name in values}
-    mean = ScenarioConfig(load_bps=load_bps, **keep).arrivals_per_tti
+    keep = {name: values.get(name, BY_NAME[name].default) for name in ("tti_duration_s", "packet_size_bytes")}
+    mean = ScenarioConfig.arrivals_per_tti.fget(SimpleNamespace(load_bps=load_bps, **keep))
     return load_bps if mean <= MAX_ARRIVALS_PER_TTI else 0.0
 
 
@@ -200,6 +203,12 @@ class TestTable:
         spec = parse_config_text("tti_duration_s = 5e-9\nqos_latency_ttis = 3\n")
         assert spec.base[0].qos_latency_ttis == 3
 
+    @pytest.mark.parametrize("text", ["0", "nan"])
+    def test_tti_duration_is_checked_before_the_latency_derives(self, text):
+        got = "0.0" if text == "0" else text
+        with pytest.raises(ConfigError, match=rf"^line 1: tti_duration_s must be in \[1e-09, inf\), got {got}$"):
+            parse_config_text(f"tti_duration_s = {text}\n")
+
     def test_every_scenario_field_has_one_key(self):
         paths = {key.path for key in FIELD_KEYS}
         top = {f.name for f in fields(ScenarioConfig)} - {"scenario", "antenna"}
@@ -229,13 +238,13 @@ class TestTable:
 
     def test_validate_applies_the_ranges(self):
         with pytest.raises(ConfigError, match="load_bps"):
-            ScenarioConfig(load_bps=math.inf).validate()
+            ScenarioConfig(load_bps=math.inf)
         with pytest.raises(ConfigError, match="gamma"):
-            ScenarioConfig(gamma=math.nan).validate()
+            ScenarioConfig(gamma=math.nan)
         with pytest.raises(ConfigError, match="qos_sinr_db"):
-            ScenarioConfig(qos_sinr_db=math.nan).validate()
+            ScenarioConfig(qos_sinr_db=math.nan)
         with pytest.raises(ConfigError, match="minibatch"):
-            ScenarioConfig(minibatch=61).validate()
+            ScenarioConfig(minibatch=61)
 
     def test_replacing_a_spec_revalidates_its_cells(self):
         spec = parse_config_text(TINY)
@@ -243,6 +252,78 @@ class TestTable:
             replace(spec, base=tuple(replace(c, master_seed=-3) for c in spec.base))
         with pytest.raises(ConfigError, match="n_beams"):
             replace(spec, values=(2, 0))
+
+
+# a valid instance of each config class whose fields declare a range
+VALID = {AgentConfig: AgentConfig(action_count=2), AntennaConfig: AntennaConfig(),
+         ClusteringConfig: ClusteringConfig(k=2), ScenarioConfig: ScenarioConfig()}
+RANGED_FIELDS = [(cls, f) for cls in VALID for f in fields(cls) if "range" in f.metadata]
+# each ScenarioConfig cross-field rule, with the keys its error names
+RULES = {
+    "clusters": ("n_clusters", "n_ues"),
+    "arrivals": ("load_bps", "tti_duration_s", "packet_size_bytes"),
+    "replay": ("minibatch", "replay_capacity"),
+}
+
+
+@st.composite
+def rule_breaks(draw, rule):
+    """ScenarioConfig fields, in range, that break `rule`."""
+    if rule == "clusters":
+        n_ues = draw(st.integers(1, 999))
+        return dict(n_ues=n_ues, n_clusters=draw(st.integers(n_ues + 1, 10**6)))
+    if rule == "replay":
+        capacity = draw(st.integers(1, 999))
+        return dict(replay_capacity=capacity, minibatch=draw(st.integers(capacity + 1, 1000)))
+    size = draw(st.integers(1, 65535))
+    tti = draw(st.floats(1e-6, 1.0))
+    least = MAX_ARRIVALS_PER_TTI * 8 * size / tti  # twice it is clear of rounding
+    load = draw(st.floats(min_value=2 * least, allow_infinity=False))
+    return dict(load_bps=load, tti_duration_s=tti, packet_size_bytes=size)
+
+
+class TestValidByConstruction:
+    """A config object is checked when it is built, `dataclasses.replace`
+    included, and each error's keys name the fields at fault."""
+
+    @pytest.mark.parametrize("cls, field", RANGED_FIELDS,
+                             ids=[f"{cls.__name__}.{f.name}" for cls, f in RANGED_FIELDS])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_raises_when_built(self, cls, field, data):
+        default = {"int": 0, "float": 0.0}[field.type]
+        value = data.draw(out_of_range(SimpleNamespace(default=default, range=field.metadata["range"])))
+        valid = VALID[cls]
+        required = {f.name: getattr(valid, f.name) for f in fields(cls) if f.default is MISSING}
+        for build in (lambda: cls(**{**required, field.name: value}),
+                      lambda: replace(valid, **{field.name: value})):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert info.value.keys == (field.name,)
+            assert str(info.value).startswith(f"{field.name} must be ")
+
+    @pytest.mark.parametrize("rule", RULES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_broken_rule_raises_when_built(self, rule, data):
+        broken = data.draw(rule_breaks(rule))
+        for build in (lambda: ScenarioConfig(**broken), lambda: replace(ScenarioConfig(), **broken)):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert info.value.keys == RULES[rule]
+
+    def test_running_a_built_config_checks_no_range(self, monkeypatch):
+        cfg = replace(parse_config_text(TINY).base[0], runs=5)
+        checked = []
+
+        def counted(obj):
+            checked.append(type(obj))
+            check_fields(obj)
+
+        for module in (fields_module, engine):
+            monkeypatch.setattr(module, "check_fields", counted)
+        run_scenario(cfg)
+        assert checked.count(ScenarioConfig) == 0
 
 
 class TestCli:
@@ -296,6 +377,25 @@ class TestCli:
         assert not out.exists()
         key = text.split(" ")[0]
         assert capsys.readouterr().err.count(f"line 1: {key}") == 2
+
+    @pytest.mark.parametrize(
+        "text, first",
+        [
+            # a value is parsed before any range is checked
+            ("n_ues = 0\nrbg_count = x\n", "line 2: invalid value for 'rbg_count': 'x'"),
+            # the antenna is built before the scenario
+            ("n_ues = 0\nn_antennas = 0\n", "line 2: n_antennas must be in [1, 4096], got 0"),
+            # the scenarios are named before any is built
+            ("scenarios = bogus\nn_ues = 0\n",
+             "line 1: unknown scenario 'bogus' (expected one of "
+             "['kmeans_error', 'kmeans_exact', 'ukmeans_error'])"),
+        ],
+    )
+    def test_the_first_of_several_faults(self, tmp_path, capsys, text, first):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: {first}\n"
 
     def test_seed_override_is_range_checked(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

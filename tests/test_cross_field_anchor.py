@@ -60,5 +60,5 @@ def test_an_infinite_rbg_bandwidth_exits_1_before_running(tmp_path, capsys):
 
 def test_the_rule_text_itself_has_no_anchor():
     with pytest.raises(ConfigError, match=f"^{CLUSTERS}$") as info:
-        ScenarioConfig(n_ues=2, n_clusters=3).validate()
+        ScenarioConfig(n_ues=2, n_clusters=3)
     assert info.value.keys == ("n_clusters", "n_ues")

@@ -164,6 +164,7 @@ CHILD = textwrap.dedent(
         "sweep_variable = gamma\\n",
         "sweep_values = 2,x\\n",
         "sweep_variable = n_beams\\nsweep_values = 2.5\\n",
+        "sweep_values = 2,65\\n",
         "n_ues = 3\\nn_clusters = 4\\n",
         "load_bps = 1e12\\n",
         "subcarrier_spacing_hz = 1e308\\n",

@@ -196,7 +196,7 @@ def test_mean_coverage_plays_the_configured_trace(tmp_path):
 class TestCrossFieldRules:
     def test_replay_rule_message(self):
         with pytest.raises(ConfigError, match="^minibatch cannot exceed replay_capacity$"):
-            ScenarioConfig(minibatch=61).validate()
+            ScenarioConfig(minibatch=61)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -209,7 +209,7 @@ class TestCrossFieldRules:
     )
     def test_reported_before_the_replay_rule(self, fields, message):
         with pytest.raises(ConfigError, match=message):
-            ScenarioConfig(minibatch=61, **fields).validate()
+            ScenarioConfig(minibatch=61, **fields)
 
 
 def test_form_beams_skips_a_center_without_members():

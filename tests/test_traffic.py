@@ -209,6 +209,6 @@ def test_conservation_over_random_run():
 
 def test_config_validation():
     with pytest.raises(ConfigError, match="load_bps"):
-        ScenarioConfig(load_bps=-1.0).validate()
+        ScenarioConfig(load_bps=-1.0)
     with pytest.raises(ConfigError, match="packet_size_bytes"):
-        ScenarioConfig(load_bps=1.0, packet_size_bytes=0).validate()
+        ScenarioConfig(load_bps=1.0, packet_size_bytes=0)
