@@ -22,10 +22,9 @@ decision time so replayed transitions are recomputed in their original
 context.
 
 `AgentStack` holds the main networks of one run's agents on a leading
-agent axis and advances all of them by one step per call, on one or
-several rows each, with the same floating-point operations as
-`select_action` on each row (see `window`, which steps them on grids of
-rows).
+agent axis and advances all of them by one step per call, on an (agent,
+row) grid of rows, with the same floating-point operations as
+`select_action` on each row (see `window`, which steps them).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -182,10 +180,6 @@ class LstmNetwork:
         other._bind(*(v.copy() for v in self.arrays()))
         return other
 
-    def zero_carry(self, batch: int):
-        """(h, c) of `batch` sequences at their start, each (batch, H)."""
-        return (np.zeros((batch, self.hidden_units)), np.zeros((batch, self.hidden_units)))
-
 
 def _forward(net: LstmNetwork, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
     """Batched forward pass.
@@ -258,7 +252,7 @@ def lstm_forward(net: LstmNetwork, states, carry=None):
     """
     x = np.asarray(states, dtype=float).reshape(-1, 1, 1)
     if carry is None:
-        h0, c0 = net.zero_carry(batch=1)
+        h0 = c0 = np.zeros((1, net.hidden_units))
     else:
         h0 = carry[0].reshape(1, -1)
         c0 = carry[1].reshape(1, -1)
@@ -417,30 +411,23 @@ class AgentStack:
         # rounds the last columns of a gate differently whenever H is not
         # a multiple of the BLAS kernel's block.
         wh_gates = self.wh.reshape(n, h, 4, h).transpose(0, 2, 1, 3)
-        weights = (self.wx, wh_gates, self.b, self.wq, self.bq)
-        # by the dimensions of a carry, the weights with an axis for each
-        # leading axis of the rows: (N, H) and (N, M, H)
-        self._weights = {2: weights, 3: tuple(w[:, None] for w in weights)}
+        self._weights = tuple(w[:, None] for w in (self.wx, wh_gates, self.b, self.wq, self.bq))
         self.draws = [
             DrawSource(agent.action_rng.bit_generator, agent.cfg.epsilon) for agent in self.agents
         ]
 
-    def zero_carry(self):
-        """(h, c) of every agent at the start of a TTI, each (N, H)."""
-        return self.agents[0].main.zero_carry(batch=len(self.agents))
-
     def forward(self, x: np.ndarray, carry):
         """One LSTM step of every agent, on each of its rows.
 
-        x is (N, 1) or (N, M, 1) and the carry (h, c) holds two (N, H) or
-        (N, M, H) arrays: agent k's rows are x[k], h[k] and c[k]. Returns the
-        Q-rows (N, A) or (N, M, A) and the new carry; every row equals, bit for
-        bit, `lstm_forward` of its agent on its state and carry, since each
-        row's products with the weights are its own.
+        x is (N, M, 1) and the carry (h, c) holds two (N, M, H) arrays: agent
+        k's rows are x[k], h[k] and c[k]. Returns the Q-rows (N, M, A) and the
+        new carry; every row equals, bit for bit, `lstm_forward` of its agent
+        on its state and carry, since each row's products with the weights
+        are its own.
         """
         h, c = carry
         hd = h.shape[-1]
-        wx, wh_gates, b, wq, bq = self._weights[h.ndim]
+        wx, wh_gates, b, wq, bq = self._weights
         gates = np.matmul(h[..., None, None, :], wh_gates).reshape(*h.shape[:-1], 4 * hd)
         z = x * wx + gates + b
         ifo = _sigmoid(z[..., : 3 * hd])
@@ -452,18 +439,14 @@ class AgentStack:
         return q, (h_new, c_new)
 
     def greedy(self, q: np.ndarray, mask: np.ndarray) -> list:
-        """The feasible argmax of every Q-row of q, (N, A) or (N, M, A), under
-        its agent's row of `mask` (N, A), as in `_epsilon_greedy`: the lowest
-        index on ties, the first NaN if there is one, and the lowest feasible
-        index if every feasible entry is -inf. Per agent, its action, or the
-        list of its rows' actions."""
-        grid = q.ndim > 2
-        actions = np.where(mask[:, None] if grid else mask, q, -np.inf).argmax(axis=-1).tolist()
-        if 0 in (chain.from_iterable(actions) if grid else actions):
-            for k, acts in enumerate(actions if grid else [[a] for a in actions]):
-                if 0 in acts and not mask[k, 0]:  # every feasible entry is -inf: argmax gave 0
-                    feasible = [a or int(mask[k].argmax()) for a in acts]
-                    actions[k] = feasible if grid else feasible[0]
+        """The feasible argmax of every Q-row of q (N, M, A) under its agent's
+        row of `mask` (N, A), as in `_epsilon_greedy`: the lowest index on
+        ties, the first NaN if there is one, and the lowest feasible index if
+        every feasible entry is -inf. Per agent, the list of its rows' actions."""
+        actions = np.where(mask[:, None], q, -np.inf).argmax(axis=-1).tolist()
+        for k, acts in enumerate(actions):
+            if 0 in acts and not mask[k, 0]:  # every feasible entry is -inf: argmax gave 0
+                actions[k] = [a or int(mask[k].argmax()) for a in acts]
         return actions
 
     def explorations(self, feasible: Sequence[tuple], rbgs: int) -> list:

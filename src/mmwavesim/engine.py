@@ -21,8 +21,8 @@ numbers). Scheduling rolls the agents out over a window at once: the
 TTIs up to the next geometry stage or through the next training TTI,
 which share one geometry and one set of weights (`window.Window`), and
 resolves each of those TTIs' actions, bit budgets and next first states
-once; each TTI then reads its entry of the window's plan, and only the
-replay experiences that a training sample can read are built.
+once; each TTI then takes the next entry of the window's plan, and only
+the replay experiences that a training sample can read are built.
 
 Scenarios differ only in the (N, 2) array the clustering step consumes:
 the true positions, the distorted reported positions, or the means of
@@ -338,10 +338,11 @@ class ScenarioRun:
     are identical to the full run under the same seed: random streams
     are stream-separated).
 
-    `step` is meant for the TTIs 0 .. tti_count - 1: arrivals are drawn per
-    `step` call, in call order, exploration per window (a run of consecutive
-    `step` calls in one geometry, see `_window_ttis`), and experiences that no
-    training sample in that range can read are not pushed to replay.
+    `step` is meant for the TTIs 0 .. tti_count - 1, in order: arrivals are
+    drawn per `step` call, in call order, exploration per window (a run of
+    consecutive `step` calls in one geometry, see `_window_ttis`), and
+    experiences that no training sample in that range can read are not
+    pushed to replay.
     """
 
     def __init__(
@@ -386,9 +387,6 @@ class ScenarioRun:
             # every agent's input state at the next TTI's first RBG: the next
             # state of its last action, or that of CQI 0 before the first TTI
             self.first_states = (encode_state(0),) * cfg.n_beams
-            # the Window being scheduled: (its geometry, the TTI it expects next,
-            # its first TTI, the Window)
-            self.window = None
         self.prev_centers = None  # the warm start of the next clustering call
         self._fixed_point = False  # whether the last call settled (see ClusteringResult)
         self.geometry: Optional[_Geometry] = None  # the geometry stage's last result
@@ -440,6 +438,7 @@ class ScenarioRun:
         """Keep the clustering, beams, coverage and link tables of the current
         positions as `geometry`, warm-started from the last call's centers."""
         cfg = self.cfg
+        self._plan = iter(())  # a window's plan ends with the geometry it was built on
         result = run_clustering(self.believed_xy, self.clustering, self.prev_centers)
         self._fixed_point = result.settled
         self.prev_centers = result.centers
@@ -516,18 +515,19 @@ class ScenarioRun:
     def _schedule(self, t: int, geo: _Geometry):
         """Every beam's agent picks one member UE per RBG.
 
-        At the first TTI of a window (see `Window`: the TTIs that keep this
-        geometry and these weights, `_window_ttis`) the agents are rolled out
-        over all of it at once, and the window resolves each of its TTIs'
-        actions, budgets and next first states. Every TTI then reads its entry
-        of the window's plan and, if it pushes, builds the experiences a replay
-        sample can read (see `_first_replayed`), beam by beam and RBG by RBG.
+        The run keeps the plan of its window (see `Window`: the TTIs that keep
+        this geometry and these weights, `_window_ttis`) and each TTI takes
+        its next entry. When none is left, or the geometry stage has run, the
+        agents are rolled out over a new window at once, which resolves each
+        of its TTIs' actions, budgets and next first states. A TTI that pushes
+        builds the experiences a replay sample can read (see
+        `_first_replayed`), beam by beam and RBG by RBG.
         Returns the per-UE bit budgets and, per RBG, the action of every
         beam's agent.
         """
         cfg = self.cfg
-        window_geo, expected, start, window = self.window or (None, t, t, None)
-        if window_geo is not geo or t != expected or t - start >= window.ttis:
+        entry = next(self._plan, None)
+        if entry is None:
             from .window import Window  # loaded by the first run that schedules, never coverage-only
 
             ttis = self._window_ttis(t)
@@ -535,9 +535,9 @@ class ScenarioRun:
             # window's last ones, as `_first_replayed` falls toward its training TTI
             pushes = (u - t for u in range(t, t + ttis) if self._first_replayed(u) < cfg.rbg_count)
             args = self.first_states, ttis, cfg.rbg_count, next(pushes, None)
-            window, start = Window(self.stack, geo, *args), t
-        self.window = geo, t + 1, start, window
-        rows, budgets, first_states, carries = window.plan[t - start]
+            self._plan = iter(Window(self.stack, geo, *args).plan)
+            entry = next(self._plan)
+        rows, budgets, first_states, carries = entry
         if carries is not None:
             self._remember(t, geo, rows, carries, self._first_replayed(t))
         self.first_states = first_states

@@ -34,7 +34,7 @@ class Tti(NamedTuple):
     carries: Optional[list]  # per RBG, the (h, c) its actions were picked in; None: no push
 
 
-def _budgets(paths: list, bits: list) -> dict:
+def _budgets(paths, bits: list) -> dict:
     """Per UE id, the bits of the RBGs it was given: `paths` holds every beam's
     actions, RBG by RBG, and `bits[b][uid]` is the bits of an RBG of beam b to
     UE uid. Each UE's sum runs from 0.0 beam by beam, RBG by RBG."""
@@ -78,7 +78,8 @@ class Window:
     rbgs * max(N, WINDOW_ROWS) rows of 2H floats; its plan holds, per TTI,
     rbgs rows of N actions and a budget per scheduled UE, and per pushing TTI
     the rbgs (N, H) carry pairs that its experiences keep. A window of one
-    TTI has one path per agent, stepped RBG by RBG, and a plan of one entry.
+    TTI has one path per agent: `_walk` steps it RBG by RBG on an (N, 1)
+    grid and returns its plan's one entry, so it keeps no rollouts.
     """
 
     def __init__(self, stack, geo, first_states, ttis, rbgs, carried_from):
@@ -94,35 +95,34 @@ class Window:
             self.ttis = max(1, min(ttis, 1 + (WINDOW_ROWS // n - 1) // max(map(len, starts))))
         else:
             self.ttis = 1
-        # per RBG, the carry rows its step started from for the carried paths:
-        # (h, c, {(agent, path): row})
-        self._carries = None if carried_from is None or carried_from >= self.ttis else []
+        bits = [{uid: link.bits for uid, link in table.items()} for table in links]
+        picks = stack.explorations(feasible, self.ttis * rbgs)
         if self.ttis == 1:
-            self._walk(stack, mask, first_states, stack.explorations(feasible, rbgs))
+            self.plan = [self._walk(stack, mask, first_states, picks, bits, carried_from == 0)]
         else:
+            # per RBG, the carry rows its step started from for the carried paths:
+            # (h, c, {(agent, path): row})
+            self._carries = None if carried_from is None or carried_from >= self.ttis else []
             self._index = [{state: i for i, state in enumerate(s)} for s in starts]
             self._spread = [len(s) for s in starts]
-            picks = stack.explorations(feasible, self.ttis * rbgs)
             self._roll_out(stack, mask, first_states, starts, picks, rbgs, carried_from)
-        bits = [{uid: link.bits for uid, link in table.items()} for table in links]
-        self.plan = self._plan(first_states, bits, carried_from)
+            self.plan = self._plan(first_states, bits, carried_from)
 
-    def _walk(self, stack, mask, states, picks) -> None:
-        """The rollouts of a one-TTI window: one path per agent, its picks in."""
-        steps, rows = [], {(k, 0): k for k in range(len(states))}
-        h, c = stack.zero_carry()
+    def _walk(self, stack, mask, states, picks, bits, pushes) -> Tti:
+        """The one `Tti` of a one-TTI window: one row per agent, stepped RBG by
+        RBG from a zero carry, its picks in; its carries are kept if it pushes."""
+        rows, carries = [], [] if pushes else None
+        h = c = np.zeros((len(states), 1, stack.wh.shape[1]))
         for explored in picks:
-            if self._carries is not None:
-                self._carries.append((h, c, rows))
-            q, (h, c) = stack.forward(np.array(states)[:, None], (h, c))
-            actions = stack.greedy(q, mask)
+            if pushes:
+                carries.append((h[:, 0], c[:, 0]))
+            q, (h, c) = stack.forward(np.array(states)[:, None, None], (h, c))
+            actions = [action for action, in stack.greedy(q, mask)]
             for k, action in explored or ():
                 actions[k] = action
-            steps.append(actions)
+            rows.append(tuple(actions))
             states = tuple(map(dict.__getitem__, self._next_states, actions))
-        self._slots = [[list(actions)] for actions in zip(*steps)]
-        self._where = [[0]] * len(states)
-        self._explored = [[()]] * len(states)  # the picks are in the rollouts
+        return Tti(rows, _budgets(zip(*rows), bits), states, carries)
 
     def _roll_out(self, stack, mask, first_states, starts, explorations, rbgs, carried_from):
         """Every agent's rollouts along all its paths, one grid step per RBG."""

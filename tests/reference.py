@@ -9,11 +9,12 @@ must match bit for bit as two points; `numpy_clustering`, the
 bit, and on its `_assign` and `_update` the point-list forms of the
 k-means and UK-means assign/update steps; the clustering objective and
 per-iteration history that `run_clustering` does not keep; the
-composed epsilon-greedy decision of an `AgentStack` at one RBG, with
-`ScalarDrawSource`, the draws it makes one at a time, and `RawStub`, a
-stream of chosen raw draws; `window_paths` and `window_carries`, the
-actions and carries of any path of a `window.Window` looked up in its
-rollouts; and `budgets`, the scheduling stage's bit budgets summed one
+greedy and epsilon-greedy decisions of an `AgentStack` at one RBG, on one
+Q-row per agent, with `ScalarDrawSource`, the draws it makes one at a
+time, and `RawStub`, a stream of chosen raw draws; `window_paths` and
+`window_carries`, the actions and carries of any path of a `window.Window`
+looked up in its rollouts, or of a one-TTI window read from its one plan
+entry; and `budgets`, the scheduling stage's bit budgets summed one
 UE at a time; `LoopQueue`, a packet queue served one packet at a time.
 `xy` turns a `Point2D` list into the (N, 2) array that clustering, beam
 forming and coverage take, and `next_draws` compares two places in a
@@ -323,11 +324,17 @@ def with_picks(actions: Sequence[int], picks) -> list:
     return [explored.get(k, a) for k, a in enumerate(actions)]
 
 
+def greedy(stack: AgentStack, q: np.ndarray, mask: np.ndarray) -> list:
+    """Every agent's greedy action on its one Q-row q[k] of q (N, A)."""
+    return [action for action, in stack.greedy(q[:, None], mask)]
+
+
 def decide(stack: AgentStack, q: np.ndarray, mask: np.ndarray) -> list:
-    """Every agent's epsilon-greedy action at one RBG, as `select_action` draws it."""
+    """Every agent's epsilon-greedy action at one RBG on its Q-row q[k] of q
+    (N, A), as `select_action` draws it."""
     feasible = [tuple(np.flatnonzero(row).tolist()) for row in mask]
     (picks,) = stack.explorations(feasible, 1)
-    return with_picks(stack.greedy(q, mask), picks)
+    return with_picks(greedy(stack, q, mask), picks)
 
 
 def next_draws(source) -> list:
@@ -399,7 +406,10 @@ def window_paths(window, w: int, first_states: Sequence[float]) -> list:
     """Per agent, its actions at the RBGs of TTI w of `window` from its first
     state: its path's rollout, with the path's explorations put in. The
     window's plan holds these for the chain of first states it follows; this
-    reads any path, realized or not."""
+    reads any path, realized or not. A window of one TTI has one path per
+    agent, from the window's first states, and keeps only its plan entry."""
+    if window.ttis == 1:
+        return list(zip(*window.plan[0].rows))
     out = []
     for k, state in enumerate(first_states):
         roll = window._slots[k][window._where[k][_window_path(window, w, k, state)]]
@@ -415,6 +425,8 @@ def window_carries(window, w: int, first_states: Sequence[float]) -> list:
     """Per RBG of TTI w of `window` (at least its `carried_from`), the (h, c)
     carry each agent's action there was picked in from its first state, two
     (N, H) arrays."""
+    if window.ttis == 1:
+        return window.plan[0].carries
     paths = [(k, _window_path(window, w, k, state)) for k, state in enumerate(first_states)]
     out = []
     for h, c, index in window._carries:

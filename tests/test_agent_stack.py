@@ -104,24 +104,24 @@ def test_stacked_step_matches_select_action(data):
     cqis = [0] * n
     for _ in range(ttis):
         ref_carry = [(np.zeros(hidden), np.zeros(hidden)) for _ in reference]
-        carry = stack.zero_carry()
+        carry = (np.zeros((n, 1, hidden)),) * 2  # one row per agent
         for picks in stack.explorations(feasible, rbgs):
             states = [encode_state(c) for c in cqis]
-            q, new_carry = stack.forward(np.asarray(states, dtype=float).reshape(n, 1), carry)
-            picked = with_picks(stack.greedy(q, mask), picks)
+            q, new_carry = stack.forward(np.asarray(states, dtype=float).reshape(n, 1, 1), carry)
+            picked = with_picks([a for a, in stack.greedy(q, mask)], picks)
             for k, agent in enumerate(reference):
                 q_ref, _ = lstm_forward(agent.main, [states[k]], ref_carry[k])
                 a_ref, ref_next = select_action(
                     agent.main, states[k], ref_carry[k], epsilon, agent.action_rng, masks[k]
                 )
                 assert picked[k] == a_ref
-                assert np.array_equal(q[k], q_ref[0])
-                assert np.array_equal(new_carry[0][k], ref_next[0])
-                assert np.array_equal(new_carry[1][k], ref_next[1])
+                assert np.array_equal(q[k, 0], q_ref[0])
+                assert np.array_equal(new_carry[0][k, 0], ref_next[0])
+                assert np.array_equal(new_carry[1][k, 0], ref_next[1])
                 cqi_next = cqi_tables[k][a_ref]
                 for owner, hidden_context in (
                     (agent, ref_carry[k]),
-                    (agents[k], (carry[0][k], carry[1][k])),
+                    (agents[k], (carry[0][k, 0], carry[1][k, 0])),
                 ):
                     owner.remember(
                         ExperienceTuple(

@@ -77,7 +77,7 @@ class TestGreedyThenExplore:
             explored = split.explorations(feasible, len(qs))
             assert len(explored) == len(qs)
             for q, picks in zip(qs, explored):
-                greedy = split.greedy(q, mask)
+                greedy = reference.greedy(split, q, mask)
                 picked = with_picks(greedy, picks)
                 assert picked == decide(whole, q, mask)
                 for k, eps in enumerate(epsilons):
@@ -239,11 +239,11 @@ def test_every_path_equals_a_walk_of_its_tti(case):
         ]
         for start in tried:
             walked, carries, states = [], [], start
-            h, c = ref.zero_carry()
+            h = c = np.zeros((n, 1, hidden))  # one row per agent
             for explored in picks:
-                carries.append((h, c))
-                q, (h, c) = ref.forward(np.array(states)[:, None], (h, c))
-                walked.append(with_picks(ref.greedy(q, mask), explored))
+                carries.append((h[:, 0], c[:, 0]))
+                q, (h, c) = ref.forward(np.array(states)[:, None, None], (h, c))
+                walked.append(with_picks(reference.greedy(ref, q[:, 0], mask), explored))
                 states = tuple(ns[a] for ns, a in zip(next_states, walked[-1]))
             paths = reference.window_paths(window, w, start)
             assert [list(p) for p in paths] == [list(a) for a in zip(*walked)]
@@ -319,7 +319,8 @@ def test_default_run_work(monkeypatch):
     counts, _ = _counted(monkeypatch)
     resolved = {"paths": 0, "budgets": 0, "in a step": 0}
     building = []
-    init, paths, budgets = Window.__init__, Window._paths, window_module._budgets
+    init, paths, walk = Window.__init__, Window._paths, Window._walk
+    budgets = window_module._budgets
 
     def building_init(self, *args):
         building.append(self)
@@ -334,7 +335,9 @@ def test_default_run_work(monkeypatch):
         return resolve
 
     monkeypatch.setattr(Window, "__init__", building_init)
+    # a window of one TTI resolves its one TTI's paths as it walks them
     monkeypatch.setattr(Window, "_paths", counted("paths", paths))
+    monkeypatch.setattr(Window, "_walk", counted("paths", walk))
     monkeypatch.setattr(window_module, "_budgets", counted("budgets", budgets))
     cfg = ScenarioConfig(tti_count=200, runs=1)
     ScenarioRun(cfg, run_seed=derive_seed(cfg.master_seed, 0)).run()

@@ -50,7 +50,7 @@ ALLOWED = {
         _ACT,
         "x = np.asarray(states, dtype=float).reshape(-1, 1, 1)",
         "if carry is None:",
-        "h0, c0 = net.zero_carry(batch=1)",
+        "h0 = c0 = np.zeros((1, net.hidden_units))",
         "h0 = carry[0].reshape(1, -1)",
         "c0 = carry[1].reshape(1, -1)",
         "qs, (h, c), _ = _forward(net, x, h0, c0)",
@@ -76,8 +76,7 @@ ALLOWED = {
         "agent.AgentStack.greedy",
         "every feasible Q-value is -inf only after training diverges, which an "
         "unbounded nn_learning_rate allows",
-        "feasible = [a or int(mask[k].argmax()) for a in acts]",
-        "actions[k] = feasible if grid else feasible[0]",
+        "actions[k] = [a or int(mask[k].argmax()) for a in acts]",
     ),
     **_allow(
         "agent.ReplayMemory.__len__",

@@ -65,12 +65,13 @@ class Mirror(ScenarioRun):
         cfg = self.cfg
         rewards = reward_table(self, t, geo)
         masks = [tuple(uid in beam.members for uid in range(cfg.n_ues)) for beam in geo.beams]
-        states, carry = list(self.first_states), self.stack.zero_carry()
+        n = len(self.agents)  # one row each
+        states, carry = list(self.first_states), (np.zeros((n, 1, cfg.hidden_units)),) * 2
         steps = []
         for _ in range(cfg.rbg_count):
-            x = np.asarray(states, dtype=float).reshape(len(self.agents), 1)
+            x = np.asarray(states, dtype=float).reshape(n, 1, 1)
             q, next_carry = self.stack.forward(x, carry)
-            actions = decide(self.stack, q, geo.mask)
+            actions = decide(self.stack, q[:, 0], geo.mask)
             steps.append((actions, carry))
             states = [geo.links[b][a].next_state for b, a in enumerate(actions)]
             carry = next_carry
@@ -82,7 +83,7 @@ class Mirror(ScenarioRun):
                 link, r = geo.links[b][action], rewards[b][action]
                 budgets[action] = budgets.get(action, 0.0) + link.bits
                 agent.remember(
-                    ExperienceTuple(state, action, link.next_state, r, (h[b], c[b]), masks[b])
+                    ExperienceTuple(state, action, link.next_state, r, (h[b, 0], c[b, 0]), masks[b])
                 )
                 state = link.next_state
         self.first_states = tuple(states)
