@@ -59,9 +59,6 @@ __all__ = [
     "sync_target",
 ]
 
-_GATES = ("i", "f", "o", "g")
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic 1 / (1 + exp(-z)) of the gates, in a new array: the
     formula of scipy.special.expit. Where exp(-z) overflows the result is 0,
@@ -127,15 +124,19 @@ def reward(user_class: UserClass, sinr_ratio: float, delay_ratio: float) -> floa
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def _gate_columns(hidden_units: int) -> list:
+    """The column slice of each gate, i, f, o, g, in the fused arrays."""
+    return [slice(k * hidden_units, (k + 1) * hidden_units) for k in range(4)]
+
+
 class LstmNetwork:
     """Gate weights plus the linear Q-value head.
 
-    The input is one scalar state. The gates are stored fused, in the
-    column order i, f, o, g: `wx` (4H,), `wh` (H, 4H) and `b` (4H,),
-    beside `wq` (H, A) and `bq` (A,). `params` maps wx_i, wh_i, b_i, ...
-    (one triple per gate), wq and bq to views of that storage, so an
-    in-place update under either name shows under both. Initialization
-    is uniform on [-0.1, 0.1] drawn in a fixed key order from the seed.
+    The input is one scalar state. The weights are the five fused arrays
+    `arrays()` returns, their only spelling: the gates in the column order
+    i, f, o, g in `wx` (4H,), `wh` (H, 4H) and `b` (4H,), beside `wq`
+    (H, A) and `bq` (A,). Initialization is uniform on [-0.1, 0.1], drawn
+    per gate (its wx, wh and b columns) and then wq and bq from the seed.
     """
 
     def __init__(self, hidden_units: int, action_count: int, seed: int = 0):
@@ -143,41 +144,25 @@ class LstmNetwork:
         self.action_count = action_count
         rng = make_rng(seed)
         h, a = hidden_units, action_count
-        wx = np.empty(4 * h)
-        wh = np.empty((h, 4 * h))
-        b = np.empty(4 * h)
-        for k in range(len(_GATES)):
-            cols = slice(k * h, (k + 1) * h)
-            wx[cols] = rng.uniform(-0.1, 0.1, size=(h,))
-            wh[:, cols] = rng.uniform(-0.1, 0.1, size=(h, h))
-            b[cols] = rng.uniform(-0.1, 0.1, size=(h,))
-        wq = rng.uniform(-0.1, 0.1, size=(h, a))
-        bq = rng.uniform(-0.1, 0.1, size=(a,))
-        self._bind(wx, wh, b, wq, bq)
-
-    def _bind(self, wx, wh, b, wq, bq) -> None:
-        """Adopt the arrays as storage and rebuild the per-gate views."""
-        self.wx, self.wh, self.b, self.wq, self.bq = wx, wh, b, wq, bq
-        h = self.hidden_units
-        p = {}
-        for k, gate in enumerate(_GATES):
-            cols = slice(k * h, (k + 1) * h)
-            p[f"wx_{gate}"] = wx[cols]
-            p[f"wh_{gate}"] = wh[:, cols]
-            p[f"b_{gate}"] = b[cols]
-        p["wq"] = wq
-        p["bq"] = bq
-        self.params = p
+        self.wx = np.empty(4 * h)
+        self.wh = np.empty((h, 4 * h))
+        self.b = np.empty(4 * h)
+        for cols in _gate_columns(h):
+            self.wx[cols] = rng.uniform(-0.1, 0.1, size=(h,))
+            self.wh[:, cols] = rng.uniform(-0.1, 0.1, size=(h, h))
+            self.b[cols] = rng.uniform(-0.1, 0.1, size=(h,))
+        self.wq = rng.uniform(-0.1, 0.1, size=(h, a))
+        self.bq = rng.uniform(-0.1, 0.1, size=(a,))
 
     def arrays(self) -> tuple:
-        """The storage arrays (wx, wh, b, wq, bq)."""
+        """The weight arrays (wx, wh, b, wq, bq)."""
         return (self.wx, self.wh, self.b, self.wq, self.bq)
 
     def clone(self) -> "LstmNetwork":
         other = LstmNetwork.__new__(LstmNetwork)
         other.hidden_units = self.hidden_units
         other.action_count = self.action_count
-        other._bind(*(v.copy() for v in self.arrays()))
+        other.wx, other.wh, other.b, other.wq, other.bq = (v.copy() for v in self.arrays())
         return other
 
 
@@ -187,21 +172,18 @@ def _forward(net: LstmNetwork, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
     x has shape (T, B, 1); h0/c0 have shape (B, H). Returns Q-values of
     shape (T, B, A), the final carry and the step cache for backprop.
     """
-    p = net.params
+    gates = [(net.wx[s], net.wh[:, s], net.b[s]) for s in _gate_columns(net.hidden_units)]
     steps, batch, _ = x.shape
     qs = np.empty((steps, batch, net.action_count))
     h, c = h0, c0
     cache = []
-    for t in range(steps):
-        xt = x[t]
-        i = _sigmoid(xt * p["wx_i"] + h @ p["wh_i"] + p["b_i"])
-        f = _sigmoid(xt * p["wx_f"] + h @ p["wh_f"] + p["b_f"])
-        o = _sigmoid(xt * p["wx_o"] + h @ p["wh_o"] + p["b_o"])
-        g = np.tanh(xt * p["wx_g"] + h @ p["wh_g"] + p["b_g"])
+    for t, xt in enumerate(x):
+        zi, zf, zo, zg = (xt * wx + h @ wh + b for wx, wh, b in gates)
+        i, f, o, g = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo), np.tanh(zg)
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h_new = o * tc
-        qs[t] = h_new @ p["wq"] + p["bq"]
+        qs[t] = h_new @ net.wq + net.bq
         cache.append((xt, h, c, i, f, o, g, tc, h_new))
         h, c = h_new, c_new
     return qs, (h, c), cache
@@ -210,21 +192,22 @@ def _forward(net: LstmNetwork, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
 def _backward(net: LstmNetwork, cache, dqs: np.ndarray):
     """Backpropagation through time for the loss gradient dqs = dL/dq.
 
-    Returns parameter gradients keyed like `net.params`. Gradients do
-    not flow into the initial carry (it is treated as an input).
+    Returns the gradients of the five weight arrays, in `arrays()` order,
+    each gate's terms added into its columns. Gradients do not flow into
+    the initial carry (it is treated as an input).
     """
-    p = net.params
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    gwx, gwh, gb, gwq, gbq = grads = tuple(np.zeros_like(v) for v in net.arrays())
     batch = dqs.shape[1]
     hdim = net.hidden_units
+    gates = _gate_columns(hdim)
     dh_next = np.zeros((batch, hdim))
     dc_next = np.zeros((batch, hdim))
     for t in range(len(cache) - 1, -1, -1):
         xt, h_prev, c_prev, i, f, o, g, tc, h_new = cache[t]
         dq = dqs[t]
-        grads["wq"] += h_new.T @ dq
-        grads["bq"] += dq.sum(axis=0)
-        dh = dq @ p["wq"].T + dh_next
+        gwq += h_new.T @ dq
+        gbq += dq.sum(axis=0)
+        dh = dq @ net.wq.T + dh_next
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
         di = dc * g
@@ -236,11 +219,11 @@ def _backward(net: LstmNetwork, cache, dqs: np.ndarray):
         d_ao = do * o * (1.0 - o)
         d_ag = dg * (1.0 - g * g)
         dh_next = np.zeros((batch, hdim))
-        for gate, da in zip(_GATES, (d_ai, d_af, d_ao, d_ag)):
-            grads[f"wx_{gate}"] += xt[:, 0] @ da
-            grads[f"wh_{gate}"] += h_prev.T @ da
-            grads[f"b_{gate}"] += da.sum(axis=0)
-            dh_next += da @ p[f"wh_{gate}"].T
+        for cols, da in zip(gates, (d_ai, d_af, d_ao, d_ag)):
+            gwx[cols] += xt[:, 0] @ da
+            gwh[:, cols] += h_prev.T @ da
+            gb[cols] += da.sum(axis=0)
+            dh_next += da @ net.wh[:, cols].T
     return grads
 
 
@@ -324,8 +307,8 @@ def train_step(
     dqs[0, np.arange(b), actions] = -2.0 * td / b
     grads = _backward(main, cache, dqs)
     lr = cfg.nn_learning_rate
-    for k, g in grads.items():
-        main.params[k] -= lr * g
+    for w, g in zip(main.arrays(), grads):
+        w -= lr * g
     return loss
 
 
@@ -350,9 +333,9 @@ class ReplayMemory:
 
     def sample(self, size: int, rng: np.random.Generator):
         """`size` distinct experiences, or None while underfilled."""
-        if len(self._buf) < size:
+        if len(self) < size:
             return None
-        idx = rng.choice(len(self._buf), size=size, replace=False)
+        idx = rng.choice(len(self), size=size, replace=False)
         return [self._buf[int(i)] for i in idx]
 
 
@@ -391,8 +374,9 @@ class DqnAgent:
 class AgentStack:
     """The main networks of several agents on a leading agent axis.
 
-    Each agent's `main` is rebound to views of its slice of the stack,
-    so training through `train_step` updates the stack in place. The
+    Each agent's `main` takes as its five weight arrays the views of its
+    slice of the stack, so training through `train_step` updates the
+    stack in place. The
     agents must share hidden units and action count. `draws[k]` is agent
     k's `DrawSource` over its `action_rng`, which nothing else reads.
     """
@@ -400,11 +384,10 @@ class AgentStack:
     def __init__(self, agents: Sequence[DqnAgent]):
         self.agents = list(agents)
         nets = [agent.main for agent in self.agents]
-        self.wx, self.wh, self.b, self.wq, self.bq = (
-            np.stack(parts) for parts in zip(*(net.arrays() for net in nets))
-        )
+        stacked = [np.stack(parts) for parts in zip(*(net.arrays() for net in nets))]
+        self.wx, self.wh, self.b, self.wq, self.bq = stacked
         for k, net in enumerate(nets):
-            net._bind(self.wx[k], self.wh[k], self.b[k], self.wq[k], self.bq[k])
+            net.wx, net.wh, net.b, net.wq, net.bq = (w[k] for w in stacked)
         n, h = len(nets), nets[0].hidden_units
         # (agent, 1, gate, row, column) views of the fused gate columns: one
         # BLAS product per gate, as in `_forward`. A single (H, 4H) product

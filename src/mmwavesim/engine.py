@@ -572,11 +572,13 @@ class ScenarioRun:
                 )
 
     def _serve(self, t: int, budgets: dict):
-        """Drain each scheduled UE's queue with its bit budget; returns (packets, delay sum)."""
+        """Drain each scheduled UE's non-empty queue by its budget; returns (packets, delay sum)."""
         packets = delay_sum = 0
         for uid, budget in budgets.items():
-            n, d = self.queues[uid].serve(budget, t)
-            packets, delay_sum = packets + n, delay_sum + d
+            queue = self.queues[uid]
+            if queue:
+                n, d = queue.serve(budget, t)
+                packets, delay_sum = packets + n, delay_sum + d
         return packets, delay_sum
 
     def _learn(self, t: int) -> None:

@@ -37,8 +37,8 @@ def zero_carry(agent):
 
 def zero_net(h=4, a=2):
     net = LstmNetwork(h, a, seed=0)
-    for k in net.params:
-        net.params[k][:] = 0.0
+    for w in net.arrays():
+        w[...] = 0.0
     return net
 
 
@@ -112,8 +112,8 @@ class TestLstmForward:
         # 1-unit cell, every parameter 0.5, input 1.0: each gate
         # pre-activation is 0.5*1 + 0.5*0 + 0.5 = 1
         net = LstmNetwork(1, 1, seed=0)
-        for k in net.params:
-            net.params[k][:] = 0.5
+        for w in net.arrays():
+            w[...] = 0.5
         q, _ = lstm_forward(net, [1.0])
         sig = 1.0 / (1.0 + math.exp(-1.0))
         g = math.tanh(1.0)
@@ -144,7 +144,7 @@ class TestLstmForward:
 class TestSelectAction:
     def test_greedy_is_argmax(self):
         net = zero_net(a=3)
-        net.params["bq"][:] = [0.1, 0.7, 0.3]
+        net.bq[:] = [0.1, 0.7, 0.3]
         a, _ = select_action(net, 0.5, None, 0.0, make_rng(0))
         assert a == 1
 
@@ -165,7 +165,7 @@ class TestSelectAction:
 
     def test_mask_restricts_choices(self):
         net = zero_net(a=4)
-        net.params["bq"][:] = [9.0, 0.1, 0.5, 0.2]
+        net.bq[:] = [9.0, 0.1, 0.5, 0.2]
         a, _ = select_action(net, 0.5, None, 0.0, make_rng(0), mask=[False, True, True, False])
         assert a == 2
         rng = make_rng(2)
@@ -180,8 +180,8 @@ class TestTrainStep:
         # are exact: target 0.5 + 0.9 * 1.0, prediction 0.95
         cfg = AgentConfig(action_count=2, minibatch=1, gamma=0.9, nn_learning_rate=0.01)
         main, target = zero_net(), zero_net()
-        main.params["bq"][:] = [0.95, 0.0]
-        target.params["bq"][:] = [1.0, 0.5]
+        main.bq[:] = [0.95, 0.0]
+        target.bq[:] = [1.0, 0.5]
         exp = ExperienceTuple(0.3, 0, 0.7, 0.5, (np.zeros(4), np.zeros(4)), ALL)
         loss = train_step(main, target, [exp], cfg)
         assert loss == pytest.approx(0.45**2, abs=1e-12)
@@ -189,23 +189,23 @@ class TestTrainStep:
     def test_perfect_prediction_zero_gradient(self):
         cfg = AgentConfig(action_count=2, minibatch=1, gamma=0.0, nn_learning_rate=0.5)
         main, target = zero_net(), zero_net()
-        main.params["bq"][:] = [0.5, 0.5]
-        before = {k: v.copy() for k, v in main.params.items()}
+        main.bq[:] = [0.5, 0.5]
+        before = [w.copy() for w in main.arrays()]
         exp = ExperienceTuple(0.3, 0, 0.7, 0.5, (np.zeros(4), np.zeros(4)), ALL)
         loss = train_step(main, target, [exp], cfg)
         assert loss == 0.0
-        for k in before:
-            assert np.array_equal(main.params[k], before[k])
+        for w, old in zip(main.arrays(), before):
+            assert np.array_equal(w, old)
 
     def test_target_untouched(self):
         cfg = AgentConfig(action_count=2, minibatch=1, nn_learning_rate=0.1)
         main = LstmNetwork(4, 2, seed=1)
         target = LstmNetwork(4, 2, seed=2)
-        before = {k: v.copy() for k, v in target.params.items()}
+        before = [w.copy() for w in target.arrays()]
         exp = ExperienceTuple(0.3, 1, 0.7, 0.8, (np.zeros(4), np.zeros(4)), ALL)
         train_step(main, target, [exp], cfg)
-        for k in before:
-            assert np.array_equal(target.params[k], before[k])
+        for w, old in zip(target.arrays(), before):
+            assert np.array_equal(w, old)
 
     def test_mask_rows_train_as_tuples(self):
         # the engine's experiences hold rows of its (beam, UE) mask array
@@ -250,8 +250,7 @@ def _max_gradcheck_error(seed, steps=4, batch=2, hidden=3, actions=2):
     grads = _backward(net, cache, dqs)
     worst = 0.0
     eps = 1e-5
-    for key, grad in grads.items():
-        p = net.params[key]
+    for p, grad in zip(net.arrays(), grads, strict=True):
         numeric = np.zeros_like(grad)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
@@ -282,23 +281,23 @@ class TestSyncAndReplay:
 
     def test_target_starts_as_init_copy_and_sync_idempotent(self):
         agent = DqnAgent(AgentConfig(action_count=2, seed=5))
-        for k in agent.main.params:
-            assert np.array_equal(agent.main.params[k], agent.target.params[k])
+        for w, t in zip(agent.main.arrays(), agent.target.arrays()):
+            assert np.array_equal(w, t)
         agent.sync()
-        snap = {k: v.copy() for k, v in agent.target.params.items()}
+        snap = [w.copy() for w in agent.target.arrays()]
         agent.sync()
-        for k in snap:
-            assert np.array_equal(agent.target.params[k], snap[k])
+        for w, old in zip(agent.target.arrays(), snap):
+            assert np.array_equal(w, old)
 
     def test_target_stale_between_syncs(self):
         cfg = AgentConfig(action_count=2, minibatch=1, seed=6)
         agent = DqnAgent(cfg)
-        snap = {k: v.copy() for k, v in agent.target.params.items()}
+        snap = [w.copy() for w in agent.target.arrays()]
         exp = ExperienceTuple(0.3, 0, 0.7, 0.5, zero_carry(agent), ALL)
         for _ in range(5):
             train_step(agent.main, agent.target, [exp], cfg)
-        for k in snap:
-            assert np.array_equal(agent.target.params[k], snap[k])
+        for w, old in zip(agent.target.arrays(), snap):
+            assert np.array_equal(w, old)
 
     def test_replay_evicts_oldest(self):
         mem = ReplayMemory(capacity=60)
@@ -378,13 +377,13 @@ class TestDeterminism:
                 loss = agent.train()
                 if loss is not None:
                     losses.append(loss)
-            return losses, {k: v.copy() for k, v in agent.main.params.items()}
+            return losses, [w.copy() for w in agent.main.arrays()]
 
         l1, p1 = trajectory(42)
         l2, p2 = trajectory(42)
         assert l1 == l2
-        for k in p1:
-            assert np.array_equal(p1[k], p2[k])
+        for w1, w2 in zip(p1, p2):
+            assert np.array_equal(w1, w2)
 
 
 def test_agent_config_validation():

@@ -18,38 +18,30 @@ from mmwavesim.seeding import derive_seed, make_rng
 from reference import next_draws, with_picks
 
 
-def _assert_views_of(net, wx, wh, b, wq, bq):
-    for key, arr in net.params.items():
-        base = {"wx": wx, "wh": wh, "b": b, "wq": wq, "bq": bq}[key.split("_")[0]]
-        assert np.shares_memory(arr, base), key
+def _assert_views_of(net, *bases):
+    for k, (arr, base) in enumerate(zip(net.arrays(), bases, strict=True)):
+        assert np.shares_memory(arr, base), k
 
 
 class TestFusedStorage:
     def test_init_draws_gates_in_key_order(self):
         net = LstmNetwork(3, 4, seed=11)
         rng = make_rng(11)
-        for gate in ("i", "f", "o", "g"):
-            assert np.array_equal(net.params[f"wx_{gate}"], rng.uniform(-0.1, 0.1, size=(3,)))
-            assert np.array_equal(net.params[f"wh_{gate}"], rng.uniform(-0.1, 0.1, size=(3, 3)))
-            assert np.array_equal(net.params[f"b_{gate}"], rng.uniform(-0.1, 0.1, size=(3,)))
-        assert np.array_equal(net.params["wq"], rng.uniform(-0.1, 0.1, size=(3, 4)))
-        assert np.array_equal(net.params["bq"], rng.uniform(-0.1, 0.1, size=(4,)))
-
-    def test_gate_views_write_through(self):
-        net = LstmNetwork(3, 2, seed=1)
-        _assert_views_of(net, *net.arrays())
-        net.params["wh_o"][:] = 7.0
-        assert np.all(net.wh[:, 6:9] == 7.0)
-        assert not np.any(net.wh[:, :6] == 7.0)
-        net.b[3:6] = -1.0
-        assert np.all(net.params["b_f"] == -1.0)
+        for k in range(4):  # the gates i, f, o, g in turn
+            cols = slice(3 * k, 3 * (k + 1))
+            assert np.array_equal(net.wx[cols], rng.uniform(-0.1, 0.1, size=(3,)))
+            assert np.array_equal(net.wh[:, cols], rng.uniform(-0.1, 0.1, size=(3, 3)))
+            assert np.array_equal(net.b[cols], rng.uniform(-0.1, 0.1, size=(3,)))
+        assert np.array_equal(net.wq, rng.uniform(-0.1, 0.1, size=(3, 4)))
+        assert np.array_equal(net.bq, rng.uniform(-0.1, 0.1, size=(4,)))
 
     def test_clone_is_independent(self):
         net = LstmNetwork(3, 2, seed=1)
         other = net.clone()
-        _assert_views_of(other, *other.arrays())
-        other.params["wx_i"][:] = 5.0
-        assert not np.any(net.params["wx_i"] == 5.0)
+        for mine, theirs in zip(net.arrays(), other.arrays()):
+            assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
+        other.wx[:3] = 5.0
+        assert not np.any(net.wx == 5.0)
 
 
 def test_stack_rebinds_agents_to_its_slices():
@@ -60,7 +52,7 @@ def test_stack_rebinds_agents_to_its_slices():
         _assert_views_of(agent.main, stack.wx, stack.wh, stack.b, stack.wq, stack.bq)
         for old, new in zip(before[k], agent.main.arrays()):
             assert np.array_equal(old, new)
-    agents[1].main.params["b_g"][:] = 3.0
+    agents[1].main.b[18:24] = 3.0
     assert np.all(stack.b[1, 18:24] == 3.0)
     assert not np.any(stack.b[0] == 3.0)
 
@@ -141,5 +133,5 @@ def test_stacked_step_matches_select_action(data):
 
     for agent, draws, mine in zip(reference, stack.draws, agents):
         assert next_draws(agent.action_rng) == next_draws(draws)
-        for key in agent.main.params:
-            assert np.array_equal(agent.main.params[key], mine.main.params[key])
+        for theirs, ours in zip(agent.main.arrays(), mine.main.arrays()):
+            assert np.array_equal(theirs, ours)

@@ -20,6 +20,7 @@ from mmwavesim.engine import (
 from mmwavesim.errors import ConfigError
 from mmwavesim.geometry import Point2D, UniformDisk, uniform_disk_point
 from mmwavesim.seeding import derive_seed, make_rng
+from mmwavesim.traffic import PacketQueue
 from reference import SampleBased, expected_position, reported_center
 from reference import report_pdf as inject_error
 from test_schedule_stage import Recorded
@@ -308,6 +309,19 @@ class TestStepTti:
             run.step(t)
             for queue in run.queues:
                 assert queue.arrivals_total == queue.delivered_packets + len(queue)
+
+    def test_serve_meets_only_queued_packets(self, monkeypatch):
+        # a UE whose queue is empty is not served: the call would deliver nothing
+        lengths = []
+        serve = PacketQueue.serve
+
+        def counted(queue, budget_bits, now):
+            lengths.append(len(queue))
+            return serve(queue, budget_bits, now)
+
+        monkeypatch.setattr(PacketQueue, "serve", counted)
+        make_run(ScenarioConfig(tti_count=200)).run()
+        assert lengths and min(lengths) > 0
 
     def test_beam_removal_never_gains_bits(self):
         # a run covered at every TTI drains essentially all arrivals, so

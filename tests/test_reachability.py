@@ -78,16 +78,6 @@ ALLOWED = {
         "unbounded nn_learning_rate allows",
         "actions[k] = [a or int(mask[k].argmax()) for a in acts]",
     ),
-    **_allow(
-        "agent.ReplayMemory.__len__",
-        "tests read the replay length (eviction)",
-        "return len(self._buf)",
-    ),
-    **_allow(
-        "traffic.PacketQueue.__len__",
-        "tests read the queue length (packet conservation)",
-        "return len(self._arrival_ttis)",
-    ),
 }
 
 CHILD = textwrap.dedent(

@@ -335,8 +335,8 @@ class TestDecide:
         for q, mask in rounds:
             # with wq = 0 the network's Q-row is bq, so select_action sees q too
             for k, agent in enumerate(by_select):
-                agent.main.params["wq"][:] = 0.0
-                agent.main.params["bq"][:] = q[k]
+                agent.main.wq[:] = 0.0
+                agent.main.bq[:] = q[k]
             picked = decide(stack, q, mask)
             for k, eps in enumerate(epsilons):
                 feasible = np.flatnonzero(mask[k])
